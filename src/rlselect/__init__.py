@@ -8,6 +8,8 @@ samples, a self-contained classifier suite, filter-method baselines, and
 reproducible experiment drivers.
 """
 
+__version__ = "0.1.0"  # bound before the submodule imports: harness reads it
+
 from .agent import AgentConfig, EpsilonSchedule, ReplayMemory, Transition, ddqn_target, select_action, train_step
 from .baselines import RankedFeatures, chi_square, information_gain, random_subset, top_k
 from .classifiers import ClassifierKind, TrainedClassifier, accuracy, cv_accuracy, fit, predict
@@ -36,5 +38,3 @@ from .featurize import (
 )
 from .harness import RunConfig, RunReport, run_training, sub_seed
 from .net import NetworkConfig, NetworkParams, OptimizerState, backward, forward, init, load_checkpoint, save_checkpoint, step, sync
-
-__version__ = "0.1.0"

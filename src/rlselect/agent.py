@@ -68,7 +68,7 @@ class ReplayMemory:
 
     def __init__(self, capacity: int = 200_000):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._buffer: deque[Transition] = deque(maxlen=capacity)
         self.inserted = 0
@@ -159,15 +159,14 @@ class AgentConfig:
     ddqn_convention: str = "paper"
 
     def __post_init__(self):
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be >= 1")
-        if min(self.total_episodes, self.warmup_steps, self.batch_size,
-               self.learn_frequency, self.sync_frequency) < 1:
-            raise ValueError("all counts must be >= 1")
+        for name in ("subset_size", "total_episodes", "warmup_steps", "batch_size",
+                     "learn_frequency", "sync_frequency"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.ddqn_convention not in CONVENTIONS:
-            raise ValueError(f"ddqn_convention must be one of {CONVENTIONS}")
+            raise ValueError(f"ddqn_convention must be one of {CONVENTIONS}, got {self.ddqn_convention!r}")
         EpsilonSchedule(self.total_episodes, self.p)  # validates p
 
     def schedule(self) -> EpsilonSchedule:

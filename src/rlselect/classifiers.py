@@ -40,16 +40,16 @@ class ClassifierKind:
 
     def __post_init__(self):
         if self.name not in ("dt", "rf", "knn", "svm"):
-            raise ValueError(f"unknown classifier {self.name!r}")
+            raise ValueError(f"name must be one of dt, rf, knn, svm, got {self.name!r}")
         if self.name == "rf" and self.trees < 1:
-            raise ValueError("random forest needs trees >= 1")
+            raise ValueError(f"trees must be >= 1 for a random forest, got {self.trees}")
         if self.name == "knn" and (self.k < 1 or self.k % 2 == 0):
-            raise ValueError("kNN needs odd k >= 1")
+            raise ValueError(f"k must be odd and >= 1 for kNN, got {self.k}")
         if self.name == "svm":
             if self.lam <= 0:
-                raise ValueError("SVM regularization lambda must be > 0")
+                raise ValueError(f"lam must be > 0 for the SVM, got {self.lam}")
             if self.epochs < 1:
-                raise ValueError("SVM needs epochs >= 1")
+                raise ValueError(f"epochs must be >= 1 for the SVM, got {self.epochs}")
 
     @classmethod
     def decision_tree(cls) -> "ClassifierKind":

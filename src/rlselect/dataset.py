@@ -191,19 +191,24 @@ class SyntheticSpec:
 
     n_samples: int
     n_features: int
-    informative: tuple[int, ...]
+    informative: tuple[int, ...] | int  # an int n is shorthand for the first n columns
     q: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "informative", tuple(sorted(self.informative)))
-        if self.n_samples < 0 or self.n_features < 1:
-            raise ValueError("need n_samples >= 0 and n_features >= 1")
+        informative = self.informative
+        if isinstance(informative, int):
+            informative = range(informative)
+        object.__setattr__(self, "informative", tuple(sorted(informative)))
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
+        if self.n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         if not (0.5 < self.q <= 1.0):
             raise ValueError(f"q must be in (0.5, 1], got {self.q}")
         for j in self.informative:
             if not 0 <= j < self.n_features:
-                raise ValueError(f"informative index {j} out of range")
+                raise ValueError(f"informative index {j} out of range 0..{self.n_features - 1}")
         if len(set(self.informative)) != len(self.informative):
             raise ValueError("informative indices must be unique")
 

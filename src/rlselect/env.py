@@ -46,12 +46,28 @@ class RewardOracle:
     ):
         plan = stratified_split(matrix, SplitKind.holdout(1.0 - fit_fraction), seed)
         fit_idx, score_idx = plan.train_test()
+        self._init_parts(kind, matrix.rows(fit_idx), matrix.rows(score_idx), seed, memoize)
+
+    @classmethod
+    def from_parts(
+        cls, kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix, seed: int
+    ) -> "RewardOracle":
+        """Oracle that trains on ``fit_part`` and scores ``score_part`` as given, without a split."""
+        oracle = cls.__new__(cls)
+        oracle._init_parts(kind, fit_part, score_part, seed, memoize=True)
+        return oracle
+
+    def _init_parts(self, kind, fit_part, score_part, seed, memoize):
+        if fit_part.n_features != score_part.n_features:
+            raise ValueError(
+                f"fit part has {fit_part.n_features} features, score part {score_part.n_features}"
+            )
         self.kind = kind
-        self.fit_part = matrix.rows(fit_idx)
-        self.score_part = matrix.rows(score_idx)
+        self.fit_part = fit_part
+        self.score_part = score_part
         self.seed = seed
         self.memoize = memoize
-        self.n_features = matrix.n_features
+        self.n_features = fit_part.n_features
         self._cache: dict[State, float] = {}
         self.fit_count = 0
         self.hit_count = 0

@@ -38,8 +38,9 @@ class NetworkConfig:
     head: str = "linear"
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim, self.output_dim) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "output_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.output_dim != self.vocab_size - 1:
             raise ValueError("output_dim must equal vocab_size - 1")
         if self.cell not in CELLS:
@@ -276,9 +277,11 @@ class OptimizerState:
 
     def __post_init__(self):
         if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.base_rate < 0 or self.clip_norm <= 0:
-            raise ValueError("need base_rate >= 0 and clip_norm > 0")
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        if self.base_rate < 0:
+            raise ValueError(f"base_rate must be >= 0, got {self.base_rate}")
+        if self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
     def rate(self) -> float:
         return self.base_rate * max(0.0, 1.0 - self.step_count / self.total_steps)

@@ -117,3 +117,10 @@ class TestRewardOracle:
         oracle = RewardOracle(ClassifierKind.knn(k=3), planted_matrix(q=0.8), seed=7)
         values = {oracle((2, 5)) for _ in range(5)}
         assert len(values) == 1
+
+    def test_from_parts_scores_like_the_split_it_is_given(self):
+        split = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(seed=8, q=0.8), seed=9)
+        parts = RewardOracle.from_parts(split.kind, split.fit_part, split.score_part, split.seed)
+        for subset in ((1,), (1, 3), (2, 3, 5), (1, 3)):
+            assert parts(subset) == split(subset)
+        assert (parts.fit_count, parts.hit_count) == (3, 1)

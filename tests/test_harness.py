@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,28 @@ def tiny_config(out_dir, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+# (dotted path, bad value): each must be rejected at load, naming its path
+BAD_CONFIG_VALUES = [
+    ("network.hiden_dim", 8),
+    ("agent.total_episodes", 2.5),
+    ("seed", "abc"),
+    ("oracle_fit_fraction", 1.5),
+    ("network.embed_dim", 0),
+    ("agent.p", True),
+    ("classifier.tress", 500),
+]
+
+
+def config_dict_with(out_dir, path: str, value) -> dict:
+    d = tiny_config(out_dir).to_dict()
+    *sections, key = path.split(".")
+    target = d
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    return d
+
+
 class TestSubSeed:
     def test_stable_and_distinct(self):
         assert sub_seed(1, "oracle") == sub_seed(1, "oracle")
@@ -81,6 +105,16 @@ class TestRunConfig:
     def test_bad_config_raises_config_error(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"dataset": {"synthetic": {"n_samples": 10}}})
+
+    @pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES)
+    def test_bad_value_rejected_with_its_path(self, path, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
+            RunConfig.from_dict(config_dict_with("/tmp/x", path, value))
+
+    def test_readme_example_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert RunConfig.from_dict(json.loads(block)) == RunConfig()
 
 
 class TestCmdTrain:
@@ -298,6 +332,14 @@ class TestCli:
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
         assert main(["train", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES)
+    def test_bad_config_value_exits_one_before_any_output(self, tmp_path, capsys, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_dict_with(tmp_path / "out", path, value)))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out")
