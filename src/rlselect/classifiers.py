@@ -144,16 +144,21 @@ def _best_split(bitsf, w0, w1, idx, mtry, rng):
     return feature, tot0, tot1
 
 
-def _grow_tree(bitsf, w0, w1, idx, mtry, rng) -> Leaf | Split:
-    """Iterative CART over weighted unique patterns (depth not stack-bounded).
+def _grow_tree(X: np.ndarray, y: np.ndarray, mtry, rng) -> Leaf | Split:
+    """Iterative CART over the unique row patterns of (X, y) (depth not stack-bounded).
 
-    bitsf: (patterns, features) float64; w0/w1: per-pattern label weights.
-    ``mtry`` is None for plain trees (every feature is a candidate) or the
-    per-split random candidate count for forest trees. Children are expanded
-    left before right so any per-split rng draws happen in a fixed order.
+    Each pattern is weighted by its count of rows per label. ``mtry`` is
+    None for plain trees (every feature is a candidate) or the per-split
+    random candidate count for forest trees. Children are expanded left
+    before right so any per-split rng draws happen in a fixed order.
     """
+    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
+    w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0]).astype(np.float64)
+    bitsf = patterns.astype(np.float64)
     holder = Split(-1)
-    stack = [(idx, holder, "left")]
+    stack = [(np.arange(bitsf.shape[0]), holder, "left")]
     while stack:
         live, parent, side = stack.pop()
         feature, tot0, tot1 = _best_split(bitsf, w0, w1, live, mtry, rng)
@@ -167,16 +172,6 @@ def _grow_tree(bitsf, w0, w1, idx, mtry, rng) -> Leaf | Split:
         stack.append((live[mask], node, "right"))
         stack.append((live[~mask], node, "left"))
     return holder.left
-
-
-def _dedupe(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse identical rows to (patterns, weight0, weight1)."""
-    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    m = patterns.shape[0]
-    w0 = np.bincount(inverse[y == 0], minlength=m).astype(np.float64)
-    w1 = np.bincount(inverse[y == 1], minlength=m).astype(np.float64)
-    return patterns, w0, w1
 
 
 def _predict_tree(node: Leaf | Split, rows: np.ndarray) -> np.ndarray:
@@ -195,15 +190,9 @@ def _predict_tree(node: Leaf | Split, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class _TreeModel:
-    def __init__(self, root: Leaf | Split):
-        self.root = root
-
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        return _predict_tree(self.root, rows)
-
-
 class _ForestModel:
+    """Majority vote of CART trees; a decision tree is a forest of one."""
+
     def __init__(self, trees: list[Leaf | Split]):
         self.trees = trees
 
@@ -268,19 +257,14 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
     n_features = matrix.n_features
 
     if kind.name == "dt":
-        bits, w0, w1 = _dedupe(X, y)
-        root = _grow_tree(bits.astype(np.float64), w0, w1, np.arange(bits.shape[0]), None, None)
-        model: object = _TreeModel(root)
+        model: object = _ForestModel([_grow_tree(X, y, None, None)])
     elif kind.name == "rf":
         mtry = math.ceil(math.sqrt(n_features))
         trees = []
         for t in range(kind.trees):
             rng = _tree_rng(seed, t)
             boot = rng.integers(0, matrix.n_samples, size=matrix.n_samples)
-            bits, w0, w1 = _dedupe(X[boot], y[boot])
-            trees.append(
-                _grow_tree(bits.astype(np.float64), w0, w1, np.arange(bits.shape[0]), mtry, rng)
-            )
+            trees.append(_grow_tree(X[boot], y[boot], mtry, rng))
         model = _ForestModel(trees)
     elif kind.name == "knn":
         model = _KnnModel(X.copy(), y.copy(), kind.k)

@@ -127,12 +127,12 @@ def _dispatch(args) -> None:
               f"last {final['mean_final_reward']:.4f}")
     elif args.command == "timing":
         kinds = parse_classifier_list(args.classifiers)
-        n_features = load_matrix(config).n_features
+        matrix = load_matrix(config)
         subsets = [
-            random_subset(n_features, size, sub_seed(config.seed, f"timing-{size}"))
+            random_subset(matrix.n_features, size, sub_seed(config.seed, f"timing-{size}"))
             for size in args.sizes
         ]
-        rows = harness.cmd_timing(config, subsets, kinds)
+        rows = harness.cmd_timing(config, subsets, kinds, matrix=matrix)
         for row in rows:
             print(f"{row['classifier']:>14s}  size {row['subset_size']:>3d}  "
                   f"ratio {row['ratio_pct']:.2f}%")

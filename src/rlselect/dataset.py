@@ -259,10 +259,6 @@ class SplitPlan:
         a.flags.writeable = False
         object.__setattr__(self, "assignments", a)
 
-    @property
-    def n_folds(self) -> int:
-        return self.kind.k if self.kind.method == "kfold" else 2
-
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
 

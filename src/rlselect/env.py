@@ -42,11 +42,10 @@ class RewardOracle:
         matrix: SampleMatrix,
         seed: int,
         fit_fraction: float = 0.8,
-        memoize: bool = True,
     ):
         plan = stratified_split(matrix, SplitKind.holdout(1.0 - fit_fraction), seed)
         fit_idx, score_idx = plan.train_test()
-        self._init_parts(kind, matrix.rows(fit_idx), matrix.rows(score_idx), seed, memoize)
+        self._init_parts(kind, matrix.rows(fit_idx), matrix.rows(score_idx), seed)
 
     @classmethod
     def from_parts(
@@ -54,10 +53,10 @@ class RewardOracle:
     ) -> "RewardOracle":
         """Oracle that trains on ``fit_part`` and scores ``score_part`` as given, without a split."""
         oracle = cls.__new__(cls)
-        oracle._init_parts(kind, fit_part, score_part, seed, memoize=True)
+        oracle._init_parts(kind, fit_part, score_part, seed)
         return oracle
 
-    def _init_parts(self, kind, fit_part, score_part, seed, memoize):
+    def _init_parts(self, kind, fit_part, score_part, seed):
         if fit_part.n_features != score_part.n_features:
             raise ValueError(
                 f"fit part has {fit_part.n_features} features, score part {score_part.n_features}"
@@ -66,7 +65,6 @@ class RewardOracle:
         self.fit_part = fit_part
         self.score_part = score_part
         self.seed = seed
-        self.memoize = memoize
         self.n_features = fit_part.n_features
         self._cache: dict[State, float] = {}
         self.fit_count = 0
@@ -78,15 +76,14 @@ class RewardOracle:
         key = tuple(subset)
         if any(b <= a for a, b in zip(key, key[1:])):
             raise ValueError(f"subset must be sorted strictly ascending, got {key}")
-        if self.memoize and key in self._cache:
+        if key in self._cache:
             self.hit_count += 1
             return self._cache[key]
         columns = [i - 1 for i in key]
         clf = classifiers.fit(self.kind, project(self.fit_part, columns), self.seed)
         self.fit_count += 1
         reward = classifiers.accuracy(clf, project(self.score_part, columns))
-        if self.memoize:
-            self._cache[key] = reward
+        self._cache[key] = reward
         return reward
 
 

@@ -97,7 +97,6 @@ class NGramVocabulary:
 
     n: int
     grams: tuple[str, ...]
-    source: str = ""
 
     def __post_init__(self):
         if self.n < 1:
@@ -113,7 +112,7 @@ class NGramVocabulary:
         return len(self.grams)
 
 
-def build_vocabulary(corpora, n: int, k: int, source: str = "") -> NGramVocabulary:
+def build_vocabulary(corpora, n: int, k: int) -> NGramVocabulary:
     """Top-k n-grams aggregated over the corpora; frequency ties break lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -125,7 +124,7 @@ def build_vocabulary(corpora, n: int, k: int, source: str = "") -> NGramVocabula
             f"only {len(totals)} distinct {n}-grams available, need k={k}"
         )
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    return NGramVocabulary(n, tuple(g for g, _ in ranked[:k]), source)
+    return NGramVocabulary(n, tuple(g for g, _ in ranked[:k]))
 
 
 def vectorize_ngrams(letters: str, vocab: NGramVocabulary) -> np.ndarray:

@@ -10,6 +10,7 @@ so the main ``report.json`` stays byte-reproducible.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import time
@@ -286,15 +287,25 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"}
 
 
-def _greedy_rollout(env: FeatureEnv, params: net.NetworkParams, rng) -> list[int]:
-    """One evaluation episode (epsilon = 0); returns actions in pick order (1-based)."""
+def _episode(env: FeatureEnv, params: net.NetworkParams, eps: float, rng, memory=None):
+    """One epsilon-greedy episode under ``params``; each transition goes to ``memory`` if given.
+
+    Returns (actions in pick order, 1-based; step rewards). ``select_action``
+    draws from ``rng`` only when ``eps > 0``, so a greedy episode leaves the
+    stream untouched.
+    """
     state = env.reset()
-    order = []
-    for _ in range(env.subset_size):
-        action = select_action(state, 0.0, params, rng)
-        state, _, _ = env.step(state, action)
+    order, rewards = [], []
+    done = False
+    while not done:
+        prev = state
+        action = select_action(state, eps, params, rng)
+        state, reward, done = env.step(state, action)
+        if memory is not None:
+            memory.push(Transition(prev, action, reward, state, done))
         order.append(action)
-    return order
+        rewards.append(reward)
+    return order, rewards
 
 
 @dataclass
@@ -310,12 +321,13 @@ def run_training(
     config: RunConfig,
     matrix: SampleMatrix | None = None,
     per_episode=None,
-    oracle: RewardOracle | None = None,
 ) -> TrainResult:
     """Warm-up, training episodes, and the final greedy evaluation.
 
-    ``per_episode(episode, theta1)`` is invoked after every training episode
-    (the learning-curve driver hooks in here).
+    ``per_episode(record, theta1, env)`` is invoked after every training
+    episode with the episode's report record, the learning network and the
+    run's own environment (the learning-curve driver hooks in here; episodes
+    it steps through ``env`` share the run's reward oracle and its counts).
     """
     t0 = time.perf_counter()
     if matrix is None:
@@ -325,11 +337,10 @@ def run_training(
     if cfg.subset_size > n:
         raise ConfigError(f"subset_size {cfg.subset_size} exceeds feature count {n}")
 
-    if oracle is None:
-        oracle = RewardOracle(
-            config.classifier, matrix, sub_seed(config.seed, "oracle"),
-            fit_fraction=config.oracle_fit_fraction,
-        )
+    oracle = RewardOracle(
+        config.classifier, matrix, sub_seed(config.seed, "oracle"),
+        fit_fraction=config.oracle_fit_fraction,
+    )
     env = FeatureEnv(n, cfg.subset_size, oracle)
     theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
     theta2 = theta1.copy()
@@ -338,21 +349,9 @@ def run_training(
     rng = np.random.default_rng(sub_seed(config.seed, "agent"))
     schedule = cfg.schedule()
 
-    def run_episode(eps: float) -> list[float]:
-        state = env.reset()
-        rewards = []
-        done = False
-        while not done:
-            prev = state
-            action = select_action(state, eps, theta1, rng)
-            state, reward, done = env.step(state, action)
-            memory.push(Transition(prev, action, reward, state, done))
-            rewards.append(reward)
-        return rewards
-
     # Warm-up: uniform-random episodes until enough transitions are stored.
     while memory.inserted < cfg.warmup_steps:
-        run_episode(1.0)
+        _episode(env, theta1, 1.0, rng, memory)
     warmup_transitions = memory.inserted
     t_warm = time.perf_counter()
 
@@ -360,7 +359,7 @@ def run_training(
     for episode in range(1, cfg.total_episodes + 1):
         eps = schedule.epsilon(episode - 1)
         try:
-            rewards = run_episode(eps)
+            _, rewards = _episode(env, theta1, eps, rng, memory)
             if episode % cfg.learn_frequency == 0 and len(memory) >= cfg.batch_size:
                 train_step(memory, theta1, theta2, opt, cfg, rng)
             if episode % cfg.sync_frequency == 0:
@@ -369,19 +368,18 @@ def run_training(
                 net.sync(theta1, theta2)
         except Exception as exc:
             raise RuntimeError(f"training failed at episode {episode}: {exc}") from exc
-        episodes.append(
-            {
-                "episode": episode,
-                "epsilon": eps,
-                "step_rewards": [float(r) for r in rewards],
-                "final_reward": float(rewards[-1]),
-            }
-        )
+        record = {
+            "episode": episode,
+            "epsilon": eps,
+            "step_rewards": [float(r) for r in rewards],
+            "final_reward": float(rewards[-1]),
+        }
+        episodes.append(record)
         if per_episode is not None:
-            per_episode(episode, theta1)
+            per_episode(record, theta1, env)
     t_train = time.perf_counter()
 
-    order = _greedy_rollout(env, theta1, rng)
+    order, _ = _episode(env, theta1, 0.0, rng)
     subset = tuple(sorted(order))
     final_reward = float(oracle(subset))
     t_end = time.perf_counter()
@@ -417,13 +415,22 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv as _csv
-
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Header ``columns``, then each row's values under those keys in that order."""
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+
+
+def _publish(config: RunConfig, name: str, payload: dict, tables: dict[str, tuple]) -> dict:
+    """Write ``<table>.csv`` per ``table: (columns, rows)``, then ``<name>.json``, which it returns."""
+    out = _out_dir(config)
+    for table, (columns, rows) in tables.items():
+        _write_csv(out / f"{table}.csv", columns, rows)
+    payload = {"config": config.to_dict(), **payload}
+    _write_json(out / f"{name}.json", payload)
+    return payload
 
 
 def cmd_train(config: RunConfig) -> RunReport:
@@ -487,17 +494,10 @@ def cmd_evaluate(
                 "per_fold": per_fold,
             }
         )
-    out = _out_dir(config)
-    _write_csv(
-        out / "evaluate.csv",
-        ["classifier", "subset_size", "mean_accuracy"]
-        + [f"fold{i}" for i in range(folds)],
-        [[r["classifier"], r["subset_size"], r["mean_accuracy"], *r["per_fold"]] for r in rows],
-    )
-    _write_json(
-        out / "evaluate.json",
-        {"config": config.to_dict(), "subset": sub, "rows": rows},
-    )
+    fold_columns = [f"fold{i}" for i in range(folds)]
+    table = [r | dict(zip(fold_columns, r["per_fold"])) for r in rows]
+    columns = ["classifier", "subset_size", "mean_accuracy", *fold_columns]
+    _publish(config, "evaluate", {"subset": sub, "rows": rows}, {"evaluate": (columns, table)})
     return rows
 
 
@@ -524,48 +524,34 @@ def cmd_compare(
     rows = []
     for size in sizes:
         for method in methods:
-            if method == "random":
-                accs = []
-                for draw in range(random_draws):
-                    subset = baselines.random_subset(
+            if method == "random":  # the mean over seeded draws; no one subset to report
+                subset = []
+                draws = [
+                    baselines.random_subset(
                         matrix.n_features, size, sub_seed(config.seed, f"random-{size}-{draw}")
                     )
-                    accs.append(cv(subset)[0])
-                rows.append(
-                    {
-                        "method": "random",
-                        "size": size,
-                        "subset": [],
-                        "accuracy": float(np.mean(accs)),
-                        "accuracy_std": float(np.std(accs)),
-                    }
-                )
-                continue
-            if method == "rl":
-                result = run_training(replace(config, subset_size=size), matrix=matrix)
-                subset = result.report.final_subset
+                    for draw in range(random_draws)
+                ]
             else:
-                subset = baselines.top_k(ig if method == "information_gain" else chi, size)
+                if method == "rl":
+                    result = run_training(replace(config, subset_size=size), matrix=matrix)
+                    subset = result.report.final_subset
+                else:
+                    subset = baselines.top_k(ig if method == "information_gain" else chi, size)
+                draws = [subset]
+            accs = [cv(s)[0] for s in draws]
             rows.append(
                 {
                     "method": method,
                     "size": size,
                     "subset": subset,
-                    "accuracy": cv(subset)[0],
-                    "accuracy_std": 0.0,
+                    "accuracy": float(np.mean(accs)),
+                    "accuracy_std": float(np.std(accs)),
                 }
             )
-    out = _out_dir(config)
-    _write_csv(
-        out / "compare.csv",
-        ["method", "size", "accuracy", "accuracy_std", "subset"],
-        [
-            [r["method"], r["size"], r["accuracy"], r["accuracy_std"],
-             " ".join(str(i) for i in r["subset"])]
-            for r in rows
-        ],
-    )
-    _write_json(out / "compare.json", {"config": config.to_dict(), "rows": rows})
+    table = [r | {"subset": " ".join(str(i) for i in r["subset"])} for r in rows]
+    columns = ["method", "size", "accuracy", "accuracy_std", "subset"]
+    _publish(config, "compare", {"rows": rows}, {"compare": (columns, table)})
     return rows
 
 
@@ -598,30 +584,32 @@ def cmd_stability(config: RunConfig, runs: int, folds: int = 10) -> dict:
                 "range": float(col.max() - col.min()),
             }
         )
-    payload = {"config": config.to_dict(), "runs": per_run, "summary": summary}
-    out = _out_dir(config)
-    _write_csv(
-        out / "stability_runs.csv",
-        ["run", "size", "accuracy"],
-        [[r["run"], s + 1, acc] for r in per_run for s, acc in enumerate(r["accuracies"])],
+    points = [
+        {"run": r["run"], "size": s + 1, "accuracy": acc}
+        for r in per_run
+        for s, acc in enumerate(r["accuracies"])
+    ]
+    return _publish(
+        config,
+        "stability",
+        {"runs": per_run, "summary": summary},
+        {
+            "stability_runs": (["run", "size", "accuracy"], points),
+            "stability_summary": (["size", "mean", "std", "min", "max", "range"], summary),
+        },
     )
-    _write_csv(
-        out / "stability_summary.csv",
-        ["size", "mean", "std", "min", "max", "range"],
-        [[s["size"], s["mean"], s["std"], s["min"], s["max"], s["range"]] for s in summary],
-    )
-    _write_json(out / "stability.json", payload)
-    return payload
 
 
 def cmd_curves(config: RunConfig, period: int = 50) -> dict:
     """Greedy-policy accuracy after every training episode, plus period averages.
 
-    The loaded matrix is split 80/20 (stratified): the environment trains
-    inside the 80, the held-out 20 provides the test-side accuracy. Each
-    episode records the epsilon-greedy episode's own final reward, and the
-    accuracy of the subset one greedy evaluation episode selects, under the
-    training oracle and under the test oracle (fit on the whole 80, scored
+    The loaded matrix is split 80/20 (stratified): training runs on the 80,
+    the held-out 20 provides the test-side accuracy. After each training
+    episode the hook of ``run_training`` runs one greedy evaluation episode
+    through the run's own environment. Each episode records the
+    epsilon-greedy episode's own final reward, and the accuracy of the subset
+    the greedy episode selects: under the training oracle (that episode's
+    last step reward) and under the test oracle (fit on the whole 80, scored
     on the 20).
     """
     if period < 1:
@@ -630,40 +618,25 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
     outer = stratified_split(matrix, SplitKind.holdout(0.2), sub_seed(config.seed, "curves-split"))
     train_idx, test_idx = outer.train_test()
     train_part = matrix.rows(train_idx)
-    test_part = matrix.rows(test_idx)
-
-    train_oracle = RewardOracle(
-        config.classifier, train_part, sub_seed(config.seed, "oracle"),
-        fit_fraction=config.oracle_fit_fraction,
-    )
     test_oracle = RewardOracle.from_parts(
-        config.classifier, train_part, test_part, sub_seed(config.seed, "test-oracle")
+        config.classifier, train_part, matrix.rows(test_idx), sub_seed(config.seed, "test-oracle")
     )
-    eval_env = FeatureEnv(matrix.n_features, config.subset_size, train_oracle)
-    eval_rng = np.random.default_rng(sub_seed(config.seed, "curves-eval"))
-
-    eval_rows = []
-
-    def per_episode(episode: int, theta1: net.NetworkParams):
-        order = _greedy_rollout(eval_env, theta1, eval_rng)
-        subset = tuple(sorted(order))
-        train_acc = float(train_oracle(subset))
-        test_acc = float(test_oracle(subset))
-        eval_rows.append({"train_accuracy": train_acc, "test_accuracy": test_acc})
-
-    result = run_training(config, matrix=train_part, per_episode=per_episode, oracle=train_oracle)
 
     rows = []
-    for record, ev in zip(result.report.episodes, eval_rows):
+
+    def per_episode(record: dict, theta1: net.NetworkParams, env: FeatureEnv):
+        order, rewards = _episode(env, theta1, 0.0, rng=None)  # greedy: draws nothing
         rows.append(
             {
                 "episode": record["episode"],
                 "epsilon": record["epsilon"],
                 "final_reward": record["final_reward"],
-                "train_accuracy": ev["train_accuracy"],
-                "test_accuracy": ev["test_accuracy"],
+                "train_accuracy": rewards[-1],
+                "test_accuracy": float(test_oracle(tuple(sorted(order)))),
             }
         )
+
+    run_training(config, matrix=train_part, per_episode=per_episode)
 
     period_rows = []
     for start in range(0, len(rows), period):
@@ -679,22 +652,19 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
             }
         )
 
-    payload = {"config": config.to_dict(), "period": period, "episodes": rows, "periods": period_rows}
-    out = _out_dir(config)
-    _write_csv(
-        out / "curves.csv",
-        ["episode", "epsilon", "final_reward", "train_accuracy", "test_accuracy"],
-        [[r["episode"], r["epsilon"], r["final_reward"], r["train_accuracy"], r["test_accuracy"]] for r in rows],
+    return _publish(
+        config,
+        "curves",
+        {"period": period, "episodes": rows, "periods": period_rows},
+        {
+            "curves": (["episode", "epsilon", "final_reward", "train_accuracy", "test_accuracy"], rows),
+            "curves_period": (
+                ["period", "episode_from", "episode_to", "mean_final_reward",
+                 "mean_train_accuracy", "mean_test_accuracy"],
+                period_rows,
+            ),
+        },
     )
-    _write_csv(
-        out / "curves_period.csv",
-        ["period", "episode_from", "episode_to", "mean_final_reward",
-         "mean_train_accuracy", "mean_test_accuracy"],
-        [[p["period"], p["episode_from"], p["episode_to"], p["mean_final_reward"],
-          p["mean_train_accuracy"], p["mean_test_accuracy"]] for p in period_rows],
-    )
-    _write_json(out / "curves.json", payload)
-    return payload
 
 
 def cmd_timing(
@@ -702,9 +672,14 @@ def cmd_timing(
     subsets: list[list[int]],
     kinds: list[ClassifierKind] | None = None,
     repeats: int = 5,
+    matrix: SampleMatrix | None = None,
 ) -> list[dict]:
-    """Median fit time on each projected subset as a percentage of the full-matrix fit."""
-    matrix = load_matrix(config)
+    """Median fit time on each projected subset as a percentage of the full-matrix fit.
+
+    ``matrix`` is the config's loaded matrix, when the caller has it already.
+    """
+    if matrix is None:
+        matrix = load_matrix(config)
     kinds = kinds or [ClassifierKind(name) for name in ("dt", "rf", "svm")]
     seed = sub_seed(config.seed, "timing")
 
@@ -731,13 +706,8 @@ def cmd_timing(
                     "ratio_pct": 100.0 * sub_time / full_time,
                 }
             )
-    out = _out_dir(config)
-    _write_csv(
-        out / "timing.csv",
-        ["classifier", "subset_size", "fit_seconds", "full_seconds", "ratio_pct"],
-        [[r["classifier"], r["subset_size"], r["fit_seconds"], r["full_seconds"], r["ratio_pct"]] for r in rows],
-    )
-    _write_json(out / "timing.json", {"config": config.to_dict(), "rows": rows})
+    columns = ["classifier", "subset_size", "fit_seconds", "full_seconds", "ratio_pct"]
+    _publish(config, "timing", {"rows": rows}, {"timing": (columns, rows)})
     return rows
 
 
@@ -775,7 +745,7 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     if not malware_letters:
         raise FileNotFoundError(f"no malware samples under {root}/malware")
     try:
-        vocab = build_vocabulary(malware_letters, ngram_n, ngram_k, source=str(root / "malware"))
+        vocab = build_vocabulary(malware_letters, ngram_n, ngram_k)
     except ValueError as exc:
         raise ValueError(f"{root}/malware: {exc}") from exc
 

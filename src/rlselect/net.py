@@ -20,7 +20,7 @@ GRU follows h' = (1 - z) * h + z * n with n = tanh(x w_xn + (r * h) w_hn + b_n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -315,20 +315,8 @@ def sync(source: NetworkParams, dest: NetworkParams) -> None:
 def save_checkpoint(path, params: NetworkParams, opt: OptimizerState) -> None:
     """Structured-text checkpoint; float64 values round-trip exactly via repr."""
     payload = {
-        "config": {
-            "vocab_size": params.config.vocab_size,
-            "embed_dim": params.config.embed_dim,
-            "hidden_dim": params.config.hidden_dim,
-            "cell": params.config.cell,
-            "output_dim": params.config.output_dim,
-            "head": params.config.head,
-        },
-        "optimizer": {
-            "total_steps": opt.total_steps,
-            "base_rate": opt.base_rate,
-            "clip_norm": opt.clip_norm,
-            "step_count": opt.step_count,
-        },
+        "config": asdict(params.config),
+        "optimizer": asdict(opt),
         "tensors": {k: v.tolist() for k, v in params.tensors.items()},
     }
     with open(path, "w") as fh:

@@ -112,7 +112,7 @@ class TestRandomForest:
         # replay the forest's bootstrap draw for tree 0
         boot = _tree_rng(seed, 0).integers(0, m.n_samples, size=m.n_samples)
         dt = fit(ClassifierKind.decision_tree(), m.rows(boot), seed=0)
-        assert rf.model.trees[0] == dt.model.root
+        assert rf.model.trees == dt.model.trees
 
     def test_forest_improves_over_noise_vote(self):
         m = generate_synthetic(SyntheticSpec(400, 10, (0, 1, 2), q=0.85, seed=8))

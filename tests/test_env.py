@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from rlselect import classifiers
 from rlselect.classifiers import ClassifierKind
-from rlselect.dataset import SyntheticSpec, generate_synthetic
+from rlselect.dataset import SyntheticSpec, generate_synthetic, project
 from rlselect.env import FeatureEnv, RewardOracle, insert_sorted, reset
 
 
@@ -97,11 +98,12 @@ class TestRewardOracle:
 
     def test_cache_off_matches_cache_on(self):
         m = planted_matrix(seed=5, q=0.8, informative=(1, 3))
-        cached = RewardOracle(ClassifierKind.decision_tree(), m, seed=4, memoize=True)
-        uncached = RewardOracle(ClassifierKind.decision_tree(), m, seed=4, memoize=False)
+        cached = RewardOracle(ClassifierKind.decision_tree(), m, seed=4)
         for subset in ((1,), (2, 4), (1, 2, 4), (2, 4)):
-            assert cached(subset) == uncached(subset)
-        assert uncached.hit_count == 0
+            columns = [i - 1 for i in subset]
+            clf = classifiers.fit(cached.kind, project(cached.fit_part, columns), cached.seed)
+            assert cached(subset) == classifiers.accuracy(clf, project(cached.score_part, columns))
+        assert (cached.fit_count, cached.hit_count) == (3, 1)
 
     def test_empty_subset_rejected(self):
         oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=6)

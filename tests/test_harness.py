@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rlselect.classifiers import ClassifierKind
+from rlselect import harness
 from rlselect.cli import main
-from rlselect.dataset import SyntheticSpec, load_csv
+from rlselect.dataset import SyntheticSpec, generate_synthetic, load_csv, save_csv
 from rlselect.harness import (
     PAPER_SCALE,
     ConfigError,
@@ -356,6 +357,25 @@ class TestCli:
                      "--out", str(tmp_path / "b")]) == 0
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["config"]["seed"] == 123
+
+    def test_timing_loads_a_csv_matrix_once(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "m.csv"
+        save_csv(generate_synthetic(SyntheticSpec(200, 8, (0,), q=0.9, seed=3)), csv_path)
+        cfg = RunConfig(
+            csv_path=str(csv_path), synthetic=None, subset_size=2, out_dir=str(tmp_path / "out")
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        loads = []
+
+        def counted_load_csv(path):
+            loads.append(path)
+            return load_csv(path)
+
+        monkeypatch.setattr(harness, "load_csv", counted_load_csv)
+        argv = ["timing", "--config", str(cfg_path), "--sizes", "2", "--classifiers", "dt"]
+        assert main(argv) == 0
+        assert len(loads) == 1
 
     def test_featurize_cli(self, tmp_path, capsys):
         mal = tmp_path / "in" / "malware"
