@@ -33,6 +33,22 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _at_least(minimum: int, parse=int):
+    """argparse type: ``parse(text)``, an int or a list of ints, with every value >= ``minimum``."""
+
+    def checked(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        for v in value if isinstance(value, list) else [value]:
+            if v < minimum:
+                raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {v}")
+        return value
+
+    return checked
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON run-config file")
@@ -52,23 +68,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--subset", type=_int_list, required=True,
                         help="comma-separated 0-based feature indices")
     p_eval.add_argument("--classifiers", default="dt,rf,knn,svm")
-    p_eval.add_argument("--folds", type=int, default=10)
+    p_eval.add_argument("--folds", type=_at_least(2), default=10)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="compare selection methods across sizes")
-    p_cmp.add_argument("--sizes", type=_int_list, required=True)
+    p_cmp.add_argument("--sizes", type=_at_least(1, _int_list), required=True)
     p_cmp.add_argument("--methods", default="rl,information_gain,chi_square,random")
-    p_cmp.add_argument("--random-draws", type=int, default=20)
-    p_cmp.add_argument("--folds", type=int, default=10)
+    p_cmp.add_argument("--random-draws", type=_at_least(1), default=20)
+    p_cmp.add_argument("--folds", type=_at_least(2), default=10)
 
     p_stab = sub.add_parser("stability", parents=[common], help="repeat training with fresh seeds")
-    p_stab.add_argument("--runs", type=int, default=5)
-    p_stab.add_argument("--folds", type=int, default=10)
+    p_stab.add_argument("--runs", type=_at_least(1), default=5)
+    p_stab.add_argument("--folds", type=_at_least(2), default=10)
 
     p_curv = sub.add_parser("curves", parents=[common], help="learning-curve data during training")
-    p_curv.add_argument("--period", type=int, default=50)
+    p_curv.add_argument("--period", type=_at_least(1), default=50)
 
     p_time = sub.add_parser("timing", parents=[common], help="fit-time ratios of subsets vs all features")
-    p_time.add_argument("--sizes", type=_int_list, default=[24])
+    p_time.add_argument("--sizes", type=_at_least(1, _int_list), default=[24])
     p_time.add_argument("--classifiers", default="dt,rf,svm")
 
     p_feat = sub.add_parser("featurize", parents=[common], help="build a matrix CSV from disassembled samples")

@@ -398,6 +398,7 @@ def run_training(
             "train_s": t_train - t_warm,
             "eval_s": t_end - t_train,
             "total_s": t_end - t0,
+            "oracle_s": oracle.miss_seconds,
         },
     )
     return TrainResult(theta1, theta2, opt, report, oracle)

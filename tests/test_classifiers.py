@@ -2,15 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rlselect.classifiers import (
     ClassifierKind,
     FitError,
     _tree_rng,
+    _unique_rows,
     accuracy,
     cv_accuracy,
     fit,
     gini,
+    holdout_accuracy,
     predict,
 )
 from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, stratified_split
@@ -224,6 +229,104 @@ class TestCvAccuracy:
         plan = stratified_split(m, SplitKind.kfold(4), seed=3)
         mean, per_fold = cv_accuracy(ClassifierKind.knn(k=3), m, plan, seed=0)
         assert mean == pytest.approx(float(np.mean(per_fold)))
+
+
+def eager_holdout(kind, fit_part, score_part, seed=0):
+    """Reference: build the classifier, then score it; a FitError is returned as its text."""
+    try:
+        return accuracy(fit(kind, fit_part, seed), score_part)
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+def lazy_holdout(kind, fit_part, score_part, seed=0):
+    try:
+        return holdout_accuracy(kind, fit_part, score_part, seed)
+    except FitError as exc:
+        return f"FitError: {exc}"
+
+
+@st.composite
+def holdout_parts(draw, widths=st.integers(1, 12)):
+    """(fit part, score part) of one width, rows drawn from a small pattern pool.
+
+    A small pool makes duplicate rows, tied label weights, and score patterns
+    both seen and unseen in the fit part; the labels may leave one class out.
+    """
+    width = draw(widths)
+    pool = draw(arrays(np.uint8, (draw(st.integers(1, 10)), width), elements=st.integers(0, 1)))
+
+    def part(max_rows):
+        n = draw(st.integers(1, max_rows))
+        rows = pool[draw(arrays(np.intp, n, elements=st.integers(0, pool.shape[0] - 1)))]
+        return matrix_from_rows(rows, draw(arrays(np.uint8, n, elements=st.integers(0, 1))))
+
+    return part(30), part(15)
+
+
+class TestHoldoutAccuracy:
+    """The lazy decision-tree reward equals eager fit + accuracy, exactly."""
+
+    dt = ClassifierKind.decision_tree()
+
+    @settings(max_examples=300, deadline=None)
+    @given(holdout_parts())
+    def test_dt_equals_eager_fit_and_accuracy(self, parts):
+        assert lazy_holdout(self.dt, *parts) == eager_holdout(self.dt, *parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(holdout_parts(widths=st.integers(65, 80)))
+    def test_dt_equals_eager_on_multi_byte_patterns(self, parts):
+        assert lazy_holdout(self.dt, *parts) == eager_holdout(self.dt, *parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 80).flatmap(
+        lambda w: arrays(np.uint8, st.tuples(st.integers(1, 30), st.just(w)), elements=st.integers(0, 1))
+    ))
+    def test_packed_unique_rows_equal_numpy_unique(self, X):
+        patterns, inverse = np.unique(X, axis=0, return_inverse=True)
+        packed_patterns, packed_inverse = _unique_rows(X)
+        assert np.array_equal(packed_patterns, patterns)
+        assert np.array_equal(packed_inverse, inverse.ravel())
+
+    @pytest.mark.parametrize("seen", ["all", "none"])
+    def test_scored_patterns_all_or_none_seen(self, seen):
+        rng = np.random.default_rng(4)
+        X = np.unique(rng.integers(0, 2, size=(80, 7)), axis=0)
+        fit_rows = X[: X.shape[0] // 2]
+        score_rows = fit_rows if seen == "all" else X[X.shape[0] // 2:]
+        fit_part = matrix_from_rows(fit_rows, rng.integers(0, 2, size=fit_rows.shape[0]))
+        score_part = matrix_from_rows(score_rows, rng.integers(0, 2, size=score_rows.shape[0]))
+        assert lazy_holdout(self.dt, fit_part, score_part) == eager_holdout(self.dt, fit_part, score_part)
+
+    def test_single_pattern_fit_part(self):
+        fit_part = matrix_from_rows([[1, 0, 1]] * 5, [0, 1, 1, 0, 1])
+        score_part = matrix_from_rows([[1, 0, 1], [0, 0, 0], [1, 1, 1]], [1, 0, 1])
+        assert holdout_accuracy(self.dt, fit_part, score_part, 0) == eager_holdout(self.dt, fit_part, score_part)
+
+    @pytest.mark.parametrize("rows, labels", [
+        ([[0, 1], [1, 0]], [1, 1]),
+        ([[0, 1], [1, 1]], [0, 0]),
+        (np.zeros((0, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8)),
+    ])
+    def test_untrainable_fit_part_raises_like_fit(self, rows, labels):
+        fit_part = matrix_from_rows(rows, labels)
+        score_part = matrix_from_rows([[0, 1]], [1])
+        expected = eager_holdout(self.dt, fit_part, score_part)
+        assert expected.startswith("FitError: ")
+        with pytest.raises(FitError) as info:
+            holdout_accuracy(self.dt, fit_part, score_part, 0)
+        assert f"FitError: {info.value}" == expected
+
+    def test_cv_folds_equal_eager_fit_and_accuracy(self):
+        m = generate_synthetic(SyntheticSpec(300, 9, (0, 3, 5), q=0.7, seed=11))
+        plan = stratified_split(m, SplitKind.kfold(5), seed=2)
+        _, per_fold = cv_accuracy(self.dt, m, plan, seed=3)
+        expected = [
+            accuracy(fit(self.dt, m.rows(fit_idx), 3 + fold), m.rows(eval_idx))
+            for fold, (fit_idx, eval_idx) in enumerate(plan.folds())
+        ]
+        assert per_fold == expected
 
 
 class TestKindValidation:

@@ -105,6 +105,16 @@ class TestRewardOracle:
             assert cached(subset) == classifiers.accuracy(clf, project(cached.score_part, columns))
         assert (cached.fit_count, cached.hit_count) == (3, 1)
 
+    @pytest.mark.parametrize("kind", [
+        ClassifierKind.random_forest(trees=3), ClassifierKind.knn(k=3), ClassifierKind.linear_svm(),
+    ], ids=lambda k: k.name)
+    def test_other_kinds_reward_is_fit_then_accuracy(self, kind):
+        oracle = RewardOracle(kind, planted_matrix(seed=2, n=200, q=0.8, informative=(0, 2)), seed=6)
+        for subset in ((1,), (1, 3), (2, 3, 6)):
+            columns = [i - 1 for i in subset]
+            clf = classifiers.fit(kind, project(oracle.fit_part, columns), oracle.seed)
+            assert oracle(subset) == classifiers.accuracy(clf, project(oracle.score_part, columns))
+
     def test_empty_subset_rejected(self):
         oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=6)
         with pytest.raises(ValueError):

@@ -129,6 +129,14 @@ class TestCmdTrain:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "timings.json").exists()
 
+    def test_timings_report_oracle_seconds_outside_the_report(self, tmp_path):
+        report = cmd_train(tiny_config(tmp_path))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert 0.0 < timings["oracle_s"] <= timings["total_s"]
+        assert report.timings["oracle_s"] == timings["oracle_s"]
+        assert "timings" not in report.to_dict()
+        assert "timings" not in json.loads((tmp_path / "report.json").read_text())
+
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cmd_train(cfg)
@@ -357,6 +365,23 @@ class TestCli:
                      "--out", str(tmp_path / "b")]) == 0
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["config"]["seed"] == 123
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--subset", "0,1", "--folds", "1"], "--folds"),
+        (["compare", "--sizes", "2", "--folds", "1"], "--folds"),
+        (["stability", "--folds", "1"], "--folds"),
+        (["compare", "--sizes", "2", "--methods", "random", "--random-draws", "0"], "--random-draws"),
+        (["stability", "--runs", "0"], "--runs"),
+        (["curves", "--period", "0"], "--period"),
+        (["compare", "--sizes", "2,0"], "--sizes"),
+        (["timing", "--sizes", "0"], "--sizes"),
+    ])
+    def test_out_of_range_flag_exits_one_naming_it(self, tmp_path, capsys, argv, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_timing_loads_a_csv_matrix_once(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "m.csv"
