@@ -10,7 +10,7 @@ reproducible experiment drivers.
 
 __version__ = "0.1.0"  # bound before the submodule imports: harness reads it
 
-from .agent import AgentConfig, EpsilonSchedule, ReplayMemory, Transition, ddqn_target, select_action, train_step
+from .agent import AgentConfig, EpsilonSchedule, ReplayMemory, Transition, ddqn_target, ddqn_targets, select_action, train_step
 from .baselines import RankedFeatures, chi_square, information_gain, random_subset, top_k
 from .classifiers import ClassifierKind, TrainedClassifier, accuracy, cv_accuracy, fit, predict
 from .dataset import (
@@ -37,4 +37,4 @@ from .featurize import (
     vectorize_ngrams,
 )
 from .harness import RunConfig, RunReport, run_training, sub_seed
-from .net import NetworkConfig, NetworkParams, OptimizerState, backward, forward, init, load_checkpoint, save_checkpoint, step, sync
+from .net import NetworkConfig, NetworkParams, OptimizerState, backward, forward, forward_batch, init, load_checkpoint, save_checkpoint, step, sync

@@ -144,6 +144,35 @@ def ddqn_target(
     return transition.reward + gamma * value
 
 
+def ddqn_targets(
+    batch: list[Transition],
+    theta1: net.NetworkParams,
+    theta2: net.NetworkParams,
+    gamma: float,
+    convention: str = "paper",
+) -> np.ndarray:
+    """``ddqn_target`` of every transition in ``batch``, with one batched forward per network.
+
+    Only the non-terminal next states are scored; each row's argmax is masked
+    to unselected features, and ties go to the lower index.
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    targets = np.array([tr.reward for tr in batch], dtype=np.float64)
+    live = [i for i, tr in enumerate(batch) if not tr.terminal]
+    if gamma == 0.0 or not live:
+        return targets
+    states = [batch[i].next_state for i in live]
+    q_online, q_target = net.forward_batch(theta1, states), net.forward_batch(theta2, states)
+    chooser, evaluator = (q_target, q_online) if convention == "paper" else (q_online, q_target)
+    masked = chooser.copy()
+    for row, state in enumerate(states):
+        masked[row, [i - 1 for i in state]] = -np.inf
+    best = np.argmax(masked, axis=1)
+    targets[live] += gamma * evaluator[np.arange(len(live)), best]
+    return targets
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Training-cadence knobs (counts are in episodes unless named otherwise)."""
@@ -183,19 +212,11 @@ def train_step(
 ) -> net.NetworkParams:
     """One DDQN update: sample a batch, regress Q(prev)[action] onto the targets.
 
-    Gradients are accumulated per transition and applied as a single
-    mean-gradient optimizer step on the online network.
+    The targets come from ``ddqn_targets``; one batched BPTT pass gives the
+    batch's mean gradient, applied as a single optimizer step on the online
+    network. The only draw from ``rng`` is the replay sample.
     """
     batch = memory.sample(cfg.batch_size, rng)
-    q_online = lambda s: net.forward(theta1, s)
-    q_target = lambda s: net.forward(theta2, s)
-
-    total = theta1.zeros_like()
-    for tr in batch:
-        target = ddqn_target(tr, q_online, q_target, cfg.gamma, cfg.ddqn_convention)
-        grads = net.backward(theta1, tr.prev_state, tr.action, target)
-        for name, g in grads.items():
-            total[name] += g
-    for g in total.values():
-        g /= len(batch)
-    return net.step(theta1, total, opt)
+    targets = ddqn_targets(batch, theta1, theta2, cfg.gamma, cfg.ddqn_convention)
+    grads = net.backward(theta1, [tr.prev_state for tr in batch], [tr.action for tr in batch], targets)
+    return net.step(theta1, grads, opt)

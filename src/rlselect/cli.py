@@ -49,6 +49,16 @@ def _at_least(minimum: int, parse=int):
     return checked
 
 
+def _subset(text: str) -> list[int]:
+    """argparse type for --subset: nonempty, distinct, 0-based column indices."""
+    subset = _at_least(0, _int_list)(text)
+    if not subset:
+        raise argparse.ArgumentTypeError("expected at least one index")
+    if len(set(subset)) != len(subset):
+        raise argparse.ArgumentTypeError(f"duplicate index in {text!r}")
+    return subset
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON run-config file")
@@ -65,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train", parents=[common], help="train the selector and write report + checkpoint")
 
     p_eval = sub.add_parser("evaluate", parents=[common], help="k-fold CV accuracy of a feature subset")
-    p_eval.add_argument("--subset", type=_int_list, required=True,
+    p_eval.add_argument("--subset", type=_subset, required=True,
                         help="comma-separated 0-based feature indices")
     p_eval.add_argument("--classifiers", default="dt,rf,knn,svm")
     p_eval.add_argument("--folds", type=_at_least(2), default=10)
@@ -121,7 +131,12 @@ def _dispatch(args) -> None:
         print(f"outputs in {config.out_dir}")
     elif args.command == "evaluate":
         kinds = parse_classifier_list(args.classifiers)
-        rows = harness.cmd_evaluate(config, args.subset, kinds, folds=args.folds)
+        matrix = load_matrix(config)
+        if max(args.subset) >= matrix.n_features:
+            raise ConfigError(
+                f"argument --subset: index {max(args.subset)} outside 0..{matrix.n_features - 1}"
+            )
+        rows = harness.cmd_evaluate(config, args.subset, kinds, folds=args.folds, matrix=matrix)
         for row in rows:
             print(f"{row['classifier']:>14s}  {row['mean_accuracy']:.4f}")
     elif args.command == "compare":

@@ -356,15 +356,20 @@ def run_training(
     t_warm = time.perf_counter()
 
     episodes = []
+    train_steps, train_step_s = 0, 0.0
     for episode in range(1, cfg.total_episodes + 1):
         eps = schedule.epsilon(episode - 1)
         try:
             _, rewards = _episode(env, theta1, eps, rng, memory)
-            if episode % cfg.learn_frequency == 0 and len(memory) >= cfg.batch_size:
-                train_step(memory, theta1, theta2, opt, cfg, rng)
-            if episode % cfg.sync_frequency == 0:
-                if len(memory) >= cfg.batch_size:
+            # one step when learning is due, one more before each target sync
+            due = (episode % cfg.learn_frequency == 0) + (episode % cfg.sync_frequency == 0)
+            if due and len(memory) >= cfg.batch_size:
+                t_step = time.perf_counter()
+                for _ in range(due):
                     train_step(memory, theta1, theta2, opt, cfg, rng)
+                train_step_s += time.perf_counter() - t_step
+                train_steps += due
+            if episode % cfg.sync_frequency == 0:
                 net.sync(theta1, theta2)
         except Exception as exc:
             raise RuntimeError(f"training failed at episode {episode}: {exc}") from exc
@@ -399,6 +404,8 @@ def run_training(
             "eval_s": t_end - t_train,
             "total_s": t_end - t0,
             "oracle_s": oracle.miss_seconds,
+            "train_step_s": train_step_s,
+            "train_steps": train_steps,
         },
     )
     return TrainResult(theta1, theta2, opt, report, oracle)
@@ -473,11 +480,16 @@ def cmd_evaluate(
     subset: list[int],
     kinds: list[ClassifierKind] | None = None,
     folds: int = 10,
+    matrix: SampleMatrix | None = None,
 ) -> list[dict]:
-    """Per-classifier k-fold CV accuracy of one 0-based feature subset."""
+    """Per-classifier k-fold CV accuracy of one 0-based feature subset.
+
+    ``matrix`` is the config's loaded matrix, when the caller has it already.
+    """
     if not subset:
         raise ValueError("subset must be nonempty")
-    matrix = load_matrix(config)
+    if matrix is None:
+        matrix = load_matrix(config)
     sub = sorted(set(int(i) for i in subset))
     if len(sub) != len(subset):
         raise ValueError("subset contains duplicate indices")

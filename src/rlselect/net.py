@@ -15,6 +15,21 @@ Parameter tensors per cell kind (E = embed_dim, H = hidden_dim, V = vocab):
 * head: w_out (H, N), b_out (N,)
 
 GRU follows h' = (1 - z) * h + z * n with n = tanh(x w_xn + (r * h) w_hn + b_n).
+
+Each cell has one implementation, and it runs on (B, H) matrices. A batch of
+B states becomes a (B, T) token matrix: BOS, then each state's indices,
+zero-padded to the longest row, with a (B, T) length mask. A masked step
+keeps that row's h (and c); in backpropagation it has a zero pre-activation
+gradient and passes dh (and dc) through unchanged. The input projections of
+all steps are one GEMM, and so is each weight gradient, over every (step,
+row) pair. The embedding gradient scatters with ``np.add.at``, because BOS
+is in every row. The loss of a batch is the mean over its rows, and the 1/B
+sits in the head gradient, which for the linear head touches only the taken
+columns.
+
+``forward_batch`` scores B states at once. ``forward(params, state)`` is the
+B = 1 call of the same kernels. ``backward`` takes one transition, or a batch
+as sequences of states, actions and targets.
 """
 
 from __future__ import annotations
@@ -99,18 +114,15 @@ def init(config: NetworkConfig, seed: int) -> NetworkParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from one exp(-|x|)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _validate_state(state, n_features: int) -> list[int]:
@@ -123,147 +135,172 @@ def _validate_state(state, n_features: int) -> list[int]:
     return s
 
 
-def _run_cell(params: NetworkParams, tokens: list[int], keep_cache: bool):
-    """Consume the token sequence; return final hidden state and (optionally) per-step caches."""
-    cfg = params.config
-    h_dim = cfg.hidden_dim
-    t_embed = params.tensors["embed"]
-    w_x, w_h, b = params.tensors["w_x"], params.tensors["w_h"], params.tensors["b"]
+def _tokens(config: NetworkConfig, states) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) tokens, each row BOS then its state's indices, zero-padded; and the (B, T) length mask."""
+    rows = [_validate_state(s, config.n_features) for s in states]
+    if not rows:
+        raise ValueError("a batch needs at least one state")
+    lengths = np.array([len(r) + 1 for r in rows])
+    tokens = np.zeros((len(rows), int(lengths.max())), dtype=np.intp)
+    for b, r in enumerate(rows):
+        tokens[b, 1 : len(r) + 1] = r
+    return tokens, np.arange(tokens.shape[1]) < lengths[:, None]
 
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
-    caches = []
-    for tok in tokens:
-        x = t_embed[tok]
+
+def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray):
+    """Run the cell over a token batch; return the final (B, H) hidden state and per-step caches.
+
+    The input projections of every step come from one GEMM. A masked step
+    (past the row's length) keeps that row's h and c; a step with no masked
+    row caches ``None`` for its mask.
+    """
+    cfg = params.config
+    hd = cfg.hidden_dim
+    w_h = params.tensors["w_h"]
+    xw = params.tensors["embed"][tokens.T] @ params.tensors["w_x"] + params.tensors["b"]
+    h = np.zeros((tokens.shape[0], hd))
+    c = np.zeros_like(h)
+    steps = []
+    for xa, m in zip(xw, mask.T[:, :, None]):
+        m = None if m.all() else m
         if cfg.cell == "rnn":
-            h_new = np.tanh(x @ w_x + h @ w_h + b)
-            if keep_cache:
-                caches.append((tok, x, h, h_new))
-            h = h_new
+            h_new = np.tanh(xa + h @ w_h)
+            cache = (h_new,)
         elif cfg.cell == "gru":
-            xa = x @ w_x + b
-            ha = h @ w_h
-            z = _sigmoid(xa[:h_dim] + ha[:h_dim])
-            r = _sigmoid(xa[h_dim : 2 * h_dim] + ha[h_dim : 2 * h_dim])
+            ha = h @ w_h[:, : 2 * hd]
+            z = _sigmoid(xa[:, :hd] + ha[:, :hd])
+            r = _sigmoid(xa[:, hd : 2 * hd] + ha[:, hd:])
             rh = r * h
-            n = np.tanh(xa[2 * h_dim :] + rh @ w_h[:, 2 * h_dim :])
+            n = np.tanh(xa[:, 2 * hd :] + rh @ w_h[:, 2 * hd :])
             h_new = (1.0 - z) * h + z * n
-            if keep_cache:
-                caches.append((tok, x, h, z, r, n, rh))
-            h = h_new
+            cache = (z, r, n, rh)
         else:  # lstm
-            a = x @ w_x + h @ w_h + b
-            i = _sigmoid(a[:h_dim])
-            f = _sigmoid(a[h_dim : 2 * h_dim])
-            g = np.tanh(a[2 * h_dim : 3 * h_dim])
-            o = _sigmoid(a[3 * h_dim :])
+            a = xa + h @ w_h
+            i = _sigmoid(a[:, :hd])
+            f = _sigmoid(a[:, hd : 2 * hd])
+            g = np.tanh(a[:, 2 * hd : 3 * hd])
+            o = _sigmoid(a[:, 3 * hd :])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
-            if keep_cache:
-                caches.append((tok, x, h, c, i, f, g, o, tanh_c))
-            h, c = o * tanh_c, c_new
-    return h, caches
+            h_new = o * tanh_c
+            cache = (c, i, f, g, o, tanh_c)
+            c = c_new if m is None else np.where(m, c_new, c)
+        steps.append((h, m, cache))
+        h = h_new if m is None else np.where(m, h_new, h)
+    return h, steps
 
 
-def forward(params: NetworkParams, state) -> np.ndarray:
-    """Score every feature given the sorted selection ``state`` (may be empty)."""
-    cfg = params.config
-    tokens = [0] + _validate_state(state, cfg.n_features)
-    h, _ = _run_cell(params, tokens, keep_cache=False)
+def _bptt(params: NetworkParams, tokens: np.ndarray, steps, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagate dL/dh_T (B, H) through the unrolled steps into the embedding and cell weights.
+
+    A masked step has zero pre-activation gradient and passes dh (and dc)
+    through unchanged. Weight gradients are one GEMM over all (step, row)
+    pairs; the embedding gradient scatters with ``np.add.at`` because token
+    0 (BOS, and padding) repeats in every row.
+    """
+    hd = params.config.hidden_dim
+    cell = params.config.cell
+    w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
+    dc = np.zeros_like(dh)
+    dpres = []
+    for h_prev, m, cache in reversed(steps):
+        if cell == "rnn":
+            (h_new,) = cache
+            dpre = dh * (1.0 - h_new * h_new)
+            dh_prev = dpre @ w_h.T
+        elif cell == "gru":
+            z, r, n, rh = cache
+            dn_pre = dh * z * (1.0 - n * n)
+            drh = dn_pre @ w_h[:, 2 * hd :].T
+            dz_pre = dh * (n - h_prev) * z * (1.0 - z)
+            dr_pre = drh * h_prev * r * (1.0 - r)
+            dpre = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
+            dh_prev = dh * (1.0 - z) + drh * r + dpre[:, : 2 * hd] @ w_h[:, : 2 * hd].T
+        else:  # lstm
+            c_prev, i, f, g, o, tanh_c = cache
+            dc_t = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            dpre = np.concatenate([
+                dc_t * g * i * (1.0 - i),
+                dc_t * c_prev * f * (1.0 - f),
+                dc_t * i * (1.0 - g * g),
+                dh * tanh_c * o * (1.0 - o),
+            ], axis=1)
+            dh_prev = dpre @ w_h.T
+            dc = dc_t * f if m is None else np.where(m, dc_t * f, dc)
+        if m is None:
+            dpres.append(dpre)
+            dh = dh_prev
+        else:
+            dpres.append(dpre * m)
+            dh = np.where(m, dh_prev, dh)
+
+    d = np.concatenate(dpres[::-1])  # (T * B, G * H), step-major like tokens.T
+    xs = params.tensors["embed"][tokens.T.ravel()]
+    h_prevs = np.concatenate([h_prev for h_prev, _, _ in steps])
+    if cell == "gru":  # the candidate's recurrent input is r * h, not h
+        rhs = np.concatenate([cache[3] for _, _, cache in steps])
+        g_wh = np.concatenate([h_prevs.T @ d[:, : 2 * hd], rhs.T @ d[:, 2 * hd :]], axis=1)
+    else:
+        g_wh = h_prevs.T @ d
+    g_embed = np.zeros_like(params.tensors["embed"])
+    np.add.at(g_embed, tokens.T.ravel(), d @ w_x.T)
+    return {"embed": g_embed, "w_x": xs.T @ d, "w_h": g_wh, "b": d.sum(axis=0)}
+
+
+def forward_batch(params: NetworkParams, states) -> np.ndarray:
+    """(B, N) scores, row b for the sorted selection ``states[b]`` (any of them may be empty)."""
+    tokens, mask = _tokens(params.config, states)
+    h, _ = _unroll(params, tokens, mask)
     scores = h @ params.tensors["w_out"] + params.tensors["b_out"]
-    if cfg.head == "softmax":
+    if params.config.head == "softmax":
         scores = _softmax(scores)
     return scores
 
 
-def backward(params: NetworkParams, state, action: int, target: float) -> dict[str, np.ndarray]:
-    """Gradients of 0.5 * (Q(state)[action-1] - target)^2 w.r.t. every tensor, via BPTT."""
-    if not np.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+def forward(params: NetworkParams, state) -> np.ndarray:
+    """Score every feature given the sorted selection ``state`` (may be empty)."""
+    return forward_batch(params, [state])[0]
+
+
+def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarray]:
+    """Gradients of the mean of 0.5 * (Q(state)[action-1] - target)^2 w.r.t. every tensor, via BPTT.
+
+    One transition (``action`` an int), or a batch: ``state`` a sequence of B
+    states, ``action`` and ``target`` sequences of length B.
+    """
     cfg = params.config
-    if not 1 <= action <= cfg.n_features:
+    states = [state] if np.ndim(action) == 0 else list(state)
+    actions = np.atleast_1d(np.asarray(action))
+    targets = np.atleast_1d(np.asarray(target, dtype=np.float64))
+    if not len(states) == len(actions) == len(targets):
+        raise ValueError(f"batch sizes differ: {len(states)} states, {len(actions)} actions, {len(targets)} targets")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"target must be finite, got {target}")
+    if actions.dtype.kind not in "iu" or np.any((actions < 1) | (actions > cfg.n_features)):
         raise ValueError(f"action {action} outside 1..{cfg.n_features}")
-    tokens = [0] + _validate_state(state, cfg.n_features)
-    h_dim = cfg.hidden_dim
+    tokens, mask = _tokens(cfg, states)
+    h, steps = _unroll(params, tokens, mask)
 
-    h, caches = _run_cell(params, tokens, keep_cache=True)
-    w_out, b_out = params.tensors["w_out"], params.tensors["b_out"]
-    z_scores = h @ w_out + b_out
-
-    a_idx = action - 1
+    w_out = params.tensors["w_out"]
+    rows, cols = np.arange(len(states)), actions - 1
+    z = h @ w_out + params.tensors["b_out"]
     if cfg.head == "softmax":
-        q = _softmax(z_scores)
-        residual = q[a_idx] - target
-        # d q_a / d z_j = q_a * (delta_aj - q_j)
-        dz = residual * q[a_idx] * (np.eye(1, cfg.output_dim, a_idx)[0] - q)
-    else:
-        residual = z_scores[a_idx] - target
-        dz = np.zeros(cfg.output_dim)
-        dz[a_idx] = residual
-
-    grads = params.zeros_like()
-    grads["w_out"] = np.outer(h, dz)
-    grads["b_out"] = dz
-    dh = w_out @ dz
-
-    w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
-    g_embed = grads["embed"]
-    g_wx, g_wh, g_b = grads["w_x"], grads["w_h"], grads["b"]
-
-    if cfg.cell == "rnn":
-        for tok, x, h_prev, h_new in reversed(caches):
-            dpre = dh * (1.0 - h_new * h_new)
-            g_wx += np.outer(x, dpre)
-            g_wh += np.outer(h_prev, dpre)
-            g_b += dpre
-            g_embed[tok] += dpre @ w_x.T
-            dh = dpre @ w_h.T
-    elif cfg.cell == "gru":
-        w_hn = w_h[:, 2 * h_dim :]
-        for tok, x, h_prev, z, r, n, rh in reversed(caches):
-            dz_gate = dh * (n - h_prev)
-            dn = dh * z
-            dh_prev = dh * (1.0 - z)
-
-            dn_pre = dn * (1.0 - n * n)
-            drh = dn_pre @ w_hn.T
-            dr = drh * h_prev
-            dh_prev += drh * r
-
-            dz_pre = dz_gate * z * (1.0 - z)
-            dr_pre = dr * r * (1.0 - r)
-
-            dpre = np.concatenate([dz_pre, dr_pre, dn_pre])
-            g_wx += np.outer(x, dpre)
-            g_b += dpre
-            g_embed[tok] += dpre @ w_x.T
-
-            g_wh[:, : 2 * h_dim] += np.outer(h_prev, np.concatenate([dz_pre, dr_pre]))
-            g_wh[:, 2 * h_dim :] += np.outer(rh, dn_pre)
-            dh_prev += np.concatenate([dz_pre, dr_pre]) @ w_h[:, : 2 * h_dim].T
-            dh = dh_prev
-    else:  # lstm
-        dc = np.zeros(h_dim)
-        for tok, x, h_prev, c_prev, i, f, g, o, tanh_c in reversed(caches):
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-
-            di_pre = di * i * (1.0 - i)
-            df_pre = df * f * (1.0 - f)
-            dg_pre = dg * (1.0 - g * g)
-            do_pre = do * o * (1.0 - o)
-
-            dpre = np.concatenate([di_pre, df_pre, dg_pre, do_pre])
-            g_wx += np.outer(x, dpre)
-            g_wh += np.outer(h_prev, dpre)
-            g_b += dpre
-            g_embed[tok] += dpre @ w_x.T
-            dh = dpre @ w_h.T
-            dc = dc * f
-    return grads
+        # d q_a / d z_j = q_a * (delta_aj - q_j); dense over every column
+        q = _softmax(z)
+        qa = q[rows, cols]
+        scale = (qa - targets) * qa / len(states)
+        dz = -scale[:, None] * q
+        dz[rows, cols] += scale
+        g_out, g_bias = h.T @ dz, dz.sum(axis=0)
+        dh = dz @ w_out.T
+    else:  # only the taken columns carry gradient
+        residual = (z[rows, cols] - targets) / len(states)
+        g_out = np.zeros_like(w_out)
+        np.add.at(g_out.T, cols, residual[:, None] * h)
+        g_bias = np.bincount(cols, weights=residual, minlength=cfg.output_dim)
+        dh = residual[:, None] * w_out[:, cols].T
+    grads = _bptt(params, tokens, steps, dh) | {"w_out": g_out, "b_out": g_bias}
+    return {name: grads[name] for name in params.tensors}
 
 
 @dataclass

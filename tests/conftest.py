@@ -12,10 +12,16 @@ def finite_difference_gradients(params, state, action, target, h=1e-5):
     Independent of the backpropagation path on purpose: it only ever calls
     ``forward`` and perturbs one parameter at a time.
     """
+    return finite_difference_batch_gradients(params, [state], [action], [target], h)
+
+
+def finite_difference_batch_gradients(params, states, actions, targets, h=1e-5):
+    """Central differences of the batch-mean loss, computed through B = 1 ``forward`` calls."""
 
     def loss():
-        q = net.forward(params, state)
-        return 0.5 * (q[action - 1] - target) ** 2
+        return np.mean([
+            0.5 * (net.forward(params, s)[a - 1] - t) ** 2 for s, a, t in zip(states, actions, targets)
+        ])
 
     grads = {}
     for name, tensor in params.tensors.items():

@@ -10,6 +10,7 @@ from rlselect.agent import (
     ReplayMemory,
     Transition,
     ddqn_target,
+    ddqn_targets,
     masked_argmax,
     select_action,
     train_step,
@@ -204,6 +205,43 @@ class TestDdqnTarget:
         scores = q((1, 4)).copy()
         scores[0] = scores[3] = -np.inf
         assert got == pytest.approx(0.6 + 0.9 * scores.max())
+
+
+class TestBatchedTargets:
+    def _batch(self, rng, n=6, size=24):
+        batch = []
+        for _ in range(size):
+            state = tuple(sorted(rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, 4)), replace=False).tolist()))
+            action = int(rng.choice([i for i in range(1, n + 1) if i not in state]))
+            nxt = tuple(sorted(state + (action,)))
+            batch.append(Transition(state, action, float(rng.uniform(0, 1)), nxt, len(nxt) == 4))
+        return batch
+
+    @pytest.mark.parametrize("convention", ["paper", "standard"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_equal_per_transition_targets(self, convention, gamma, cell):
+        rng = np.random.default_rng(31)
+        cfg = NetworkConfig.for_features(6, 3, 5, cell)
+        theta1, theta2 = net.init(cfg, 1), net.init(cfg, 2)
+        batch = self._batch(rng)
+        assert any(tr.terminal for tr in batch) and not all(tr.terminal for tr in batch)
+        got = ddqn_targets(batch, theta1, theta2, gamma, convention)
+        q_online = lambda s: net.forward(theta1, s)
+        q_target = lambda s: net.forward(theta2, s)
+        want = [ddqn_target(tr, q_online, q_target, gamma, convention) for tr in batch]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for tr, value in zip(batch, got):
+            if tr.terminal or gamma == 0.0:
+                assert value == tr.reward
+
+    def test_all_terminal_batch_skips_the_network(self):
+        batch = [Transition((1,), 2, 0.25, (1, 2), True)]
+        assert ddqn_targets(batch, None, None, 0.9).tolist() == [0.25]
+
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ValueError):
+            ddqn_targets([], None, None, 0.9, convention="other")
 
 
 class TestTrainStep:

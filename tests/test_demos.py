@@ -2,12 +2,16 @@
 
 Demo 6 covers the experiment drivers with an RNN at gamma 0. The pinned GRU
 training config uses gamma 0.5, so its report also pins the DDQN-target path.
+Demos 1, 2, 4 and 5 are smoke-run: they must exit 0. Demo 3 (about 9 s)
+is left out.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMITTED = ROOT / "runs" / "demo-protocols"
@@ -18,6 +22,16 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 def reproducible(directory: Path) -> list[str]:
     # timing.* record wall-clock fit times, which no rerun reproduces
     return sorted(p.name for p in directory.iterdir() if not p.name.startswith("timing."))
+
+
+@pytest.mark.parametrize("name", [
+    "01_synthetic_dataset.py", "02_featurize_pipeline.py", "04_decision_network.py", "05_train_selector.py",
+])
+def test_demo_runs_clean(tmp_path, name):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=ENV, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_demo_06_regenerates_committed_artifacts(tmp_path):

@@ -137,6 +137,15 @@ class TestCmdTrain:
         assert "timings" not in report.to_dict()
         assert "timings" not in json.loads((tmp_path / "report.json").read_text())
 
+    def test_timings_report_train_steps_outside_the_report(self, tmp_path):
+        # 4 episodes, learn every 2, sync every 3: steps after episodes 2, 3 and 4
+        cmd_train(tiny_config(tmp_path))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings["train_steps"] == 3
+        assert 0.0 < timings["train_step_s"] <= timings["train_s"]
+        report_text = (tmp_path / "report.json").read_text()
+        assert "train_step_s" not in report_text and "train_steps" not in report_text
+
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cmd_train(cfg)
@@ -351,11 +360,24 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path / "out")
+        cfg = RunConfig(csv_path=str(tmp_path / "missing.csv"), synthetic=None,
+                        subset_size=2, out_dir=str(tmp_path / "out"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
-        # subset index out of range for the 12-feature dataset
-        assert main(["evaluate", "--config", str(cfg_path), "--subset", "0,99"]) == 2
+        # the config loads, but its CSV does not exist
+        assert main(["evaluate", "--config", str(cfg_path), "--subset", "0,1"]) == 2
+
+    @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])
+    def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
+        fits = []
+        monkeypatch.setattr(harness, "_kfold_cv", lambda *args: fits.append(args))
+        # index 12 is one past the 12-feature dataset
+        assert main(["evaluate", "--config", str(cfg_path), "--subset", subset]) == 1
+        captured = capsys.readouterr()
+        assert "argument --subset:" in captured.err and captured.out == ""
+        assert fits == [] and not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")

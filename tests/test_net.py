@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlselect import net
 from rlselect.net import NetworkConfig, OptimizerState
 
-from conftest import finite_difference_gradients, max_relative_error
+from conftest import finite_difference_batch_gradients, finite_difference_gradients, max_relative_error
 
 
 def small_config(rng, cell, head):
@@ -137,6 +139,69 @@ class TestBackward:
         params = net.init(cfg, 9)
         with pytest.raises(ValueError):
             net.backward(params, (), 1, float("nan"))
+
+
+CELL_HEADS = [(cell, head) for cell in net.CELLS for head in net.HEADS]
+
+
+def max_tensor_relative_error(a, b):
+    """Largest |a - b| of any tensor, relative to that tensor's largest |b|."""
+    return max(float(np.abs(a[k] - b[k]).max() / max(np.abs(b[k]).max(), 1e-300)) for k in b)
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(3, 7))
+    cfg = NetworkConfig(
+        vocab_size=n + 1, embed_dim=draw(st.integers(1, 4)), hidden_dim=draw(st.integers(1, 6)),
+        cell=draw(st.sampled_from(net.CELLS)), output_dim=n, head=draw(st.sampled_from(net.HEADS)),
+    )
+    subsets = st.lists(st.integers(1, n), unique=True, max_size=min(n, 5)).map(lambda s: tuple(sorted(s)))
+    states = draw(st.lists(subsets, min_size=1, max_size=6))
+    actions = draw(st.lists(st.integers(1, n), min_size=len(states), max_size=len(states)))
+    targets = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(states), max_size=len(states)))
+    return net.init(cfg, draw(st.integers(0, 2**31 - 1))), states, actions, targets
+
+
+class TestBatch:
+    # mixed lengths, the empty state, and feature 2 repeated across rows
+    STATES = [(2, 4), (), (1, 2, 3, 5), (2,)]
+    ACTIONS = [1, 3, 4, 2]
+    TARGETS = [0.3, -0.4, 0.9, 0.1]
+
+    @pytest.mark.parametrize("cell, head", CELL_HEADS)
+    def test_mean_gradient_matches_finite_differences(self, cell, head):
+        cfg = NetworkConfig.for_features(5, 3, 4, cell, head)
+        params = net.init(cfg, 17)
+        analytic = net.backward(params, self.STATES, self.ACTIONS, self.TARGETS)
+        numeric = finite_difference_batch_gradients(params, self.STATES, self.ACTIONS, self.TARGETS)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches())
+    def test_batch_equals_mean_of_single_transitions(self, batch):
+        params, states, actions, targets = batch
+        singles = [net.backward(params, s, a, t) for s, a, t in zip(states, actions, targets)]
+        mean = {k: sum(g[k] for g in singles) / len(singles) for k in params.tensors}
+        batched = net.backward(params, states, actions, targets)
+        assert list(batched) == list(params.tensors)
+        assert max_tensor_relative_error(batched, mean) <= 1e-12
+        rows = net.forward_batch(params, states)
+        for row, state in zip(rows, states):
+            np.testing.assert_allclose(row, net.forward(params, state), rtol=1e-12, atol=1e-15)
+
+    def test_malformed_batch_rejected(self):
+        params = net.init(NetworkConfig.for_features(5, 3, 4, "gru"), 3)
+        with pytest.raises(ValueError, match="batch sizes differ"):
+            net.backward(params, [(1,), (2,)], [1], [0.5])
+        with pytest.raises(ValueError):
+            net.backward(params, [], [], [])
+        with pytest.raises(ValueError):
+            net.forward_batch(params, [])
+        with pytest.raises(ValueError):
+            net.backward(params, [(1,), (2,)], [1, 6], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            net.backward(params, (1,), 2.0, 0.5)
 
 
 class TestStep:
