@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from rlselect import build_vocabulary, extract_ngrams, map_dalvik_to_letters, vectorize_ngrams
-from rlselect.harness import cmd_featurize
+from rlselect.featurize import cmd_featurize
 
 stream = ["invoke-direct", "move-result", "if-eqz", "const/4", "goto/16", "return-void"]
 letters = map_dalvik_to_letters(stream)

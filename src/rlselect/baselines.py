@@ -35,23 +35,27 @@ def _rank(scores: np.ndarray) -> RankedFeatures:
     return RankedFeatures(scores, order)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    """Shannon entropy in bits of a count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
+def _entropy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each two-cell count pair (u[j], v[j]); 0 for an empty pair."""
+    total = u + v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pu, pv = u / total, v / total
+        plogp_u = np.where(u > 0, pu * np.log2(pu), 0.0)
+        plogp_v = np.where(v > 0, pv * np.log2(pv), 0.0)
+    return -(plogp_u + plogp_v)
 
 
-def _feature_label_table(matrix: SampleMatrix) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Per-feature 2x2 counts: rows with bit 1 per class, and class totals."""
+def _feature_label_table(matrix: SampleMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-feature 2x2 counts, as float vectors over the columns.
+
+    Returns (bit 1 & benign, bit 1 & malware, bit 0 & benign, bit 0 & malware).
+    """
     y1 = matrix.y == 1
     n1 = int(np.count_nonzero(y1))
     n0 = matrix.n_samples - n1
-    ones_pos = matrix.X[y1].sum(axis=0).astype(np.float64)  # bit=1 & malware
-    ones_neg = matrix.X[~y1].sum(axis=0).astype(np.float64)  # bit=1 & benign
-    return ones_neg, ones_pos, n0, n1
+    ones_neg = matrix.X[~y1].sum(axis=0).astype(np.float64)
+    ones_pos = matrix.X[y1].sum(axis=0).astype(np.float64)
+    return ones_neg, ones_pos, n0 - ones_neg, n1 - ones_pos
 
 
 def _check_two_classes(matrix: SampleMatrix) -> None:
@@ -65,16 +69,10 @@ def _check_two_classes(matrix: SampleMatrix) -> None:
 def information_gain(matrix: SampleMatrix) -> RankedFeatures:
     """Mutual information of each feature with the label: H(Y) - H(Y|X), in bits."""
     _check_two_classes(matrix)
-    ones_neg, ones_pos, n0, n1 = _feature_label_table(matrix)
-    n = n0 + n1
-    h_y = _entropy(np.array([n0, n1], dtype=np.float64))
-
-    scores = np.empty(matrix.n_features)
-    for j in range(matrix.n_features):
-        a, b = ones_neg[j], ones_pos[j]  # bit=1 counts per class
-        c, d = n0 - a, n1 - b  # bit=0 counts per class
-        h_cond = ((a + b) * _entropy(np.array([a, b])) + (c + d) * _entropy(np.array([c, d]))) / n
-        scores[j] = h_y - h_cond
+    a, b, c, d = _feature_label_table(matrix)
+    h_y = _entropy(a + c, b + d)  # the class counts, once per feature
+    h_cond = ((a + b) * _entropy(a, b) + (c + d) * _entropy(c, d)) / matrix.n_samples
+    scores = h_y - h_cond
     # Clamp the tiny negative residue float arithmetic can leave at independence.
     scores[np.abs(scores) < 1e-15] = 0.0
     return _rank(scores)
@@ -83,20 +81,17 @@ def information_gain(matrix: SampleMatrix) -> RankedFeatures:
 def chi_square(matrix: SampleMatrix) -> RankedFeatures:
     """Pearson chi-square of each feature/label 2x2 table; zero expected cells contribute 0."""
     _check_two_classes(matrix)
-    ones_neg, ones_pos, n0, n1 = _feature_label_table(matrix)
-    n = n0 + n1
+    a, b, c, d = _feature_label_table(matrix)
+    n = matrix.n_samples
+    benign, malware, bit0, bit1 = c + a, d + b, c + d, a + b
 
-    scores = np.empty(matrix.n_features)
-    for j in range(matrix.n_features):
-        observed = np.array([
-            [n0 - ones_neg[j], ones_neg[j]],
-            [n1 - ones_pos[j], ones_pos[j]],
-        ])
-        row = observed.sum(axis=1, keepdims=True)
-        col = observed.sum(axis=0, keepdims=True)
-        expected = row @ col / n
-        nz = expected > 0
-        scores[j] = float((((observed - expected) ** 2)[nz] / expected[nz]).sum())
+    def cell(observed, row, col):
+        expected = row * col / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
+
+    # summed in the row-major cell order of the 2x2 table
+    scores = cell(c, benign, bit0) + cell(a, benign, bit1) + cell(d, malware, bit0) + cell(b, malware, bit1)
     return _rank(scores)
 
 

@@ -5,16 +5,21 @@ the opcode stream, one permission/intent string per line for the declared
 names. Dalvik mnemonics are first collapsed to a 7-letter alphabet, the letter
 stream is cut into n-grams, and a sample is vectorized by gram presence
 against a top-k vocabulary built from the malware corpus only.
+
+``cmd_featurize`` is the driver: it reads a directory of disassembled
+samples and writes the matrix CSV, with permission columns first, then
+intents, then n-grams.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureDictionary
+from .dataset import FeatureDictionary, SampleMatrix, save_csv
 
 ALPHABET = "MRGITPV"
 
@@ -27,8 +32,9 @@ class VocabularyError(ValueError):
 class OpcodeAlphabetMap:
     """Ordered (pattern, letter) rules mapping Dalvik mnemonics to alphabet letters.
 
-    A rule matches a mnemonic either exactly or as a prefix; exact matches win,
-    then the longest matching prefix. Mnemonics no rule matches are dropped.
+    A rule matches a mnemonic that starts with its pattern. The longest matching
+    pattern wins, and the earliest rule breaks ties. Mnemonics no rule matches
+    are dropped.
     """
 
     rules: tuple[tuple[str, str], ...]
@@ -44,8 +50,6 @@ class OpcodeAlphabetMap:
         best = None
         best_len = -1
         for pattern, letter in self.rules:
-            if mnemonic == pattern:
-                return letter
             if mnemonic.startswith(pattern) and len(pattern) > best_len:
                 best, best_len = letter, len(pattern)
         return best
@@ -150,3 +154,72 @@ def vectorize_declared(names, dictionary: FeatureDictionary, category: str) -> t
         else:
             bits[slot] = 1
     return bits, unknown
+
+
+def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatrix:
+    """Run the featurization pipeline over a directory of disassembled samples.
+
+    Layout: ``<inputs_dir>/malware/*.opcodes`` and ``<inputs_dir>/benign/*.opcodes``,
+    each with a sibling ``<sample>.names`` file. Opcode files hold one Dalvik
+    mnemonic per line; names files hold one declared permission or intent
+    string per line (intents are recognized by an ``.intent.`` substring).
+    The n-gram vocabulary is built from the malware samples only.
+    """
+    root = Path(inputs_dir)
+    samples: list[tuple[int, Path, Path]] = []  # (label, opcodes, names)
+    for label_dir, label in (("benign", 0), ("malware", 1)):
+        d = root / label_dir
+        if not d.is_dir():
+            raise FileNotFoundError(f"missing input directory {d}")
+        for opc in sorted(d.glob("*.opcodes")):
+            names_file = opc.with_suffix(".names")
+            if not names_file.exists():
+                raise FileNotFoundError(f"{opc} has no matching names file {names_file}")
+            samples.append((label, opc, names_file))
+    if not samples:
+        raise FileNotFoundError(f"no samples under {root} (expected *.opcodes files)")
+
+    # per sample, in sample order: a malware and a benign file may share a stem
+    letters = []
+    declared = []
+    for _, opc, names_file in samples:
+        mnemonics = [ln.strip() for ln in opc.read_text().splitlines() if ln.strip()]
+        letters.append(map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP))
+        declared.append([ln.strip() for ln in names_file.read_text().splitlines() if ln.strip()])
+
+    malware_letters = [s for s, (label, _, _) in zip(letters, samples) if label == 1]
+    if not malware_letters:
+        raise FileNotFoundError(f"no malware samples under {root}/malware")
+    try:
+        vocab = build_vocabulary(malware_letters, ngram_n, ngram_k)
+    except ValueError as exc:
+        raise ValueError(f"{root}/malware: {exc}") from exc
+
+    def is_intent(declared_name: str) -> bool:
+        return ".intent." in declared_name
+
+    perm_names = sorted({n for ns in declared for n in ns if not is_intent(n)})
+    intent_names = sorted({n for ns in declared for n in ns if is_intent(n)})
+
+    names = tuple(perm_names) + tuple(intent_names) + tuple(vocab.grams)
+    categories = (
+        ("permission",) * len(perm_names)
+        + ("intent",) * len(intent_names)
+        + ("ngram",) * len(vocab.grams)
+    )
+    dictionary = FeatureDictionary(names, categories)
+
+    rows = np.zeros((len(samples), len(names)), dtype=np.uint8)
+    labels = np.zeros(len(samples), dtype=np.uint8)
+    for i, (label, _, _) in enumerate(samples):
+        perm_bits, _ = vectorize_declared(declared[i], dictionary, "permission")
+        intent_bits, _ = vectorize_declared(declared[i], dictionary, "intent")
+        gram_bits = vectorize_ngrams(letters[i], vocab)
+        rows[i] = np.concatenate([perm_bits, intent_bits, gram_bits])
+        labels[i] = label
+
+    matrix = SampleMatrix(dictionary, rows, labels)
+    out_path = Path(out_csv)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    save_csv(matrix, out_path)
+    return matrix

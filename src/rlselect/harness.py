@@ -1,5 +1,5 @@
 """Experiment drivers: training runs, evaluation tables, comparisons, stability,
-learning curves, timing ratios, and the featurization pipeline.
+learning curves and timing ratios, plus the run-config schema they share.
 
 Every command is a pure function of (config, seeds, input files): all
 randomness flows from the config's root seed through named sub-seeds, so
@@ -25,24 +25,16 @@ from . import __version__, baselines, classifiers, net
 from .agent import AgentConfig, ReplayMemory, Transition, select_action, train_step
 from .classifiers import ClassifierKind
 from .dataset import (
-    FeatureDictionary,
     SampleMatrix,
     SplitKind,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
     project,
-    save_csv,
     stratified_split,
 )
 from .env import FeatureEnv, RewardOracle
-from .featurize import (
-    DEFAULT_OPCODE_MAP,
-    build_vocabulary,
-    map_dalvik_to_letters,
-    vectorize_declared,
-    vectorize_ngrams,
-)
+from .featurize import cmd_featurize  # kept here: the benchmark calls and traces harness.cmd_featurize
 from .net import NetworkConfig, OptimizerState
 
 COMPARE_METHODS = ("rl", "information_gain", "chi_square", "random")
@@ -451,13 +443,6 @@ def cmd_train(config: RunConfig) -> RunReport:
     return result.report
 
 
-def parse_classifier_list(spec: str) -> list[ClassifierKind]:
-    try:
-        return [ClassifierKind(token.strip().lower()) for token in spec.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"classifier {exc}") from exc
-
-
 def _kfold_cv(config: RunConfig, matrix: SampleMatrix, folds: int):
     """Scorer of 0-based column subsets by k-fold CV accuracy over one shared plan.
 
@@ -520,16 +505,19 @@ def cmd_compare(
     methods: list[str],
     random_draws: int = 20,
     folds: int = 10,
+    matrix: SampleMatrix | None = None,
 ) -> list[dict]:
     """Subset quality per (method, size): selection + k-fold CV accuracy.
 
     The random baseline is averaged over ``random_draws`` seeded draws and
-    reported with its standard deviation.
+    reported with its standard deviation. ``matrix`` is the config's loaded
+    matrix, when the caller has it already.
     """
     for m in methods:
         if m not in COMPARE_METHODS:
             raise ConfigError(f"unknown method {m!r} (use {', '.join(COMPARE_METHODS)})")
-    matrix = load_matrix(config)
+    if matrix is None:
+        matrix = load_matrix(config)
     cv = _kfold_cv(config, matrix, folds)
     ig = baselines.information_gain(matrix) if "information_gain" in methods else None
     chi = baselines.chi_square(matrix) if "chi_square" in methods else None
@@ -568,11 +556,17 @@ def cmd_compare(
     return rows
 
 
-def cmd_stability(config: RunConfig, runs: int, folds: int = 10) -> dict:
-    """Independent trainings; CV accuracy at every prefix length of each greedy subset."""
+def cmd_stability(
+    config: RunConfig, runs: int, folds: int = 10, matrix: SampleMatrix | None = None
+) -> dict:
+    """Independent trainings; CV accuracy at every prefix length of each greedy subset.
+
+    ``matrix`` is the config's loaded matrix, when the caller has it already.
+    """
     if runs < 1:
         raise ConfigError("runs must be >= 1")
-    matrix = load_matrix(config)
+    if matrix is None:
+        matrix = load_matrix(config)
     cv = _kfold_cv(config, matrix, folds)
 
     per_run = []
@@ -722,71 +716,3 @@ def cmd_timing(
     columns = ["classifier", "subset_size", "fit_seconds", "full_seconds", "ratio_pct"]
     _publish(config, "timing", {"rows": rows}, {"timing": (columns, rows)})
     return rows
-
-
-def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatrix:
-    """Run the featurization pipeline over a directory of disassembled samples.
-
-    Layout: ``<inputs_dir>/malware/*.opcodes`` and ``<inputs_dir>/benign/*.opcodes``,
-    each with a sibling ``<sample>.names`` file. Opcode files hold one Dalvik
-    mnemonic per line; names files hold one declared permission or intent
-    string per line (intents are recognized by an ``.intent.`` substring).
-    The n-gram vocabulary is built from the malware samples only.
-    """
-    root = Path(inputs_dir)
-    samples: list[tuple[str, int, Path, Path]] = []  # (name, label, opcodes, names)
-    for label_dir, label in (("benign", 0), ("malware", 1)):
-        d = root / label_dir
-        if not d.is_dir():
-            raise FileNotFoundError(f"missing input directory {d}")
-        for opc in sorted(d.glob("*.opcodes")):
-            names_file = opc.with_suffix(".names")
-            if not names_file.exists():
-                raise FileNotFoundError(f"{opc} has no matching names file {names_file}")
-            samples.append((opc.stem, label, opc, names_file))
-    if not samples:
-        raise FileNotFoundError(f"no samples under {root} (expected *.opcodes files)")
-
-    letters = {}
-    declared = {}
-    for name, label, opc, names_file in samples:
-        mnemonics = [ln.strip() for ln in opc.read_text().splitlines() if ln.strip()]
-        letters[name] = map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP)
-        declared[name] = [ln.strip() for ln in names_file.read_text().splitlines() if ln.strip()]
-
-    malware_letters = [letters[name] for name, label, _, _ in samples if label == 1]
-    if not malware_letters:
-        raise FileNotFoundError(f"no malware samples under {root}/malware")
-    try:
-        vocab = build_vocabulary(malware_letters, ngram_n, ngram_k)
-    except ValueError as exc:
-        raise ValueError(f"{root}/malware: {exc}") from exc
-
-    def is_intent(declared_name: str) -> bool:
-        return ".intent." in declared_name
-
-    perm_names = sorted({n for ns in declared.values() for n in ns if not is_intent(n)})
-    intent_names = sorted({n for ns in declared.values() for n in ns if is_intent(n)})
-
-    names = tuple(perm_names) + tuple(intent_names) + tuple(vocab.grams)
-    categories = (
-        ("permission",) * len(perm_names)
-        + ("intent",) * len(intent_names)
-        + ("ngram",) * len(vocab.grams)
-    )
-    dictionary = FeatureDictionary(names, categories)
-
-    rows = np.zeros((len(samples), len(names)), dtype=np.uint8)
-    labels = np.zeros(len(samples), dtype=np.uint8)
-    for i, (name, label, _, _) in enumerate(samples):
-        perm_bits, _ = vectorize_declared(declared[name], dictionary, "permission")
-        intent_bits, _ = vectorize_declared(declared[name], dictionary, "intent")
-        gram_bits = vectorize_ngrams(letters[name], vocab)
-        rows[i] = np.concatenate([perm_bits, intent_bits, gram_bits])
-        labels[i] = label
-
-    matrix = SampleMatrix(dictionary, rows, labels)
-    out_path = Path(out_csv)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_csv(matrix, out_path)
-    return matrix

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlselect.baselines import chi_square, information_gain, random_subset, top_k
 from rlselect.dataset import SyntheticSpec, generate_synthetic
@@ -120,3 +122,98 @@ class TestTopK:
         ranked = information_gain(m)
         assert ranked.order.tolist() == [0, 1]
         assert top_k(ranked, 1) == [0]
+
+
+# ------------------------------------------------ per-feature loop references
+
+
+def _loop_entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def _loop_counts(matrix):
+    y1 = matrix.y == 1
+    n1 = int(np.count_nonzero(y1))
+    n0 = matrix.n_samples - n1
+    ones_pos = matrix.X[y1].sum(axis=0).astype(np.float64)
+    ones_neg = matrix.X[~y1].sum(axis=0).astype(np.float64)
+    return ones_neg, ones_pos, n0, n1
+
+
+def loop_information_gain(matrix) -> np.ndarray:
+    """Information gain with one 2x2 table built per feature in a Python loop."""
+    ones_neg, ones_pos, n0, n1 = _loop_counts(matrix)
+    n = n0 + n1
+    h_y = _loop_entropy(np.array([n0, n1], dtype=np.float64))
+    scores = np.empty(matrix.n_features)
+    for j in range(matrix.n_features):
+        a, b = ones_neg[j], ones_pos[j]
+        c, d = n0 - a, n1 - b
+        h_cond = ((a + b) * _loop_entropy(np.array([a, b])) + (c + d) * _loop_entropy(np.array([c, d]))) / n
+        scores[j] = h_y - h_cond
+    scores[np.abs(scores) < 1e-15] = 0.0
+    return scores
+
+
+def loop_chi_square(matrix) -> np.ndarray:
+    """Chi-square with one 2x2 table built per feature in a Python loop."""
+    ones_neg, ones_pos, n0, n1 = _loop_counts(matrix)
+    n = n0 + n1
+    scores = np.empty(matrix.n_features)
+    for j in range(matrix.n_features):
+        observed = np.array([
+            [n0 - ones_neg[j], ones_neg[j]],
+            [n1 - ones_pos[j], ones_pos[j]],
+        ])
+        row = observed.sum(axis=1, keepdims=True)
+        col = observed.sum(axis=0, keepdims=True)
+        expected = row @ col / n
+        nz = expected > 0
+        scores[j] = float((((observed - expected) ** 2)[nz] / expected[nz]).sum())
+    return scores
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Both classes present; each column all 0, all 1, the label, its negation, or random.
+
+    Constant columns have zero expected cells; label-copy columns have empty
+    observed cells.
+    """
+    n = draw(st.integers(2, 40))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    y[:2] = (0, 1)
+    columns = []
+    kinds = st.sampled_from(["zeros", "ones", "label", "flip", "random"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=10)):
+        if kind == "random":
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        else:
+            columns.append({"zeros": np.zeros(n), "ones": np.ones(n), "label": y, "flip": 1 - y}[kind])
+    return matrix_from_rows(np.array(columns).T, y)
+
+
+class TestArrayScoresEqualLoops:
+    """The array IG and chi-square equal the per-feature loops they replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_matrices())
+    def test_information_gain(self, m):
+        assert information_gain(m).scores.tolist() == loop_information_gain(m).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_matrices())
+    def test_chi_square(self, m):
+        assert chi_square(m).scores.tolist() == loop_chi_square(m).tolist()
+
+    def test_empty_cells_and_constant_columns(self):
+        y = [0, 0, 0, 1, 1]
+        # all 0, all 1, the label (no bit-1 benign rows), its negation, and a mixed column
+        m = matrix_from_rows(np.array([[0] * 5, [1] * 5, y, [1 - v for v in y], [1, 0, 1, 1, 0]]).T, y)
+        assert information_gain(m).scores.tolist() == loop_information_gain(m).tolist()
+        assert chi_square(m).scores.tolist() == loop_chi_square(m).tolist()
+        assert chi_square(m).scores[:2].tolist() == [0.0, 0.0]

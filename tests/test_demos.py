@@ -2,16 +2,22 @@
 
 Demo 6 covers the experiment drivers with an RNN at gamma 0. The pinned GRU
 training config uses gamma 0.5, so its report also pins the DDQN-target path.
+The pinned corpus pins the ingest path: featurize, then the IG and chi-square
+scores of the CSV it writes.
 Demos 1, 2, 4 and 5 are smoke-run: they must exit 0. Demo 3 (about 9 s)
 is left out.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rlselect.baselines import chi_square, information_gain
+from rlselect.dataset import load_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMITTED = ROOT / "runs" / "demo-protocols"
@@ -54,3 +60,18 @@ def test_pinned_gru_training_writes_committed_report(tmp_path):
     )
     written = tmp_path / "runs" / "pinned-train" / "report.json"
     assert written.read_bytes() == (PINNED / "train_gru.report.json").read_bytes()
+
+
+def test_pinned_corpus_featurizes_to_committed_csv_and_scores(tmp_path):
+    # 8 benign + 8 malware samples; a constant column and one-class columns included
+    written = tmp_path / "corpus.csv"
+    subprocess.run(
+        [sys.executable, "-m", "rlselect.cli", "featurize", "--inputs", str(PINNED / "corpus"),
+         "--ngram-n", "3", "--ngram-k", "20", "--out-csv", str(written)],
+        cwd=tmp_path, env=ENV, check=True, capture_output=True,
+    )
+    assert written.read_bytes() == (PINNED / "corpus.csv").read_bytes()
+    matrix = load_csv(written)
+    committed = json.loads((PINNED / "corpus.scores.json").read_text())
+    assert information_gain(matrix).scores.tolist() == committed["information_gain"]
+    assert chi_square(matrix).scores.tolist() == committed["chi_square"]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlselect.dataset import FeatureDictionary
 from rlselect.featurize import (
+    ALPHABET,
     DEFAULT_OPCODE_MAP,
     NGramVocabulary,
     OpcodeAlphabetMap,
@@ -52,6 +55,17 @@ class TestOpcodeMapping:
         custom = OpcodeAlphabetMap((("move", "M"), ("move-result", "R")))
         assert custom.letter_for("move-result") == "R"
         assert custom.letter_for("move-wide") == "M"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_longest_pattern_wins_earliest_rule_on_ties(self, data):
+        # a two-character alphabet makes shared prefixes, duplicates and exact matches common
+        text = st.text("ab", min_size=1, max_size=4)
+        rules = data.draw(st.lists(st.tuples(text, st.sampled_from(ALPHABET)), min_size=1, max_size=8))
+        mnemonic = data.draw(st.one_of(st.sampled_from([p for p, _ in rules]), st.text("ab", max_size=6)))
+        matches = [(-len(p), i, letter) for i, (p, letter) in enumerate(rules) if mnemonic.startswith(p)]
+        expected = min(matches)[2] if matches else None
+        assert OpcodeAlphabetMap(tuple(rules)).letter_for(mnemonic) == expected
 
     def test_concatenation_homomorphic(self):
         a = ["move", "nop", "if-eq"]

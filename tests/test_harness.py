@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rlselect.classifiers import ClassifierKind
-from rlselect import harness
+from rlselect import featurize, harness
 from rlselect.cli import main
 from rlselect.dataset import SyntheticSpec, generate_synthetic, load_csv, save_csv
+from rlselect.featurize import cmd_featurize
 from rlselect.harness import (
     PAPER_SCALE,
     ConfigError,
@@ -16,7 +17,6 @@ from rlselect.harness import (
     cmd_compare,
     cmd_curves,
     cmd_evaluate,
-    cmd_featurize,
     cmd_stability,
     cmd_timing,
     cmd_train,
@@ -285,6 +285,9 @@ class TestCmdFeaturize:
             ["android.permission.INTERNET"],
         )
 
+    def test_harness_name_is_the_featurize_driver(self):
+        assert harness.cmd_featurize is featurize.cmd_featurize
+
     def test_builds_matrix_csv(self, tmp_path):
         self._write_inputs(tmp_path / "in")
         out_csv = tmp_path / "features.csv"
@@ -313,6 +316,19 @@ class TestCmdFeaturize:
         cmd_featurize(tmp_path / "in", 2, 2, tmp_path / "a.csv")
         cmd_featurize(tmp_path / "in", 2, 2, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_same_stem_in_both_classes_keeps_both_samples(self, tmp_path):
+        mal = tmp_path / "in" / "malware"
+        ben = tmp_path / "in" / "benign"
+        mal.mkdir(parents=True)
+        ben.mkdir(parents=True)
+        write_sample(mal, "app", ["move", "move", "return"], ["android.permission.SEND_SMS"])
+        write_sample(ben, "app", ["goto", "goto"], ["android.permission.INTERNET"])
+        matrix = cmd_featurize(tmp_path / "in", 1, 2, tmp_path / "f.csv")
+        assert matrix.dictionary.names == (
+            "android.permission.INTERNET", "android.permission.SEND_SMS", "M", "R",
+        )
+        assert matrix.X.tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
 
     def test_empty_inputs_rejected(self, tmp_path):
         (tmp_path / "in" / "malware").mkdir(parents=True)
@@ -397,6 +413,8 @@ class TestCli:
         (["curves", "--period", "0"], "--period"),
         (["compare", "--sizes", "2,0"], "--sizes"),
         (["timing", "--sizes", "0"], "--sizes"),
+        (["compare", "--sizes", "", "--methods", "random"], "--sizes"),
+        (["timing", "--sizes", ""], "--sizes"),
     ])
     def test_out_of_range_flag_exits_one_naming_it(self, tmp_path, capsys, argv, flag):
         cfg_path = tmp_path / "cfg.json"
@@ -404,6 +422,50 @@ class TestCli:
         assert main(argv + ["--config", str(cfg_path)]) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare", "--sizes", "13", "--methods", "random"], "--sizes"),
+        (["compare", "--sizes", "13", "--methods", "rl"], "--sizes"),
+        (["timing", "--sizes", "13", "--classifiers", "dt"], "--sizes"),
+        (["evaluate", "--subset", "0", "--folds", "150"], "--folds"),
+        (["compare", "--sizes", "2", "--methods", "random", "--folds", "150"], "--folds"),
+        (["stability", "--runs", "1", "--folds", "150"], "--folds"),
+    ])
+    def test_flag_beyond_the_data_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # 12 features, about 120 rows per class
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
+        fits = []
+        monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(harness, "_kfold_cv", lambda *args: fits.append(args))
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"argument {flag}:" in captured.err and captured.out == ""
+        assert fits == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare", "--sizes", "2", "--methods", ""], "--methods"),
+        (["compare", "--sizes", "2", "--methods", "random,genetic"], "--methods"),
+        (["evaluate", "--subset", "0", "--classifiers", ""], "--classifiers"),
+        (["timing", "--classifiers", "dt,cnn"], "--classifiers"),
+    ])
+    def test_bad_list_flag_exits_one_naming_it(self, tmp_path, capsys, argv, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--ngram-n", "--ngram-k"])
+    def test_featurize_zero_ngram_flag_exits_one_naming_it(self, tmp_path, capsys, flag):
+        for label_dir in ("malware", "benign"):
+            (tmp_path / "in" / label_dir).mkdir(parents=True)
+            write_sample(tmp_path / "in" / label_dir, "s", ["move", "return"], ["android.permission.X"])
+        out_csv = tmp_path / "f.csv"
+        argv = ["featurize", "--inputs", str(tmp_path / "in"), "--out-csv", str(out_csv), flag, "0"]
+        assert main(argv) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_timing_loads_a_csv_matrix_once(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "m.csv"
