@@ -53,6 +53,14 @@ def _at_least(minimum: int, parse=int):
     return checked
 
 
+def _ngram_n(text: str) -> int:
+    """argparse type for --ngram-n: 1..MAX_NGRAM_N, the range of exact int64 n-gram codes."""
+    n = _at_least(1)(text)
+    if n > featurize.MAX_NGRAM_N:
+        raise argparse.ArgumentTypeError(f"must be <= {featurize.MAX_NGRAM_N}, got {n}")
+    return n
+
+
 def _subset(text: str) -> list[int]:
     """argparse type for --subset: nonempty, distinct, 0-based column indices."""
     subset = _at_least(0, _int_list)(text)
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feat = sub.add_parser("featurize", parents=[common], help="build a matrix CSV from disassembled samples")
     p_feat.add_argument("--inputs", required=True, help="directory with malware/ and benign/ sample files")
-    p_feat.add_argument("--ngram-n", type=_at_least(1), default=3)
+    p_feat.add_argument("--ngram-n", type=_ngram_n, default=3)
     p_feat.add_argument("--ngram-k", type=_at_least(1), default=500)
     p_feat.add_argument("--out-csv", required=True)
 

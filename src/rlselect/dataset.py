@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,15 @@ class FeatureDictionary:
         """Indices of this category's entries, in dictionary order."""
         if category not in CATEGORIES:
             raise ValueError(f"unknown feature category {category!r}")
-        return [i for i, c in enumerate(self.categories) if c == category]
+        return list(self._category_positions.get(category, ()))
+
+    @cached_property
+    def _category_positions(self) -> dict[str, tuple[int, ...]]:
+        # one scan per dictionary; not a field, so equality and hashing ignore it
+        positions: dict[str, list[int]] = {}
+        for i, c in enumerate(self.categories):
+            positions.setdefault(c, []).append(i)
+        return {c: tuple(idx) for c, idx in positions.items()}
 
     @classmethod
     def from_names(cls, names, category: str = "synthetic") -> "FeatureDictionary":
@@ -173,11 +182,14 @@ def save_csv(matrix: SampleMatrix, path) -> None:
         _column_name(n, c)
         for n, c in zip(matrix.dictionary.names, matrix.dictionary.categories)
     ]
+    # body: one digit per cell, comma-separated, with the CRLF line end csv.writer emits
+    cells = np.concatenate([matrix.X, matrix.y[:, None]], axis=1) + np.uint8(ord("0"))
+    body = np.full((cells.shape[0], 2 * cells.shape[1] + 1), ord(","), dtype=np.uint8)
+    body[:, 0:-1:2] = cells
+    body[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns + ["label"])
-        for bits, label in zip(matrix.X, matrix.y):
-            writer.writerow([int(b) for b in bits] + [int(label)])
+        csv.writer(fh).writerow(columns + ["label"])  # names may need quoting
+        fh.write(body.tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)

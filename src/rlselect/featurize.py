@@ -6,6 +6,14 @@ names. Dalvik mnemonics are first collapsed to a 7-letter alphabet, the letter
 stream is cut into n-grams, and a sample is vectorized by gram presence
 against a top-k vocabulary built from the malware corpus only.
 
+Each opcode map memoizes the letter of every distinct mnemonic it has seen,
+so a corpus costs one rule scan per distinct mnemonic, not per line.
+N-grams are counted as int64 codes: a letter is its digit 0-6 in sorted
+letter order (``GIMPRTV``) and a window is its base-7 value, so numeric code
+order is lexicographic gram order. The codes are exact up to
+``MAX_NGRAM_N`` = 22 (7**22 < 2**63 < 7**23); a larger n is rejected. The
+output is the same as counting string slices.
+
 ``cmd_featurize`` is the driver: it reads a directory of disassembled
 samples and writes the matrix CSV, with permission columns first, then
 intents, then n-grams.
@@ -14,7 +22,7 @@ intents, then n-grams.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +30,31 @@ import numpy as np
 from .dataset import FeatureDictionary, SampleMatrix, save_csv
 
 ALPHABET = "MRGITPV"
+MAX_NGRAM_N = 22  # the largest n whose base-7 window codes fit in int64
+
+# byte -> digit of its letter in sorted order; 255 marks a byte outside the alphabet
+_SORTED_LETTERS = "".join(sorted(ALPHABET))
+_DIGIT_OF = bytes(
+    _SORTED_LETTERS.index(chr(b)) if chr(b) in ALPHABET else 255 for b in range(256)
+)
+_LETTER_OF = np.frombuffer(_SORTED_LETTERS.encode("ascii"), dtype=np.uint8)
+_POWERS = 7 ** np.arange(MAX_NGRAM_N - 1, -1, -1, dtype=np.int64)
 
 
 class VocabularyError(ValueError):
     """Not enough distinct n-grams to build the requested vocabulary."""
+
+
+class _LetterMemo(dict):
+    """mnemonic -> letter, or "" for an unmatched mnemonic; filled on first lookup."""
+
+    def __init__(self, alphabet_map: "OpcodeAlphabetMap"):
+        super().__init__()
+        self.alphabet_map = alphabet_map
+
+    def __missing__(self, mnemonic: str) -> str:
+        letter = self[mnemonic] = self.alphabet_map.letter_for(mnemonic) or ""
+        return letter
 
 
 @dataclass(frozen=True)
@@ -38,6 +67,8 @@ class OpcodeAlphabetMap:
     """
 
     rules: tuple[tuple[str, str], ...]
+    # per-instance memo of letter_for, so maps with different rules never share results
+    _memo: _LetterMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pattern, letter in self.rules:
@@ -45,6 +76,7 @@ class OpcodeAlphabetMap:
                 raise ValueError(f"letter {letter!r} not in alphabet {ALPHABET}")
             if not pattern:
                 raise ValueError("empty rule pattern")
+        object.__setattr__(self, "_memo", _LetterMemo(self))
 
     def letter_for(self, mnemonic: str) -> str | None:
         best = None
@@ -80,19 +112,41 @@ DEFAULT_OPCODE_MAP = OpcodeAlphabetMap.default()
 
 def map_dalvik_to_letters(mnemonics, alphabet_map: OpcodeAlphabetMap = DEFAULT_OPCODE_MAP) -> str:
     """Collapse a mnemonic stream to its letter string, skipping unmatched mnemonics."""
-    out = []
-    for m in mnemonics:
-        letter = alphabet_map.letter_for(m)
-        if letter is not None:
-            out.append(letter)
-    return "".join(out)
+    return "".join(map(alphabet_map._memo.__getitem__, mnemonics))
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_NGRAM_N:
+        raise ValueError(f"n must be in 1..{MAX_NGRAM_N}, got {n}")
+
+
+def _gram_codes(letters: str, n: int) -> np.ndarray:
+    """The int64 code of every length-n window of ``letters``, in window order."""
+    digits = np.frombuffer(letters.encode("ascii").translate(_DIGIT_OF), dtype=np.uint8)
+    if digits.size and digits.max() == 255:
+        raise ValueError(f"letters must be drawn from {ALPHABET}")
+    count = digits.size - n + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    codes = digits[:count].astype(np.int64)
+    for j in range(1, n):
+        codes *= 7
+        codes += digits[j : j + count]
+    return codes
+
+
+def _decode(codes: np.ndarray, n: int) -> list[str]:
+    """The length-n gram of each code."""
+    text = _LETTER_OF[codes[:, None] // _POWERS[-n:] % 7].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def extract_ngrams(letters: str, n: int) -> Counter:
     """All contiguous length-n substrings with multiplicity; empty if the input is shorter than n."""
-    if n <= 0:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Counter(letters[i : i + n] for i in range(len(letters) - n + 1))
+    _check_n(n)
+    codes, first, counts = np.unique(_gram_codes(letters, n), return_index=True, return_counts=True)
+    order = np.argsort(first)  # grams in order of first occurrence, as counting slices inserts them
+    return Counter(dict(zip(_decode(codes[order], n), counts[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -101,15 +155,21 @@ class NGramVocabulary:
 
     n: int
     grams: tuple[str, ...]
+    # gram codes in ascending order, and the rank of each: the lookup table of vectorize_ngrams
+    _sorted_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_n(self.n)
         if len(set(self.grams)) != len(self.grams):
             raise ValueError("vocabulary grams must be unique")
         for g in self.grams:
             if len(g) != self.n or any(ch not in ALPHABET for ch in g):
                 raise ValueError(f"gram {g!r} is not a length-{self.n} string over {ALPHABET}")
+        codes = _gram_codes("".join(self.grams), self.n)[:: self.n]
+        ranks = np.argsort(codes)
+        object.__setattr__(self, "_sorted_codes", codes[ranks])
+        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def k(self) -> int:
@@ -120,21 +180,30 @@ def build_vocabulary(corpora, n: int, k: int) -> NGramVocabulary:
     """Top-k n-grams aggregated over the corpora; frequency ties break lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    totals: Counter = Counter()
-    for letters in corpora:
-        totals.update(extract_ngrams(letters, n))
-    if len(totals) < k:
+    _check_n(n)
+    # the leading empty array keeps an empty corpus list valid for concatenate
+    windows = np.concatenate([np.zeros(0, np.int64)] + [_gram_codes(letters, n) for letters in corpora])
+    codes, counts = np.unique(windows, return_counts=True)
+    if codes.size < k:
         raise VocabularyError(
-            f"only {len(totals)} distinct {n}-grams available, need k={k}"
+            f"only {codes.size} distinct {n}-grams available, need k={k}"
         )
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    return NGramVocabulary(n, tuple(g for g, _ in ranked[:k]))
+    # codes ascend in gram order, so a stable sort by count breaks ties lexicographically
+    top = codes[np.argsort(-counts, kind="stable")[:k]]
+    return NGramVocabulary(n, tuple(_decode(top, n)))
 
 
 def vectorize_ngrams(letters: str, vocab: NGramVocabulary) -> np.ndarray:
     """Presence bit per vocabulary gram (containment, not count)."""
-    present = extract_ngrams(letters, vocab.n)
-    return np.array([1 if g in present else 0 for g in vocab.grams], dtype=np.uint8)
+    codes = _gram_codes(letters, vocab.n)
+    table = vocab._sorted_codes
+    slots = np.searchsorted(table, codes)
+    inside = slots < table.size
+    slots = slots[inside]
+    hits = slots[table[slots] == codes[inside]]
+    bits = np.zeros(vocab.k, dtype=np.uint8)
+    bits[vocab._ranks[hits]] = 1
+    return bits
 
 
 def vectorize_declared(names, dictionary: FeatureDictionary, category: str) -> tuple[np.ndarray, int]:
@@ -165,6 +234,7 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     string per line (intents are recognized by an ``.intent.`` substring).
     The n-gram vocabulary is built from the malware samples only.
     """
+    _check_n(ngram_n)
     root = Path(inputs_dir)
     samples: list[tuple[int, Path, Path]] = []  # (label, opcodes, names)
     for label_dir, label in (("benign", 0), ("malware", 1)):
@@ -183,7 +253,8 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     letters = []
     declared = []
     for _, opc, names_file in samples:
-        mnemonics = [ln.strip() for ln in opc.read_text().splitlines() if ln.strip()]
+        # one strip per line; a blank line strips to "", which maps to no letter
+        mnemonics = map(str.strip, opc.read_text().splitlines())
         letters.append(map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP))
         declared.append([ln.strip() for ln in names_file.read_text().splitlines() if ln.strip()])
 

@@ -1,5 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rlselect.baselines import information_gain
 from rlselect.dataset import (
@@ -68,6 +73,29 @@ class TestLoadCsv:
         back = load_csv(path)
         assert back.dictionary == dictionary
         assert np.array_equal(back.X, m.X) and np.array_equal(back.y, m.y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_save_csv_bytes_equal_csv_writer(self, tmp_path_factory, data):
+        n_rows = data.draw(st.integers(0, 6))
+        n_cols = data.draw(st.integers(0, 5))
+        X = data.draw(arrays(np.uint8, (n_rows, n_cols), elements=st.integers(0, 1)))
+        y = data.draw(arrays(np.uint8, (n_rows,), elements=st.integers(0, 1)))
+        # names that csv.writer must quote: commas, quotes, spaces
+        names = tuple(f'f{j},"q" {j}' for j in range(n_cols))
+        matrix = SampleMatrix(FeatureDictionary.from_names(names), X, y)
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        save_csv(matrix, path)
+        expected = tmp_path_factory.mktemp("ref") / "m.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(names) + ["label"])
+            for bits, label in zip(X, y):
+                writer.writerow([int(b) for b in bits] + [int(label)])
+        assert path.read_bytes() == expected.read_bytes()
+        back = load_csv(path)
+        assert back.dictionary == matrix.dictionary
+        assert np.array_equal(back.X, X) and np.array_equal(back.y, y)
 
 
 class TestSynthetic:
@@ -181,6 +209,20 @@ class TestFeatureDictionary:
         d = FeatureDictionary(("a", "a"), ("permission", "intent"))
         assert d.category_indices("permission") == [0]
         assert d.category_indices("intent") == [1]
+
+    def test_category_indices_per_category_in_order(self):
+        d = FeatureDictionary(("a", "b", "c", "d"), ("ngram", "permission", "ngram", "intent"))
+        assert d.category_indices("ngram") == [0, 2]
+        assert d.category_indices("permission") == [1]
+        assert d.category_indices("synthetic") == []
+        # the cached positions leave equality and hashing to the fields
+        fresh = FeatureDictionary(d.names, d.categories)
+        assert d == fresh and hash(d) == hash(fresh)
+        # a caller may change the returned list without touching the cache
+        d.category_indices("ngram").append(9)
+        assert d.category_indices("ngram") == [0, 2]
+        with pytest.raises(ValueError, match="unknown feature category"):
+            d.category_indices("opcode")
 
     def test_entries_are_contiguous(self):
         d = FeatureDictionary.from_names(("x", "y", "z"))

@@ -1,21 +1,60 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlselect.dataset import FeatureDictionary
+from rlselect import featurize
+from rlselect.dataset import FeatureDictionary, load_csv
 from rlselect.featurize import (
     ALPHABET,
     DEFAULT_OPCODE_MAP,
+    MAX_NGRAM_N,
     NGramVocabulary,
     OpcodeAlphabetMap,
     VocabularyError,
     build_vocabulary,
+    cmd_featurize,
     extract_ngrams,
     map_dalvik_to_letters,
     vectorize_declared,
     vectorize_ngrams,
 )
+
+PINNED_CORPUS = Path(__file__).parent / "pinned" / "corpus"
+
+
+# String-slice reference implementations: the definitions the int64-code
+# functions of the module must reproduce.
+
+
+def ref_extract_ngrams(letters: str, n: int) -> Counter:
+    return Counter(letters[i : i + n] for i in range(len(letters) - n + 1))
+
+
+def ref_build_vocabulary(corpora, n: int, k: int) -> tuple[str, ...]:
+    totals: Counter = Counter()
+    for letters in corpora:
+        totals.update(ref_extract_ngrams(letters, n))
+    if len(totals) < k:
+        raise VocabularyError(f"only {len(totals)} distinct {n}-grams available, need k={k}")
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(g for g, _ in ranked[:k])
+
+
+def ref_vectorize_ngrams(letters: str, grams, n: int) -> list[int]:
+    present = ref_extract_ngrams(letters, n)
+    return [1 if g in present else 0 for g in grams]
+
+
+# Letter strings over the alphabet; drawing from a prefix of it makes repeats
+# and frequency ties common.
+letter_strings = st.integers(1, len(ALPHABET)).flatmap(
+    lambda width: st.text(ALPHABET[:width], max_size=40)
+)
+ngram_n = st.integers(1, MAX_NGRAM_N)
 
 
 class TestOpcodeMapping:
@@ -190,3 +229,133 @@ class TestVectorizeDeclared:
         bits, unknown = vectorize_declared(["android.intent.action.MAIN"], self._dictionary(), "intent")
         assert bits.tolist() == [1]
         assert unknown == 0
+
+
+class TestMemoizedMapping:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_memo_equals_letter_for(self, data):
+        text = st.text("ab-", min_size=1, max_size=4)
+        rules = data.draw(st.lists(st.tuples(text, st.sampled_from(ALPHABET)), min_size=1, max_size=8))
+        alphabet_map = OpcodeAlphabetMap(tuple(rules))
+        mnemonics = data.draw(st.lists(st.text("ab-", max_size=6), max_size=30))
+        expected = "".join(alphabet_map.letter_for(m) or "" for m in mnemonics)
+        assert map_dalvik_to_letters(mnemonics, alphabet_map) == expected
+        # a second pass answers from the memo
+        assert map_dalvik_to_letters(mnemonics, alphabet_map) == expected
+
+    def test_maps_with_different_rules_do_not_share_results(self):
+        first = OpcodeAlphabetMap((("move", "M"),))
+        second = OpcodeAlphabetMap((("move", "R"), ("goto", "G")))
+        stream = ["move", "goto", "nop", "move"]
+        for _ in range(2):
+            assert map_dalvik_to_letters(stream, first) == "MM"
+            assert map_dalvik_to_letters(stream, second) == "RGR"
+            assert map_dalvik_to_letters(stream) == "MGM"
+
+    def test_memo_does_not_change_equality_or_hash(self):
+        used = OpcodeAlphabetMap((("move", "M"),))
+        map_dalvik_to_letters(["move", "nop"], used)
+        fresh = OpcodeAlphabetMap((("move", "M"),))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+
+    def test_blank_mnemonic_maps_to_nothing(self):
+        assert map_dalvik_to_letters(["", "move", ""]) == "M"
+
+
+class TestNgramCodesEqualStringReference:
+    @settings(max_examples=400, deadline=None)
+    @given(letter_strings, ngram_n)
+    def test_extract_ngrams(self, letters, n):
+        # same grams, counts and insertion (first-occurrence) order
+        assert list(extract_ngrams(letters, n).items()) == list(ref_extract_ngrams(letters, n).items())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(letter_strings, max_size=6), ngram_n, st.integers(1, 12))
+    def test_build_vocabulary(self, corpora, n, k):
+        try:
+            expected = ref_build_vocabulary(corpora, n, k)
+        except VocabularyError as exc:
+            with pytest.raises(VocabularyError) as got:
+                build_vocabulary(corpora, n, k)
+            assert str(got.value) == str(exc)
+            return
+        vocab = build_vocabulary(corpora, n, k)
+        assert vocab.grams == expected
+        assert vocab.n == n
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.lists(letter_strings, max_size=4), letter_strings, ngram_n)
+    def test_vectorize_ngrams(self, data, corpora, sample, n):
+        # the sample's own grams join the pool so hits are common; rank order is arbitrary
+        pool = sorted({g for s in corpora + [sample] for g in ref_extract_ngrams(s, n)})
+        grams = data.draw(st.permutations(pool))
+        grams = grams[: data.draw(st.integers(0, len(grams)))]
+        vocab = NGramVocabulary(n, tuple(grams))
+        assert vectorize_ngrams(sample, vocab).tolist() == ref_vectorize_ngrams(sample, vocab.grams, n)
+
+    def test_string_shorter_than_n(self):
+        vocab = NGramVocabulary(3, ("MMR",))
+        assert extract_ngrams("MM", 3) == {}
+        assert vectorize_ngrams("MM", vocab).tolist() == [0]
+        assert vectorize_ngrams("", vocab).tolist() == [0]
+
+    def test_longest_n_is_exact(self):
+        # the largest gram (all V) has the largest code, 7**22 - 1, which fits in int64
+        top = "V" * MAX_NGRAM_N
+        letters = top + "G" * MAX_NGRAM_N
+        assert extract_ngrams(letters, MAX_NGRAM_N) == ref_extract_ngrams(letters, MAX_NGRAM_N)
+        vocab = build_vocabulary([letters], MAX_NGRAM_N, MAX_NGRAM_N + 1)
+        assert vocab.grams[0] == "G" * MAX_NGRAM_N
+        assert vocab.grams[-1] == top
+        assert vectorize_ngrams(top, vocab).tolist() == [0] * MAX_NGRAM_N + [1]
+
+    def test_letters_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="letters must be drawn"):
+            extract_ngrams("MMX", 2)
+        with pytest.raises(ValueError):
+            build_vocabulary(["MM\x00M"], 2, 1)
+
+
+class TestNgramLimit:
+    def test_extract_ngrams_names_n(self):
+        with pytest.raises(ValueError, match="23"):
+            extract_ngrams("M" * 30, MAX_NGRAM_N + 1)
+
+    def test_build_vocabulary_names_n(self):
+        with pytest.raises(ValueError, match="23"):
+            build_vocabulary(["M" * 30], MAX_NGRAM_N + 1, 1)
+
+    def test_vocabulary_names_n(self):
+        with pytest.raises(ValueError, match="23"):
+            NGramVocabulary(MAX_NGRAM_N + 1, ("M" * (MAX_NGRAM_N + 1),))
+
+    def test_cmd_featurize_rejects_before_reading_inputs(self, tmp_path):
+        with pytest.raises(ValueError, match="23"):
+            cmd_featurize(tmp_path / "missing", MAX_NGRAM_N + 1, 4, tmp_path / "f.csv")
+        assert not (tmp_path / "f.csv").exists()
+
+
+class TestCmdFeaturizeCallPattern:
+    """The per-layer spans of the benchmark wrap these module globals; cmd_featurize must call them."""
+
+    def test_per_sample_calls_through_module_globals(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(featurize, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(featurize, name, wrapper)
+
+        for name in ("map_dalvik_to_letters", "build_vocabulary", "vectorize_ngrams"):
+            counted(name)
+        matrix = cmd_featurize(PINNED_CORPUS, 2, 8, tmp_path / "f.csv")
+        samples = len(list(PINNED_CORPUS.glob("*/*.opcodes")))
+        assert matrix.n_samples == samples
+        assert calls == {"map_dalvik_to_letters": samples, "build_vocabulary": 1, "vectorize_ngrams": samples}
+        assert load_csv(tmp_path / "f.csv").dictionary == matrix.dictionary

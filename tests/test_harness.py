@@ -467,6 +467,19 @@ class TestCli:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_featurize_ngram_n_above_limit_exits_one_before_reading_inputs(self, tmp_path, capsys, monkeypatch):
+        def no_featurize(*args, **kwargs):
+            raise AssertionError("cmd_featurize must not run")
+
+        monkeypatch.setattr(featurize, "cmd_featurize", no_featurize)
+        out_csv = tmp_path / "f.csv"
+        argv = ["featurize", "--inputs", str(tmp_path / "missing"), "--out-csv", str(out_csv),
+                "--ngram-n", str(featurize.MAX_NGRAM_N + 1)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --ngram-n:" in err and str(featurize.MAX_NGRAM_N + 1) in err
+        assert not out_csv.exists()
+
     def test_timing_loads_a_csv_matrix_once(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "m.csv"
         save_csv(generate_synthetic(SyntheticSpec(200, 8, (0,), q=0.9, seed=3)), csv_path)
