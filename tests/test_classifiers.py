@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from rlselect.classifiers import (
     ClassifierKind,
     FitError,
+    Leaf,
     _tree_rng,
     _unique_rows,
     accuracy,
@@ -21,6 +25,8 @@ from rlselect.classifiers import (
 from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, stratified_split
 
 from conftest import matrix_from_rows
+
+PINNED_FOREST = Path(__file__).parent / "pinned" / "forest.json"
 
 
 def all_depth2_trees():
@@ -130,6 +136,37 @@ class TestRandomForest:
         b = fit(ClassifierKind.random_forest(trees=5), m, seed=4)
         rows = m.X[:10]
         assert np.array_equal(predict(a, rows), predict(b, rows))
+
+    def test_pinned_trees_and_cv_folds(self):
+        assert forest_pin() == json.loads(PINNED_FOREST.read_text())
+
+
+def preorder(tree) -> str:
+    """Preorder serialization of a tree: ``f<feature>`` per split, ``L<label>`` per leaf."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(f"L{node.label}")
+        else:
+            out.append(f"f{node.feature}")
+            stack += [node.right, node.left]
+    return " ".join(out)
+
+
+def forest_pin() -> dict:
+    """What ``tests/pinned/forest.json`` holds: per-tree hashes of a 25-tree fit and its CV folds."""
+    spec = SyntheticSpec(400, 24, (0, 5, 11, 17), q=0.8, seed=10)
+    m = generate_synthetic(spec)
+    rf = ClassifierKind.random_forest(trees=25)
+    trees = fit(rf, m, seed=7).model.trees
+    _, per_fold = cv_accuracy(rf, m, stratified_split(m, SplitKind.kfold(5), seed=3), seed=7)
+    return {
+        "matrix": f"generate_synthetic({spec!r})",
+        "fit": "random_forest(trees=25), seed 7; cv: kfold(5) split seed 3, cv seed 7",
+        "tree_preorder_sha256": [hashlib.sha256(preorder(t).encode()).hexdigest() for t in trees],
+        "cv_accuracy_per_fold": [repr(a) for a in per_fold],
+    }
 
 
 class TestKnn:
@@ -339,3 +376,8 @@ class TestKindValidation:
     def test_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+
+if __name__ == "__main__":
+    # Rewrites the forest pin; run with the package on PYTHONPATH.
+    PINNED_FOREST.write_text(json.dumps(forest_pin(), indent=1) + "\n")
