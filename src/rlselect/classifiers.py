@@ -5,13 +5,25 @@ Four deterministic learners over binary feature matrices:
 * decision tree — CART with Gini impurity, unbounded depth, split ties to the
   lowest feature index;
 * random forest — bootstrap CART trees, ceil(sqrt(N)) candidate features per
-  split, majority vote;
+  split, majority vote (an exact tie to benign); all trees of a fit grow in
+  lock step on one pattern table (below);
 * kNN — Hamming-distance k-vote, distance ties to the lower row index (k odd);
 * linear SVM — hinge-loss stochastic subgradient (Pegasos-style schedule).
 
 All fits are pure functions of (kind, matrix, seed); no global RNG is touched.
 Trees operate internally on deduplicated row patterns with per-label weights,
 which is equivalent to row-level CART and much faster on low-width projections.
+
+A forest fit builds one pattern table, the distinct rows of X, and gives each
+tree its bootstrap as integer per-label weights over that table. The trees
+grow in lock step: each keeps its own DFS stack, and one pass pops a node from
+every tree that has work and scores all of those nodes together, with the same
+integer counts, impurity arithmetic and tie rule as the decision tree. Tree t
+draws its bootstrap, then one candidate set per impure node in DFS preorder,
+from its own generator ``_tree_rng(seed, t)``. No other tree draws from that
+generator, so lock step leaves every draw, and so every tree, as a
+tree-by-tree fit makes it. Prediction sends each distinct row down each tree
+once and scatters the votes back to the rows.
 
 ``holdout_accuracy`` fits on one part and scores another; the reward oracle
 and every cross-validation fold go through it. For the decision tree it never
@@ -116,12 +128,12 @@ def _vec_gini(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     return 2.0 * p1 * (1.0 - p1)
 
 
-def _best_split(bitsf, w0, w1, idx, mtry, rng):
+def _best_split(bitsf, w0, w1, idx):
     """Best CART split of the live pattern subset, or None for a leaf.
 
-    A node splits while it is impure and some candidate separates its
+    A node splits while it is impure and some feature separates its
     patterns; equal-gain ties resolve to the lowest feature index (argmin
-    takes the first minimum and candidates are in ascending order).
+    takes the first minimum and features are in ascending order).
     """
     lw0 = w0[idx]
     lw1 = w1[idx]
@@ -130,13 +142,8 @@ def _best_split(bitsf, w0, w1, idx, mtry, rng):
     if tot0 == 0.0 or tot1 == 0.0:
         return None, tot0, tot1
 
-    if mtry is None:
-        cand = None
-        sub = bitsf[idx]
-    else:
-        cand = np.sort(rng.choice(bitsf.shape[1], size=mtry, replace=False))
-        sub = bitsf[np.ix_(idx, cand)]
-    r0 = lw0 @ sub  # class-0 weight reaching the bit==1 child, per candidate
+    sub = bitsf[idx]
+    r0 = lw0 @ sub  # class-0 weight reaching the bit==1 child, per feature
     r1 = lw1 @ sub
     l0 = tot0 - r0
     l1 = tot1 - r1
@@ -144,9 +151,7 @@ def _best_split(bitsf, w0, w1, idx, mtry, rng):
     valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
     if not valid.any():
         return None, tot0, tot1
-    best = int(np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid)))
-    feature = best if cand is None else int(cand[best])
-    return feature, tot0, tot1
+    return int(np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid))), tot0, tot1
 
 
 def _child_impurity(l0, l1, r0, r1, n, valid):
@@ -162,13 +167,11 @@ def _child_impurity(l0, l1, r0, r1, n, valid):
     )
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, mtry, rng) -> Leaf | Split:
+def _grow_tree(X: np.ndarray, y: np.ndarray) -> Leaf | Split:
     """Iterative CART over the unique row patterns of (X, y) (depth not stack-bounded).
 
-    Each pattern is weighted by its count of rows per label. ``mtry`` is
-    None for plain trees (every feature is a candidate) or the per-split
-    random candidate count for forest trees. Children are expanded left
-    before right so any per-split rng draws happen in a fixed order.
+    Each pattern is weighted by its count of rows per label, and every
+    feature is a split candidate.
     """
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     inverse = inverse.ravel()
@@ -179,7 +182,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, mtry, rng) -> Leaf | Split:
     stack = [(np.arange(bitsf.shape[0]), holder, "left")]
     while stack:
         live, parent, side = stack.pop()
-        feature, tot0, tot1 = _best_split(bitsf, w0, w1, live, mtry, rng)
+        feature, tot0, tot1 = _best_split(bitsf, w0, w1, live)
         if feature is None:
             setattr(parent, side, Leaf(_majority(tot0, tot1)))
             continue
@@ -192,13 +195,95 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, mtry, rng) -> Leaf | Split:
     return holder.left
 
 
+def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[Leaf | Split]:
+    """The trees of a random forest on (X, y), all grown together on one pattern table.
+
+    Tree t draws its bootstrap from ``_tree_rng(seed, t)``, then draws the
+    ``ceil(sqrt(N))`` candidate features of each impure node from the same
+    generator, in DFS preorder (left child first). Its bootstrap is a row of
+    integer weights per label over the distinct rows of X, and its live set
+    at a node is the patterns with nonzero weight there.
+
+    Every tree keeps its own DFS stack; each pass pops one node from every
+    tree that has work and scores all of those nodes at once. The counts
+    are integers, exact in float64, and the impurity is ``_child_impurity``
+    with the first-minimum tie rule, so each tree is the one a per-tree
+    eager CART on its bootstrap rows grows. A pure child is a leaf and draws
+    nothing, so it is closed when its parent splits and never stacked.
+    """
+    n_samples, width = X.shape
+    mtry = math.ceil(math.sqrt(width))
+    patterns, inverse = _unique_rows(X)
+    n_patterns = patterns.shape[0]
+    rngs = [_tree_rng(seed, t) for t in range(n_trees)]
+    # w[label, t * n_patterns + p]: rows of pattern p with that label in tree t's bootstrap
+    code = y.astype(np.intp) * n_patterns + inverse
+    weights = np.stack([
+        np.bincount(code[rng.integers(0, n_samples, size=n_samples)], minlength=2 * n_patterns)
+        for rng in rngs
+    ]).reshape(n_trees, 2, n_patterns)
+    w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)
+
+    holders = [Split(-1) for _ in range(n_trees)]
+    stacks = [[(np.flatnonzero(weights[t].sum(axis=0)), holders[t], "left")] for t in range(n_trees)]
+    active = list(range(n_trees))
+    while active:
+        tops = [stacks[t].pop() for t in active]
+        sizes = np.array([live.size for live, _, _ in tops])
+        ids = np.concatenate([live for live, _, _ in tops])
+        node_of = np.repeat(np.arange(len(active)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        e = w[:, ids + n_patterns * np.repeat(active, sizes)]
+        tot = np.add.reduceat(e, starts, axis=1)
+        impure = np.flatnonzero(tot.all(axis=0))
+        draws = [rngs[active[k]].choice(width, size=mtry, replace=False) for k in impure]
+        cand = np.zeros((len(active), mtry), dtype=np.intp)
+        cand[impure] = np.sort(np.reshape(draws, (impure.size, mtry)), axis=1)
+        # per label, node and candidate: the weight reaching the bit==1 (right) child
+        right = np.add.reduceat(patterns[ids[:, None], cand[node_of]] * e[:, :, None], starts, axis=1)
+        right = right.astype(np.float64)
+        left = tot.astype(np.float64)[:, :, None] - right
+        valid = ((left[0] + left[1]) > 0) & ((right[0] + right[1]) > 0)
+        splits = np.zeros(len(active), dtype=bool)
+        splits[impure] = valid[impure].any(axis=1)
+        if splits.any():
+            n = (tot[0] + tot[1]).astype(np.float64)[:, None]
+            best = np.argmin(_child_impurity(left[0], left[1], right[0], right[1], n, valid), axis=1)
+            nodes = np.arange(len(active))
+            feature = cand[nodes, best].tolist()
+            # label counts of each child at the chosen feature, to close pure children at once
+            l0, l1, r0, r1 = (a[nodes, best].tolist() for a in (*left, *right))
+            # children in one stable partition: node k's bit-0 patterns, then its bit-1 patterns
+            side = 2 * node_of + patterns[ids, cand[node_of, best[node_of]]]
+            grouped = ids[np.argsort(side, kind="stable")]
+            bounds = [0] + np.cumsum(np.bincount(side, minlength=2 * len(active))).tolist()
+        tot0, tot1 = tot.tolist()
+        for k, (t, (_, parent, side_name)) in enumerate(zip(active, tops)):
+            if not splits[k]:
+                setattr(parent, side_name, Leaf(_majority(tot0[k], tot1[k])))
+                continue
+            node = Split(feature[k])
+            setattr(parent, side_name, node)
+            # push right first so the left child is expanded first
+            if r0[k] and r1[k]:
+                stacks[t].append((grouped[bounds[2 * k + 1]:bounds[2 * k + 2]], node, "right"))
+            else:
+                node.right = Leaf(_majority(r0[k], r1[k]))
+            if l0[k] and l1[k]:
+                stacks[t].append((grouped[bounds[2 * k]:bounds[2 * k + 1]], node, "left"))
+            else:
+                node.left = Leaf(_majority(l0[k], l1[k]))
+        active = [t for t in active if stacks[t]]
+    return [holder.left for holder in holders]
+
+
 def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(patterns, inverse) of ``np.unique(X, axis=0, return_inverse=True)`` for a 0/1 matrix.
 
     Rows are packed into bytes and compared as one opaque code each; the
     packed bit order keeps the lexicographic order of the rows.
     """
-    packed = np.packbits(X, axis=1)
+    packed = np.ascontiguousarray(np.packbits(X, axis=1))  # rows may come in any memory order
     if packed.shape[1] == 0:  # zero-width rows are all one pattern
         packed = np.zeros((X.shape[0], 1), dtype=np.uint8)
     codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -289,11 +374,13 @@ class _ForestModel:
         self.trees = trees
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        votes = np.zeros(rows.shape[0], dtype=np.int64)
+        # each distinct row goes down each tree once
+        patterns, inverse = _unique_rows(rows)
+        votes = np.zeros(patterns.shape[0], dtype=np.int64)
         for t in self.trees:
-            votes += _predict_tree(t, rows)
+            votes += _predict_tree(t, patterns)
         # Exact vote tie (even forests) goes to benign.
-        return (2 * votes > len(self.trees)).astype(np.uint8)
+        return (2 * votes > len(self.trees)).astype(np.uint8)[inverse]
 
 
 class _KnnModel:
@@ -352,15 +439,9 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
     n_features = matrix.n_features
 
     if kind.name == "dt":
-        model: object = _ForestModel([_grow_tree(X, y, None, None)])
+        model: object = _ForestModel([_grow_tree(X, y)])
     elif kind.name == "rf":
-        mtry = math.ceil(math.sqrt(n_features))
-        trees = []
-        for t in range(kind.trees):
-            rng = _tree_rng(seed, t)
-            boot = rng.integers(0, matrix.n_samples, size=matrix.n_samples)
-            trees.append(_grow_tree(X[boot], y[boot], mtry, rng))
-        model = _ForestModel(trees)
+        model = _ForestModel(_grow_forest(X, y, kind.trees, seed))
     elif kind.name == "knn":
         model = _KnnModel(X.copy(), y.copy(), kind.k)
     elif kind.name == "svm":

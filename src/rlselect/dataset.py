@@ -9,8 +9,10 @@ trailing ``label`` column, body cells all 0/1.
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,6 +75,20 @@ class FeatureDictionary:
         for i, c in enumerate(self.categories):
             positions.setdefault(c, []).append(i)
         return {c: tuple(idx) for c, idx in positions.items()}
+
+    def category_slots(self, category: str) -> Mapping[str, int]:
+        """Read-only map from each name of this category to its position among the category's entries."""
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown feature category {category!r}")
+        return self._category_slots.get(category, MappingProxyType({}))
+
+    @cached_property
+    def _category_slots(self) -> dict[str, Mapping[str, int]]:
+        # built once per dictionary, like _category_positions
+        return {
+            c: MappingProxyType({self.names[i]: slot for slot, i in enumerate(idx)})
+            for c, idx in self._category_positions.items()
+        }
 
     @classmethod
     def from_names(cls, names, category: str = "synthetic") -> "FeatureDictionary":
@@ -142,7 +158,13 @@ class SampleMatrix:
 
 
 def load_csv(path) -> SampleMatrix:
-    """Load a SampleMatrix from CSV (feature-name header plus trailing ``label``)."""
+    """Load a SampleMatrix from CSV (feature-name header plus trailing ``label``).
+
+    A body in the plain layout :func:`save_csv` writes (0/1 cells, commas,
+    CRLF or LF line ends) is read in one numpy pass. Any other body is read
+    again, record by record, by ``csv.reader``, which alone decides whether
+    it is accepted and which error it raises.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -155,25 +177,57 @@ def load_csv(path) -> SampleMatrix:
         names = tuple(n for n, _ in parsed)
         categories = tuple(c for _, c in parsed)
         dictionary = FeatureDictionary(names, categories)
+        try:
+            cells = _plain_cells(fh.read(), len(header))
+        except UnicodeDecodeError:
+            cells = None
 
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+    if cells is None:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            cells = _checked_cells(reader, header, path)
+    return SampleMatrix(dictionary, cells[:, :-1], cells[:, -1])
+
+
+def _plain_cells(body: str, n_cells: int) -> np.ndarray | None:
+    """The (rows, n_cells) 0/1 cells of a body in the plain layout, or None if it is not plain.
+
+    Plain means every row is ``n_cells`` digits 0/1 joined by commas, and
+    every row, the last included, ends with the same CRLF or LF line end.
+    """
+    if not body.isascii():
+        return None
+    end = b"\r\n" if body.endswith("\r\n") else b"\n"
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    line = 2 * n_cells - 1 + len(end)
+    if raw.size % line:
+        return None
+    rows = raw.reshape(-1, line)
+    cells = rows[:, 0:-len(end):2] - np.uint8(ord("0"))  # bytes below "0" wrap past 1
+    if (cells > 1).any() or (rows[:, 1:-len(end):2] != ord(",")).any():
+        return None
+    if (rows[:, -len(end):] != np.frombuffer(end, dtype=np.uint8)).any():
+        return None
+    return cells
+
+
+def _checked_cells(reader, header: list[str], path) -> np.ndarray:
+    """The 0/1 cells of the body records, each checked; raises CsvFormatError naming the row."""
+    rows = []
+    for lineno, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        for col, cell in enumerate(row):
+            if cell not in ("0", "1"):
+                colname = header[col]
                 raise CsvFormatError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: bad cell {cell!r} at (row {lineno}, col {colname})"
                 )
-            for col, cell in enumerate(row):
-                if cell not in ("0", "1"):
-                    colname = header[col]
-                    raise CsvFormatError(
-                        f"{path}: bad cell {cell!r} at (row {lineno}, col {colname})"
-                    )
-            rows.append([int(c) for c in row[:-1]])
-            labels.append(int(row[-1]))
-
-    X = np.array(rows, dtype=np.uint8).reshape(len(rows), len(names))
-    y = np.array(labels, dtype=np.uint8)
-    return SampleMatrix(dictionary, X, y)
+        rows.append([int(c) for c in row])
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), len(header))
 
 
 def save_csv(matrix: SampleMatrix, path) -> None:

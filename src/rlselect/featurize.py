@@ -212,12 +212,11 @@ def vectorize_declared(names, dictionary: FeatureDictionary, category: str) -> t
     Returns (bits, unknown_count): names without a dictionary entry in this
     category are ignored but counted.
     """
-    positions = dictionary.category_indices(category)
-    lookup = {dictionary.names[i]: slot for slot, i in enumerate(positions)}
-    bits = np.zeros(len(positions), dtype=np.uint8)
+    slots = dictionary.category_slots(category)
+    bits = np.zeros(len(slots), dtype=np.uint8)
     unknown = 0
     for name in names:
-        slot = lookup.get(name)
+        slot = slots.get(name)
         if slot is None:
             unknown += 1
         else:

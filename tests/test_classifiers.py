@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from rlselect.classifiers import (
     ClassifierKind,
     FitError,
     Leaf,
+    Split,
+    _child_impurity,
+    _majority,
     _tree_rng,
     _unique_rows,
     accuracy,
@@ -169,6 +173,104 @@ def forest_pin() -> dict:
     }
 
 
+def reference_best_split(bitsf, w0, w1, idx, mtry, rng):
+    """The per-tree forest split: ``mtry`` sorted candidates drawn from ``rng`` at each impure node."""
+    lw0, lw1 = w0[idx], w1[idx]
+    tot0, tot1 = float(lw0.sum()), float(lw1.sum())
+    if tot0 == 0.0 or tot1 == 0.0:
+        return None, tot0, tot1
+    cand = np.sort(rng.choice(bitsf.shape[1], size=mtry, replace=False))
+    sub = bitsf[np.ix_(idx, cand)]
+    r0, r1 = lw0 @ sub, lw1 @ sub
+    l0, l1 = tot0 - r0, tot1 - r1
+    valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
+    if not valid.any():
+        return None, tot0, tot1
+    return int(cand[np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid))]), tot0, tot1
+
+
+def reference_grow_tree(X, y, mtry, rng):
+    """One forest tree grown alone on its bootstrap rows, nodes in DFS preorder (left first)."""
+    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
+    w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0]).astype(np.float64)
+    bitsf = patterns.astype(np.float64)
+    holder = Split(-1)
+    stack = [(np.arange(bitsf.shape[0]), holder, "left")]
+    while stack:
+        live, parent, side = stack.pop()
+        feature, tot0, tot1 = reference_best_split(bitsf, w0, w1, live, mtry, rng)
+        if feature is None:
+            setattr(parent, side, Leaf(_majority(tot0, tot1)))
+            continue
+        node = Split(feature)
+        setattr(parent, side, node)
+        mask = bitsf[live, feature] == 1.0
+        stack.append((live[mask], node, "right"))
+        stack.append((live[~mask], node, "left"))
+    return holder.left
+
+
+def reference_forest(m, n_trees, seed):
+    """Reference random forest: tree by tree, each from its own ``_tree_rng``."""
+    mtry = math.ceil(math.sqrt(m.n_features))
+    trees = []
+    for t in range(n_trees):
+        rng = _tree_rng(seed, t)
+        boot = rng.integers(0, m.n_samples, size=m.n_samples)
+        trees.append(reference_grow_tree(m.X[boot], m.y[boot], mtry, rng))
+    return trees
+
+
+def reference_vote(trees, rows):
+    """Majority vote of the trees, row by row; an exact tie goes to benign."""
+    votes = [sum(leaf_label(tree, row) for tree in trees) for row in rows]
+    return [1 if 2 * v > len(trees) else 0 for v in votes]
+
+
+def leaf_label(tree, row):
+    while isinstance(tree, Split):
+        tree = tree.right if row[tree.feature] == 1 else tree.left
+    return tree.label
+
+
+@st.composite
+def forest_matrices(draw):
+    """A trainable matrix of width 1-30 and 2-80 rows drawn from a pattern pool.
+
+    The bits come from a drawn numpy seed, so wide rows are varied. A small
+    pool makes duplicate rows; some columns may be constant, and the
+    malware class may hold a single pattern.
+    """
+    width, n = draw(st.integers(1, 30)), draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, 2, size=(draw(st.integers(1, 40)), width), dtype=np.uint8)
+    constant = rng.random(width) < draw(st.sampled_from([0.0, 0.3]))
+    pool[:, constant] = rng.integers(0, 2, size=width, dtype=np.uint8)[constant]
+    rows = pool[rng.integers(0, pool.shape[0], size=n)]
+    y = rng.integers(0, 2, size=n, dtype=np.uint8)
+    y[:2] = [0, 1]
+    if draw(st.booleans()):
+        rows[y == 1] = rows[1]
+    return matrix_from_rows(rows, y)
+
+
+class TestForestEqualsPerTreeReference:
+    """The lock-step forest grows, tree for tree, the per-tree reference forest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forest_matrices(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_trees_and_predictions(self, m, n_trees, seed, data):
+        clf = fit(ClassifierKind.random_forest(trees=n_trees), m, seed)
+        expected = reference_forest(m, n_trees, seed)
+        assert clf.model.trees == expected
+        fresh = data.draw(arrays(np.uint8, (data.draw(st.integers(0, 20)), m.n_features), elements=st.integers(0, 1)))
+        queries = np.concatenate([m.X, fresh])
+        assert predict(clf, queries).tolist() == reference_vote(expected, queries)
+        assert predict(clf, np.asfortranarray(queries)).tolist() == reference_vote(expected, queries)
+
+
 class TestKnn:
     def test_training_row_is_own_nearest_neighbor(self):
         rng = np.random.default_rng(6)
@@ -322,9 +424,10 @@ class TestHoldoutAccuracy:
     ))
     def test_packed_unique_rows_equal_numpy_unique(self, X):
         patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-        packed_patterns, packed_inverse = _unique_rows(X)
-        assert np.array_equal(packed_patterns, patterns)
-        assert np.array_equal(packed_inverse, inverse.ravel())
+        for rows in (X, np.asfortranarray(X)):
+            packed_patterns, packed_inverse = _unique_rows(rows)
+            assert np.array_equal(packed_patterns, patterns)
+            assert np.array_equal(packed_inverse, inverse.ravel())
 
     @pytest.mark.parametrize("seen", ["all", "none"])
     def test_scored_patterns_all_or_none_seen(self, seen):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from rlselect.baselines import information_gain
 from rlselect.dataset import (
+    CATEGORY_PREFIXES,
     CsvFormatError,
     FeatureDictionary,
     SampleMatrix,
@@ -96,6 +97,94 @@ class TestLoadCsv:
         back = load_csv(path)
         assert back.dictionary == matrix.dictionary
         assert np.array_equal(back.X, X) and np.array_equal(back.y, y)
+
+
+def reference_load_csv(path):
+    """The record-by-record loader: every body cell checked by a Python loop over ``csv.reader``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file, expected a header row") from None
+        if not header or header[-1] != "label":
+            raise SchemaError(f"{path}: last header column must be 'label'")
+        parsed = []
+        for col in header[:-1]:
+            prefix = next((p for p in CATEGORY_PREFIXES if col.startswith(p)), None)
+            parsed.append((col[len(prefix):], CATEGORY_PREFIXES[prefix]) if prefix else (col, "synthetic"))
+        dictionary = FeatureDictionary(tuple(n for n, _ in parsed), tuple(c for _, c in parsed))
+        rows, labels = [], []
+        for lineno, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise CsvFormatError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
+            for col, cell in enumerate(row):
+                if cell not in ("0", "1"):
+                    raise CsvFormatError(f"{path}: bad cell {cell!r} at (row {lineno}, col {header[col]})")
+            rows.append([int(c) for c in row[:-1]])
+            labels.append(int(row[-1]))
+    X = np.array(rows, dtype=np.uint8).reshape(len(rows), len(dictionary))
+    return SampleMatrix(dictionary, X, np.array(labels, dtype=np.uint8))
+
+
+def outcome(load, path):
+    """(dictionary, X, y) as lists, or (exception type, message)."""
+    try:
+        m = load(path)
+    except Exception as exc:  # the exact exception is the outcome being compared
+        return type(exc), str(exc)
+    return m.dictionary, m.X.tolist(), m.y.tolist()
+
+
+@st.composite
+def csv_bytes(draw):
+    """A file save_csv writes, then maybe edited: LF line ends, a quoted cell,
+    a cell added or dropped, one byte replaced, or trailing blank lines."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    X = draw(arrays(np.uint8, (n_rows, n_cols), elements=st.integers(0, 1)))
+    y = draw(arrays(np.uint8, (n_rows,), elements=st.integers(0, 1)))
+    names = tuple(draw(st.sampled_from(["f", "perm:p", "intent:i", "ngram:MRV"])) + str(j) for j in range(n_cols))
+    header = ",".join(names + ("label",)) + "\r\n"
+    lines = [",".join(str(int(v)) for v in row) + f",{int(label)}\r\n" for row, label in zip(X, y)]
+    data = header + "".join(lines)
+    edit = draw(st.sampled_from(["none", "lf", "quote", "add", "drop", "byte", "byte", "blank", "no-final-end"]))
+    if edit == "lf":
+        data = data.replace("\r\n", "\n")
+    elif edit == "blank":
+        data += draw(st.sampled_from(["\r\n", "\n", "\r\n\r\n"]))
+    elif edit == "no-final-end":
+        data = data.rstrip("\r\n")
+    elif edit in ("quote", "add", "drop") and n_rows:
+        i = draw(st.integers(0, n_rows - 1))
+        cells = lines[i].rstrip("\r\n").split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if edit == "quote":
+            cells[j] = f'"{cells[j]}"'
+        elif edit == "add":
+            cells.insert(j, draw(st.sampled_from(["0", "1", ""])))
+        else:
+            del cells[j]
+        lines[i] = ",".join(cells) + "\r\n"
+        data = header + "".join(lines)
+    elif edit == "byte":
+        # mostly in the body, which is where the two loaders differ
+        i = draw(st.integers(len(header) if n_rows and draw(st.booleans()) else 0, len(data) - 1))
+        data = data[:i] + draw(st.sampled_from(list('012, "\r\nx\t'))) + data[i + 1:]
+    return data.encode("ascii")
+
+
+class TestLoadCsvEqualsRecordLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_bytes())
+    def test_same_matrix_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(data)
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+    def test_non_ascii_body_goes_through_the_record_loop(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("f0,label\r\n0,1\r\n\u00e9,0\r\n".encode("utf-8"))
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
 
 
 class TestSynthetic:
@@ -223,6 +312,18 @@ class TestFeatureDictionary:
         assert d.category_indices("ngram") == [0, 2]
         with pytest.raises(ValueError, match="unknown feature category"):
             d.category_indices("opcode")
+
+    def test_category_slots_built_once_and_read_only(self):
+        d = FeatureDictionary(("a", "b", "c", "d"), ("ngram", "permission", "ngram", "intent"))
+        assert dict(d.category_slots("ngram")) == {"a": 0, "c": 1}
+        assert d.category_slots("ngram") is d.category_slots("ngram")
+        assert dict(d.category_slots("synthetic")) == {}
+        fresh = FeatureDictionary(d.names, d.categories)
+        assert d == fresh and hash(d) == hash(fresh)
+        with pytest.raises(TypeError):
+            d.category_slots("ngram")["z"] = 5
+        with pytest.raises(ValueError, match="unknown feature category"):
+            d.category_slots("opcode")
 
     def test_entries_are_contiguous(self):
         d = FeatureDictionary.from_names(("x", "y", "z"))
