@@ -208,8 +208,9 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     tree that has work and scores all of those nodes at once. The counts
     are integers, exact in float64, and the impurity is ``_child_impurity``
     with the first-minimum tie rule, so each tree is the one a per-tree
-    eager CART on its bootstrap rows grows. A pure child is a leaf and draws
-    nothing, so it is closed when its parent splits and never stacked.
+    eager CART on its bootstrap rows grows. Only impure nodes are stacked,
+    each draws once when popped; a pure node, the root included, is a leaf
+    and draws nothing, so it is closed where it is made.
     """
     n_samples, width = X.shape
     mtry = math.ceil(math.sqrt(width))
@@ -225,33 +226,34 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)
 
     holders = [Split(-1) for _ in range(n_trees)]
-    stacks = [[(np.flatnonzero(weights[t].sum(axis=0)), holders[t], "left")] for t in range(n_trees)]
-    active = list(range(n_trees))
+    stacks = [[] for _ in range(n_trees)]
+    for t, (c0, c1) in enumerate(weights.sum(axis=2).tolist()):
+        if c0 and c1:
+            stacks[t].append((np.flatnonzero(weights[t].sum(axis=0)), holders[t], "left"))
+        else:
+            holders[t].left = Leaf(_majority(c0, c1))
+    active = [t for t in range(n_trees) if stacks[t]]
     while active:
         tops = [stacks[t].pop() for t in active]
+        draws = [rngs[t].choice(width, size=mtry, replace=False) for t in active]
+        cand = np.sort(np.reshape(draws, (len(active), mtry)), axis=1)
         sizes = np.array([live.size for live, _, _ in tops])
         ids = np.concatenate([live for live, _, _ in tops])
         node_of = np.repeat(np.arange(len(active)), sizes)
         starts = np.cumsum(sizes) - sizes
         e = w[:, ids + n_patterns * np.repeat(active, sizes)]
         tot = np.add.reduceat(e, starts, axis=1)
-        impure = np.flatnonzero(tot.all(axis=0))
-        draws = [rngs[active[k]].choice(width, size=mtry, replace=False) for k in impure]
-        cand = np.zeros((len(active), mtry), dtype=np.intp)
-        cand[impure] = np.sort(np.reshape(draws, (impure.size, mtry)), axis=1)
         # per label, node and candidate: the weight reaching the bit==1 (right) child
         right = np.add.reduceat(patterns[ids[:, None], cand[node_of]] * e[:, :, None], starts, axis=1)
         right = right.astype(np.float64)
         left = tot.astype(np.float64)[:, :, None] - right
         valid = ((left[0] + left[1]) > 0) & ((right[0] + right[1]) > 0)
-        splits = np.zeros(len(active), dtype=bool)
-        splits[impure] = valid[impure].any(axis=1)
+        splits = valid.any(axis=1)
         if splits.any():
             n = (tot[0] + tot[1]).astype(np.float64)[:, None]
             best = np.argmin(_child_impurity(left[0], left[1], right[0], right[1], n, valid), axis=1)
             nodes = np.arange(len(active))
             feature = cand[nodes, best].tolist()
-            # label counts of each child at the chosen feature, to close pure children at once
             l0, l1, r0, r1 = (a[nodes, best].tolist() for a in (*left, *right))
             # children in one stable partition: node k's bit-0 patterns, then its bit-1 patterns
             side = 2 * node_of + patterns[ids, cand[node_of, best[node_of]]]

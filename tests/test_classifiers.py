@@ -270,6 +270,10 @@ class TestForestEqualsPerTreeReference:
         assert predict(clf, queries).tolist() == reference_vote(expected, queries)
         assert predict(clf, np.asfortranarray(queries)).tolist() == reference_vote(expected, queries)
 
+    def test_zero_width(self):
+        m = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 0, 1, 1, 0])
+        assert fit(ClassifierKind.random_forest(trees=4), m, 3).model.trees == reference_forest(m, 4, 3)
+
 
 class TestKnn:
     def test_training_row_is_own_nearest_neighbor(self):
