@@ -217,13 +217,13 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     patterns, inverse = _unique_rows(X)
     n_patterns = patterns.shape[0]
     rngs = [_tree_rng(seed, t) for t in range(n_trees)]
-    # w[label, t * n_patterns + p]: rows of pattern p with that label in tree t's bootstrap
+    # weights[t, label, p]: rows of pattern p with that label in tree t's bootstrap
     code = y.astype(np.intp) * n_patterns + inverse
     weights = np.stack([
         np.bincount(code[rng.integers(0, n_samples, size=n_samples)], minlength=2 * n_patterns)
         for rng in rngs
     ]).reshape(n_trees, 2, n_patterns)
-    w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)
+    w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)  # w[label, t * n_patterns + p]
 
     holders = [Split(-1) for _ in range(n_trees)]
     stacks = [[] for _ in range(n_trees)]
@@ -253,10 +253,11 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
             n = (tot[0] + tot[1]).astype(np.float64)[:, None]
             best = np.argmin(_child_impurity(left[0], left[1], right[0], right[1], n, valid), axis=1)
             nodes = np.arange(len(active))
-            feature = cand[nodes, best].tolist()
+            chosen = cand[nodes, best]
+            feature = chosen.tolist()
             l0, l1, r0, r1 = (a[nodes, best].tolist() for a in (*left, *right))
             # children in one stable partition: node k's bit-0 patterns, then its bit-1 patterns
-            side = 2 * node_of + patterns[ids, cand[node_of, best[node_of]]]
+            side = 2 * node_of + patterns[ids, chosen[node_of]]
             grouped = ids[np.argsort(side, kind="stable")]
             bounds = [0] + np.cumsum(np.bincount(side, minlength=2 * len(active))).tolist()
         tot0, tot1 = tot.tolist()
