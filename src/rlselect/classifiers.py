@@ -14,6 +14,14 @@ All fits are pure functions of (kind, matrix, seed); no global RNG is touched.
 Trees operate internally on deduplicated row patterns with per-label weights,
 which is equivalent to row-level CART and much faster on low-width projections.
 
+One level-wise grower, ``_grow_levels``, builds the decision tree. Each pass
+takes every node of one tree level at once: it groups the patterns by node,
+sums the integer per-label counts reaching each child of every candidate
+split, and splits each impure node on the first feature of least
+``_child_impurity``. ``fit`` runs it with every fit pattern as a query, so
+every node is kept, and turns its per-level arrays into ``Leaf``/``Split``
+objects.
+
 A forest fit builds one pattern table, the distinct rows of X, and gives each
 tree its bootstrap as integer per-label weights over that table. The trees
 grow in lock step: each keeps its own DFS stack, and one pass pops a node from
@@ -32,10 +40,9 @@ builds the tree, and its accuracy is exactly that of ``fit`` + ``accuracy``:
 * In unbounded CART on binary patterns every leaf is pure or holds a single
   pattern, so a scored row whose pattern occurs in the fit part gets that
   pattern's majority label (ties to benign).
-* Only the paths of unseen patterns are grown (a lazy decision tree), level by
-  level for all their nodes at once, with integer per-label counts and the
-  same impurity arithmetic and tie-breaking as the eager grower, so every
-  split choice is the one ``fit`` makes.
+* For the unseen patterns it runs the same grower with only those patterns
+  as queries, so only the nodes on their paths are grown (a lazy decision
+  tree), and every split choice is the one ``fit`` makes.
 """
 
 from __future__ import annotations
@@ -95,16 +102,6 @@ class ClassifierKind:
         return {"dt": "DecisionTree", "rf": "RandomForest", "knn": "KNN", "svm": "LinearSVM"}[self.name]
 
 
-def gini(labels) -> float:
-    """Gini impurity of a label multiset."""
-    labels = np.asarray(labels)
-    n = labels.size
-    if n == 0:
-        return 0.0
-    p1 = np.count_nonzero(labels) / n
-    return 2.0 * p1 * (1.0 - p1)
-
-
 @dataclass(frozen=True)
 class Leaf:
     label: int
@@ -128,36 +125,10 @@ def _vec_gini(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     return 2.0 * p1 * (1.0 - p1)
 
 
-def _best_split(bitsf, w0, w1, idx):
-    """Best CART split of the live pattern subset, or None for a leaf.
-
-    A node splits while it is impure and some feature separates its
-    patterns; equal-gain ties resolve to the lowest feature index (argmin
-    takes the first minimum and features are in ascending order).
-    """
-    lw0 = w0[idx]
-    lw1 = w1[idx]
-    tot0 = float(lw0.sum())
-    tot1 = float(lw1.sum())
-    if tot0 == 0.0 or tot1 == 0.0:
-        return None, tot0, tot1
-
-    sub = bitsf[idx]
-    r0 = lw0 @ sub  # class-0 weight reaching the bit==1 child, per feature
-    r1 = lw1 @ sub
-    l0 = tot0 - r0
-    l1 = tot1 - r1
-
-    valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
-    if not valid.any():
-        return None, tot0, tot1
-    return int(np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid))), tot0, tot1
-
-
 def _child_impurity(l0, l1, r0, r1, n, valid):
     """Weighted Gini of the two children per candidate split, inf where ``valid`` is False.
 
-    Shared by the eager grower and the lazy scorer, so both compute every
+    Shared by the decision-tree and forest growers, so both compute every
     float the same way from the same integer-valued counts.
     """
     return np.where(
@@ -168,31 +139,75 @@ def _child_impurity(l0, l1, r0, r1, n, valid):
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray) -> Leaf | Split:
-    """Iterative CART over the unique row patterns of (X, y) (depth not stack-bounded).
+    """The unbounded CART tree of (X, y), built level by level from ``_grow_levels``.
 
-    Each pattern is weighted by its count of rows per label, and every
-    feature is a split candidate.
+    Every fit pattern is a query, so every node is kept; a node's code
+    ``2 * parent + bit`` hangs it under its parent in the level above.
     """
-    patterns, inverse = np.unique(X, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
-    w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0]).astype(np.float64)
-    bitsf = patterns.astype(np.float64)
+    patterns, inverse = _unique_rows(X)
+    w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0])
+    w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0])
     holder = Split(-1)
-    stack = [(np.arange(bitsf.shape[0]), holder, "left")]
-    while stack:
-        live, parent, side = stack.pop()
-        feature, tot0, tot1 = _best_split(bitsf, w0, w1, live)
-        if feature is None:
-            setattr(parent, side, Leaf(_majority(tot0, tot1)))
-            continue
-        node = Split(feature)
-        setattr(parent, side, node)
-        mask = bitsf[live, feature] == 1.0
-        # push right first so the left child is expanded first
-        stack.append((live[mask], node, "right"))
-        stack.append((live[~mask], node, "left"))
+    above = [holder]
+    for feature, label, code in _grow_levels(patterns, w0, w1, patterns)[1]:
+        nodes = [Split(f) if f >= 0 else Leaf(b) for f, b in zip(feature.tolist(), label.tolist())]
+        for c, node in zip(code.tolist(), nodes):
+            setattr(above[c >> 1], "right" if c & 1 else "left", node)
+        above = nodes
     return holder.left
+
+
+def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.ndarray):
+    """CART on weighted patterns, grown level by level along the paths of the query patterns.
+
+    ``bits`` are the distinct fit patterns with integer label counts ``w0`` and
+    ``w1``, each pattern with a nonzero total. Each pass handles one tree
+    level: a node that holds a query is a leaf if it is pure or no feature
+    separates its patterns, else it splits on the first feature of least
+    ``_child_impurity``; only the children that hold a query are kept.
+
+    Returns the leaf label of each query and, per level, the arrays
+    ``(feature, label, code)`` of its kept nodes: the split feature (-1 for a
+    leaf), the majority label (ties to benign), and ``2 * parent + bit``, where
+    ``parent`` is the index in the level above (the root's code is 0).
+    """
+    out = np.empty(queries.shape[0], dtype=np.uint8)
+    levels = []
+    code = np.zeros(1, dtype=np.intp)
+    q_ids = np.arange(queries.shape[0])  # live queries
+    q_node = np.zeros(queries.shape[0], dtype=np.intp)
+    f_node = np.zeros(bits.shape[0], dtype=np.intp)  # node of each live fit pattern
+    while True:
+        # nodes are numbered 0..K-1 and each holds at least one fit pattern
+        order = np.argsort(f_node)
+        bits, w0, w1, f_node = bits[order], w0[order], w1[order], f_node[order]
+        starts = np.flatnonzero(np.r_[True, f_node[1:] != f_node[:-1]])
+        tot0 = np.add.reduceat(w0, starts)
+        tot1 = np.add.reduceat(w1, starts)
+        r0 = np.add.reduceat(bits * w0[:, None], starts, axis=0).astype(np.float64)
+        r1 = np.add.reduceat(bits * w1[:, None], starts, axis=0).astype(np.float64)
+        l0 = tot0.astype(np.float64)[:, None] - r0
+        l1 = tot1.astype(np.float64)[:, None] - r1
+        valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
+        n = (tot0 + tot1).astype(np.float64)[:, None]
+        splits = (tot0 > 0) & (tot1 > 0) & valid.any(axis=1)
+        # without a split there may be no column to take the argmin over (zero width)
+        best = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1) if splits.any() else -1
+        feature = np.where(splits, best, -1)
+        label = (tot1 > tot0).astype(np.uint8)
+        levels.append((feature, label, code))
+
+        leaf = ~splits[q_node]
+        out[q_ids[leaf]] = label[q_node[leaf]]
+        q_ids, q_node = q_ids[~leaf], q_node[~leaf]
+        if q_ids.size == 0:
+            return out, levels
+        q_child = 2 * q_node + queries[q_ids, feature[q_node]]
+        f_child = 2 * f_node + bits[np.arange(bits.shape[0]), feature[f_node]]
+        code, q_node = np.unique(q_child, return_inverse=True)
+        pos = np.minimum(np.searchsorted(code, f_child), code.size - 1)
+        keep = code[pos] == f_child
+        bits, w0, w1, f_node = bits[keep], w0[keep], w1[keep], pos[keep]
 
 
 def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[Leaf | Split]:
@@ -207,8 +222,8 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     Every tree keeps its own DFS stack; each pass pops one node from every
     tree that has work and scores all of those nodes at once. The counts
     are integers, exact in float64, and the impurity is ``_child_impurity``
-    with the first-minimum tie rule, so each tree is the one a per-tree
-    eager CART on its bootstrap rows grows. Only impure nodes are stacked,
+    with the first-minimum tie rule, so each tree is the one a DFS CART
+    grown alone on its bootstrap rows makes. Only impure nodes are stacked,
     each draws once when popped; a pure node, the root included, is a leaf
     and draws nothing, so it is closed where it is made.
     """
@@ -308,50 +323,8 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     labels = (w1 > w0).astype(np.uint8)
     seen = (w0 + w1) > 0
     if not seen.all():
-        labels[~seen] = _grow_paths(patterns[seen], w0[seen], w1[seen], patterns[~seen])
+        labels[~seen] = _grow_levels(patterns[seen], w0[seen], w1[seen], patterns[~seen])[0]
     return labels[score_ids]
-
-
-def _grow_paths(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Leaf label of each query pattern in the eager CART tree of the weighted patterns.
-
-    ``bits`` are the distinct fit patterns with integer label counts ``w0`` and
-    ``w1``. Each pass handles one tree level: every node that holds a query
-    either becomes a leaf, as in ``_best_split``, or splits on the feature
-    ``_best_split`` picks (first minimum of the same impurity), and only the
-    children that hold a query are kept.
-    """
-    out = np.empty(queries.shape[0], dtype=np.uint8)
-    q_ids = np.arange(queries.shape[0])  # live queries
-    q_node = np.zeros(queries.shape[0], dtype=np.intp)
-    f_node = np.zeros(bits.shape[0], dtype=np.intp)  # node of each live fit pattern
-    while True:
-        # nodes are numbered 0..K-1 and each holds at least one fit pattern
-        order = np.argsort(f_node)
-        bits, w0, w1, f_node = bits[order], w0[order], w1[order], f_node[order]
-        starts = np.flatnonzero(np.r_[True, f_node[1:] != f_node[:-1]])
-        tot0 = np.add.reduceat(w0, starts)
-        tot1 = np.add.reduceat(w1, starts)
-        r0 = np.add.reduceat(bits * w0[:, None], starts, axis=0).astype(np.float64)
-        r1 = np.add.reduceat(bits * w1[:, None], starts, axis=0).astype(np.float64)
-        l0 = tot0.astype(np.float64)[:, None] - r0
-        l1 = tot1.astype(np.float64)[:, None] - r1
-        valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
-        n = (tot0 + tot1).astype(np.float64)[:, None]
-        feature = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1)
-        splits = (tot0 > 0) & (tot1 > 0) & valid.any(axis=1)
-
-        leaf = ~splits[q_node]
-        out[q_ids[leaf]] = tot1[q_node[leaf]] > tot0[q_node[leaf]]
-        q_ids, q_node = q_ids[~leaf], q_node[~leaf]
-        if q_ids.size == 0:
-            return out
-        q_child = 2 * q_node + queries[q_ids, feature[q_node]]
-        f_child = 2 * f_node + bits[np.arange(bits.shape[0]), feature[f_node]]
-        live, q_node = np.unique(q_child, return_inverse=True)
-        pos = np.minimum(np.searchsorted(live, f_child), live.size - 1)
-        keep = live[pos] == f_child
-        bits, w0, w1, f_node = bits[keep], w0[keep], w1[keep], pos[keep]
 
 
 def _predict_tree(node: Leaf | Split, rows: np.ndarray) -> np.ndarray:

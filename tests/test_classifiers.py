@@ -19,10 +19,10 @@ from rlselect.classifiers import (
     _majority,
     _tree_rng,
     _unique_rows,
+    _vec_gini,
     accuracy,
     cv_accuracy,
     fit,
-    gini,
     holdout_accuracy,
     predict,
 )
@@ -70,11 +70,10 @@ def best_depth2_accuracy(X, y):
 
 class TestGini:
     def test_balanced(self):
-        assert gini([1, 1, 0, 0]) == 0.5
+        assert _vec_gini(np.array([2.0]), np.array([2.0])).tolist() == [0.5]
 
     def test_pure(self):
-        assert gini([1, 1, 1]) == 0.0
-        assert gini([0]) == 0.0
+        assert _vec_gini(np.array([0.0, 1.0]), np.array([3.0, 0.0])).tolist() == [0.0, 0.0]
 
 
 class TestDecisionTree:
@@ -173,13 +172,20 @@ def forest_pin() -> dict:
     }
 
 
-def reference_best_split(bitsf, w0, w1, idx, mtry, rng):
-    """The per-tree forest split: ``mtry`` sorted candidates drawn from ``rng`` at each impure node."""
+def reference_best_split(bitsf, w0, w1, idx, mtry=None, rng=None):
+    """Best CART split of the live patterns, or None for a leaf; ties to the lowest feature.
+
+    A forest tree draws ``mtry`` sorted candidates from ``rng`` at each
+    impure node; without ``mtry`` every feature is a candidate (the DT).
+    """
     lw0, lw1 = w0[idx], w1[idx]
     tot0, tot1 = float(lw0.sum()), float(lw1.sum())
     if tot0 == 0.0 or tot1 == 0.0:
         return None, tot0, tot1
-    cand = np.sort(rng.choice(bitsf.shape[1], size=mtry, replace=False))
+    if mtry is None:
+        cand = np.arange(bitsf.shape[1])
+    else:
+        cand = np.sort(rng.choice(bitsf.shape[1], size=mtry, replace=False))
     sub = bitsf[np.ix_(idx, cand)]
     r0, r1 = lw0 @ sub, lw1 @ sub
     l0, l1 = tot0 - r0, tot1 - r1
@@ -189,8 +195,8 @@ def reference_best_split(bitsf, w0, w1, idx, mtry, rng):
     return int(cand[np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid))]), tot0, tot1
 
 
-def reference_grow_tree(X, y, mtry, rng):
-    """One forest tree grown alone on its bootstrap rows, nodes in DFS preorder (left first)."""
+def reference_grow_tree(X, y, mtry=None, rng=None):
+    """Node-by-node DFS CART (left first): the DT, or with ``mtry`` and ``rng`` one forest tree on its bootstrap."""
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
@@ -273,6 +279,19 @@ class TestForestEqualsPerTreeReference:
     def test_zero_width(self):
         m = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 0, 1, 1, 0])
         assert fit(ClassifierKind.random_forest(trees=4), m, 3).model.trees == reference_forest(m, 4, 3)
+
+
+class TestTreeEqualsDfsReference:
+    """The level-wise decision tree is, node for node, the DFS reference tree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forest_matrices())
+    def test_trees(self, m):
+        assert fit(ClassifierKind.decision_tree(), m, 0).model.trees == [reference_grow_tree(m.X, m.y)]
+
+    def test_zero_width(self):
+        m = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 0, 1, 1, 0])
+        assert fit(ClassifierKind.decision_tree(), m, 0).model.trees == [reference_grow_tree(m.X, m.y)]
 
 
 class TestKnn:
@@ -375,11 +394,17 @@ class TestCvAccuracy:
 
 
 def eager_holdout(kind, fit_part, score_part, seed=0):
-    """Reference: build the classifier, then score it; a FitError is returned as its text."""
+    """Reference DT reward: the DFS reference tree scored row by row; the FitError of ``fit`` is returned as its text."""
     try:
-        return accuracy(fit(kind, fit_part, seed), score_part)
+        fit(kind, fit_part, seed)
     except FitError as exc:
         return f"FitError: {exc}"
+    return reference_accuracy(reference_grow_tree(fit_part.X, fit_part.y), score_part)
+
+
+def reference_accuracy(tree, matrix):
+    """Fraction of the rows of ``matrix`` that ``tree`` labels right, walked row by row."""
+    return float(np.mean(np.array([leaf_label(tree, row) for row in matrix.X]) == matrix.y))
 
 
 def lazy_holdout(kind, fit_part, score_part, seed=0):
@@ -467,8 +492,8 @@ class TestHoldoutAccuracy:
         plan = stratified_split(m, SplitKind.kfold(5), seed=2)
         _, per_fold = cv_accuracy(self.dt, m, plan, seed=3)
         expected = [
-            accuracy(fit(self.dt, m.rows(fit_idx), 3 + fold), m.rows(eval_idx))
-            for fold, (fit_idx, eval_idx) in enumerate(plan.folds())
+            reference_accuracy(reference_grow_tree(m.X[fit_idx], m.y[fit_idx]), m.rows(eval_idx))
+            for fit_idx, eval_idx in plan.folds()
         ]
         assert per_fold == expected
 
