@@ -19,8 +19,15 @@ takes every node of one tree level at once: it groups the patterns by node,
 sums the integer per-label counts reaching each child of every candidate
 split, and splits each impure node on the first feature of least
 ``_child_impurity``. ``fit`` runs it with every fit pattern as a query, so
-every node is kept, and turns its per-level arrays into ``Leaf``/``Split``
-objects.
+every node is kept, and lays its levels end to end as a node table.
+
+A fitted tree or forest is one node table of four arrays: ``feature`` (-1 for
+a leaf), ``label`` (the node's majority label), ``child`` (the row of the
+bit-0 child; the bit-1 child is the next row) and ``roots`` (each tree's
+first row). Prediction starts every distinct row at every root and moves the
+whole (trees x rows) node matrix down one level per pass, with
+``node = child[node] + bit``, until every entry sits on a leaf; then the trees
+vote and the votes are scattered back to the rows.
 
 A forest fit builds one pattern table, the distinct rows of X, and gives each
 tree its bootstrap as integer per-label weights over that table. The trees
@@ -30,8 +37,8 @@ integer counts, impurity arithmetic and tie rule as the decision tree. Tree t
 draws its bootstrap, then one candidate set per impure node in DFS preorder,
 from its own generator ``_tree_rng(seed, t)``. No other tree draws from that
 generator, so lock step leaves every draw, and so every tree, as a
-tree-by-tree fit makes it. Prediction sends each distinct row down each tree
-once and scatters the votes back to the rows.
+tree-by-tree fit makes it. A node that splits appends its two children to
+the shared table as adjacent rows.
 
 ``holdout_accuracy`` fits on one part and scores another; the reward oracle
 and every cross-validation fold go through it. For the decision tree it never
@@ -102,18 +109,6 @@ class ClassifierKind:
         return {"dt": "DecisionTree", "rf": "RandomForest", "knn": "KNN", "svm": "LinearSVM"}[self.name]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: int
-
-
-@dataclass
-class Split:
-    feature: int
-    left: "Leaf | Split | None" = None  # bit == 0
-    right: "Leaf | Split | None" = None  # bit == 1
-
-
 def _majority(w0: float, w1: float) -> int:
     # Exact tie goes to benign.
     return 1 if w1 > w0 else 0
@@ -138,23 +133,24 @@ def _child_impurity(l0, l1, r0, r1, n, valid):
     )
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray) -> Leaf | Split:
-    """The unbounded CART tree of (X, y), built level by level from ``_grow_levels``.
+def _grow_tree(X: np.ndarray, y: np.ndarray):
+    """The node table of the unbounded CART tree of (X, y): its levels from ``_grow_levels``, end to end.
 
-    Every fit pattern is a query, so every node is kept; a node's code
-    ``2 * parent + bit`` hangs it under its parent in the level above.
+    Every fit pattern is a query, so every node is kept, and the two children
+    of the splits of one level sit in the next level in pairs, in the order of
+    their parents.
     """
     patterns, inverse = _unique_rows(X)
     w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0])
     w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0])
-    holder = Split(-1)
-    above = [holder]
-    for feature, label, code in _grow_levels(patterns, w0, w1, patterns)[1]:
-        nodes = [Split(f) if f >= 0 else Leaf(b) for f, b in zip(feature.tolist(), label.tolist())]
-        for c, node in zip(code.tolist(), nodes):
-            setattr(above[c >> 1], "right" if c & 1 else "left", node)
-        above = nodes
-    return holder.left
+    levels = _grow_levels(patterns, w0, w1, patterns)[1]
+    child, end = [], 0
+    for feature, _ in levels:
+        end += feature.size  # where the next level starts
+        split = feature >= 0
+        child.append(np.where(split, end + 2 * (np.cumsum(split) - 1), -1))
+    feature, label = (np.concatenate(a) for a in zip(*levels))
+    return feature, label, np.concatenate(child), np.zeros(1, dtype=np.intp)
 
 
 def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.ndarray):
@@ -167,13 +163,13 @@ def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.n
     ``_child_impurity``; only the children that hold a query are kept.
 
     Returns the leaf label of each query and, per level, the arrays
-    ``(feature, label, code)`` of its kept nodes: the split feature (-1 for a
-    leaf), the majority label (ties to benign), and ``2 * parent + bit``, where
-    ``parent`` is the index in the level above (the root's code is 0).
+    ``(feature, label)`` of its kept nodes: the split feature (-1 for a leaf)
+    and the majority label (ties to benign). A level's nodes are in the order
+    of their codes ``2 * parent + bit``, where ``parent`` is the index in the
+    level above.
     """
     out = np.empty(queries.shape[0], dtype=np.uint8)
     levels = []
-    code = np.zeros(1, dtype=np.intp)
     q_ids = np.arange(queries.shape[0])  # live queries
     q_node = np.zeros(queries.shape[0], dtype=np.intp)
     f_node = np.zeros(bits.shape[0], dtype=np.intp)  # node of each live fit pattern
@@ -195,7 +191,7 @@ def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.n
         best = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1) if splits.any() else -1
         feature = np.where(splits, best, -1)
         label = (tot1 > tot0).astype(np.uint8)
-        levels.append((feature, label, code))
+        levels.append((feature, label))
 
         leaf = ~splits[q_node]
         out[q_ids[leaf]] = label[q_node[leaf]]
@@ -210,8 +206,8 @@ def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.n
         bits, w0, w1, f_node = bits[keep], w0[keep], w1[keep], pos[keep]
 
 
-def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[Leaf | Split]:
-    """The trees of a random forest on (X, y), all grown together on one pattern table.
+def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
+    """The node table of a random forest on (X, y), all trees grown together on one pattern table.
 
     Tree t draws its bootstrap from ``_tree_rng(seed, t)``, then draws the
     ``ceil(sqrt(N))`` candidate features of each impure node from the same
@@ -223,9 +219,11 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     tree that has work and scores all of those nodes at once. The counts
     are integers, exact in float64, and the impurity is ``_child_impurity``
     with the first-minimum tie rule, so each tree is the one a DFS CART
-    grown alone on its bootstrap rows makes. Only impure nodes are stacked,
-    each draws once when popped; a pure node, the root included, is a leaf
-    and draws nothing, so it is closed where it is made.
+    grown alone on its bootstrap rows makes. Every node enters the table as
+    a leaf with its majority label; a node that splits gets its feature and
+    appends its two children as adjacent rows. Only impure nodes are
+    stacked, each draws once when popped; a pure node, the root included,
+    draws nothing and stays a leaf.
     """
     n_samples, width = X.shape
     mtry = math.ceil(math.sqrt(width))
@@ -240,20 +238,20 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     ]).reshape(n_trees, 2, n_patterns)
     w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)  # w[label, t * n_patterns + p]
 
-    holders = [Split(-1) for _ in range(n_trees)]
-    stacks = [[] for _ in range(n_trees)]
-    for t, (c0, c1) in enumerate(weights.sum(axis=2).tolist()):
+    totals = weights.sum(axis=2).tolist()
+    label = [_majority(c0, c1) for c0, c1 in totals]  # row t is tree t's root
+    feature, child = [-1] * n_trees, [-1] * n_trees
+    stacks = [[] for _ in range(n_trees)]  # entries: (live pattern ids, row of the node)
+    for t, (c0, c1) in enumerate(totals):
         if c0 and c1:
-            stacks[t].append((np.flatnonzero(weights[t].sum(axis=0)), holders[t], "left"))
-        else:
-            holders[t].left = Leaf(_majority(c0, c1))
+            stacks[t].append((np.flatnonzero(weights[t].sum(axis=0)), t))
     active = [t for t in range(n_trees) if stacks[t]]
     while active:
         tops = [stacks[t].pop() for t in active]
         draws = [rngs[t].choice(width, size=mtry, replace=False) for t in active]
         cand = np.sort(np.reshape(draws, (len(active), mtry)), axis=1)
-        sizes = np.array([live.size for live, _, _ in tops])
-        ids = np.concatenate([live for live, _, _ in tops])
+        sizes = np.array([live.size for live, _ in tops])
+        ids = np.concatenate([live for live, _ in tops])
         node_of = np.repeat(np.arange(len(active)), sizes)
         starts = np.cumsum(sizes) - sizes
         e = w[:, ids + n_patterns * np.repeat(active, sizes)]
@@ -269,30 +267,25 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
             best = np.argmin(_child_impurity(left[0], left[1], right[0], right[1], n, valid), axis=1)
             nodes = np.arange(len(active))
             chosen = cand[nodes, best]
-            feature = chosen.tolist()
             l0, l1, r0, r1 = (a[nodes, best].tolist() for a in (*left, *right))
             # children in one stable partition: node k's bit-0 patterns, then its bit-1 patterns
             side = 2 * node_of + patterns[ids, chosen[node_of]]
             grouped = ids[np.argsort(side, kind="stable")]
             bounds = [0] + np.cumsum(np.bincount(side, minlength=2 * len(active))).tolist()
-        tot0, tot1 = tot.tolist()
-        for k, (t, (_, parent, side_name)) in enumerate(zip(active, tops)):
-            if not splits[k]:
-                setattr(parent, side_name, Leaf(_majority(tot0[k], tot1[k])))
-                continue
-            node = Split(feature[k])
-            setattr(parent, side_name, node)
+        for k in np.flatnonzero(splits).tolist():
+            t, row, first = active[k], tops[k][1], len(label)
+            feature[row], child[row] = int(chosen[k]), first
+            feature += [-1, -1]
+            child += [-1, -1]
+            label += [_majority(l0[k], l1[k]), _majority(r0[k], r1[k])]
             # push right first so the left child is expanded first
             if r0[k] and r1[k]:
-                stacks[t].append((grouped[bounds[2 * k + 1]:bounds[2 * k + 2]], node, "right"))
-            else:
-                node.right = Leaf(_majority(r0[k], r1[k]))
+                stacks[t].append((grouped[bounds[2 * k + 1]:bounds[2 * k + 2]], first + 1))
             if l0[k] and l1[k]:
-                stacks[t].append((grouped[bounds[2 * k]:bounds[2 * k + 1]], node, "left"))
-            else:
-                node.left = Leaf(_majority(l0[k], l1[k]))
+                stacks[t].append((grouped[bounds[2 * k]:bounds[2 * k + 1]], first))
         active = [t for t in active if stacks[t]]
-    return [holder.left for holder in holders]
+    return (np.array(feature, dtype=np.intp), np.array(label, dtype=np.uint8),
+            np.array(child, dtype=np.intp), np.arange(n_trees))
 
 
 def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,36 +320,32 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     return labels[score_ids]
 
 
-def _predict_tree(node: Leaf | Split, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0], dtype=np.uint8)
-    stack = [(node, np.arange(rows.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if isinstance(nd, Leaf):
-            out[idx] = nd.label
-            continue
-        mask = rows[idx, nd.feature] == 1
-        stack.append((nd.left, idx[~mask]))
-        stack.append((nd.right, idx[mask]))
-    return out
-
-
 class _ForestModel:
-    """Majority vote of CART trees; a decision tree is a forest of one."""
+    """Majority vote of CART trees held in one node table; a decision tree is a forest of one.
 
-    def __init__(self, trees: list[Leaf | Split]):
-        self.trees = trees
+    Node i splits on ``feature[i]`` (-1 for a leaf) and has the majority
+    label ``label[i]``; its bit-0 child is row ``child[i]`` and its bit-1
+    child the row after it. Tree t starts at row ``roots[t]``.
+    """
+
+    def __init__(self, feature: np.ndarray, label: np.ndarray, child: np.ndarray, roots: np.ndarray):
+        self.feature, self.label, self.child, self.roots = feature, label, child, roots
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        # each distinct row goes down each tree once
+        # every distinct row goes down every tree, one level per pass
         patterns, inverse = _unique_rows(rows)
-        votes = np.zeros(patterns.shape[0], dtype=np.int64)
-        for t in self.trees:
-            votes += _predict_tree(t, patterns)
+        node = np.repeat(self.roots[:, None], patterns.shape[0], axis=1)  # node[t, p]
+        cols = np.arange(patterns.shape[0])
+        while True:
+            feature = self.feature[node]
+            inner = feature >= 0
+            if not inner.any():
+                break
+            # a leaf's feature -1 reads some column, but the leaf keeps its node
+            node = np.where(inner, self.child[node] + patterns[cols, feature], node)
+        votes = self.label[node].sum(axis=0, dtype=np.int64)
         # Exact vote tie (even forests) goes to benign.
-        return (2 * votes > len(self.trees)).astype(np.uint8)[inverse]
+        return (2 * votes > self.roots.size).astype(np.uint8)[inverse]
 
 
 class _KnnModel:
@@ -415,9 +404,9 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
     n_features = matrix.n_features
 
     if kind.name == "dt":
-        model: object = _ForestModel([_grow_tree(X, y)])
+        model: object = _ForestModel(*_grow_tree(X, y))
     elif kind.name == "rf":
-        model = _ForestModel(_grow_forest(X, y, kind.trees, seed))
+        model = _ForestModel(*_grow_forest(X, y, kind.trees, seed))
     elif kind.name == "knn":
         model = _KnnModel(X.copy(), y.copy(), kind.k)
     elif kind.name == "svm":
@@ -449,8 +438,11 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, seed: int) -
 
 
 def predict(clf: TrainedClassifier, rows) -> np.ndarray:
-    """Predict a 0/1 label per row; pure function of (clf, rows)."""
-    rows = np.asarray(rows, dtype=np.uint8)
+    """Predict a 0/1 label per row; pure function of (clf, rows). Every cell must be 0 or 1."""
+    rows = np.asarray(rows)
+    if ((rows != 0) & (rows != 1)).any():
+        raise ValueError("rows must hold only 0 and 1")
+    rows = rows.astype(np.uint8, copy=False)
     if rows.ndim == 1:
         rows = rows.reshape(0, clf.n_features) if rows.size == 0 else rows.reshape(1, -1)
     if rows.shape[0] == 0:

@@ -320,6 +320,8 @@ def run_training(
     episode with the episode's report record, the learning network and the
     run's own environment (the learning-curve driver hooks in here; episodes
     it steps through ``env`` share the run's reward oracle and its counts).
+    A matrix whose oracle fit part lacks a class is a ``ConfigError``, raised
+    before any fit.
     """
     t0 = time.perf_counter()
     if matrix is None:
@@ -333,6 +335,12 @@ def run_training(
         config.classifier, matrix, sub_seed(config.seed, "oracle"),
         fit_fraction=config.oracle_fit_fraction,
     )
+    benign, malware = oracle.fit_part.class_counts()
+    if not (benign and malware):
+        raise ConfigError(
+            f"dataset: the reward oracle's fit part has {benign} benign and {malware} malware rows; "
+            "both classes are required"
+        )
     env = FeatureEnv(n, cfg.subset_size, oracle)
     theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
     theta2 = theta1.copy()

@@ -13,8 +13,6 @@ from hypothesis.extra.numpy import arrays
 from rlselect.classifiers import (
     ClassifierKind,
     FitError,
-    Leaf,
-    Split,
     _child_impurity,
     _majority,
     _tree_rng,
@@ -126,7 +124,7 @@ class TestRandomForest:
         # replay the forest's bootstrap draw for tree 0
         boot = _tree_rng(seed, 0).integers(0, m.n_samples, size=m.n_samples)
         dt = fit(ClassifierKind.decision_tree(), m.rows(boot), seed=0)
-        assert rf.model.trees == dt.model.trees
+        assert table_trees(rf.model) == table_trees(dt.model)
 
     def test_forest_improves_over_noise_vote(self):
         m = generate_synthetic(SyntheticSpec(400, 10, (0, 1, 2), q=0.85, seed=8))
@@ -144,16 +142,27 @@ class TestRandomForest:
         assert forest_pin() == json.loads(PINNED_FOREST.read_text())
 
 
+def table_trees(model) -> list:
+    """The trees of a fitted node table as nested tuples ``(feature, left, right)`` with int leaves."""
+
+    def read(node):
+        feature, child = int(model.feature[node]), int(model.child[node])
+        return int(model.label[node]) if feature < 0 else (feature, read(child), read(child + 1))
+
+    return [read(root) for root in model.roots.tolist()]
+
+
 def preorder(tree) -> str:
-    """Preorder serialization of a tree: ``f<feature>`` per split, ``L<label>`` per leaf."""
+    """Preorder serialization of a tuple tree: ``f<feature>`` per split, ``L<label>`` per leaf."""
     out, stack = [], [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(f"L{node.label}")
+        if isinstance(node, tuple):
+            feature, left, right = node
+            out.append(f"f{feature}")
+            stack += [right, left]
         else:
-            out.append(f"f{node.feature}")
-            stack += [node.right, node.left]
+            out.append(f"L{node}")
     return " ".join(out)
 
 
@@ -162,7 +171,7 @@ def forest_pin() -> dict:
     spec = SyntheticSpec(400, 24, (0, 5, 11, 17), q=0.8, seed=10)
     m = generate_synthetic(spec)
     rf = ClassifierKind.random_forest(trees=25)
-    trees = fit(rf, m, seed=7).model.trees
+    trees = table_trees(fit(rf, m, seed=7).model)
     _, per_fold = cv_accuracy(rf, m, stratified_split(m, SplitKind.kfold(5), seed=3), seed=7)
     return {
         "matrix": f"generate_synthetic({spec!r})",
@@ -196,26 +205,25 @@ def reference_best_split(bitsf, w0, w1, idx, mtry=None, rng=None):
 
 
 def reference_grow_tree(X, y, mtry=None, rng=None):
-    """Node-by-node DFS CART (left first): the DT, or with ``mtry`` and ``rng`` one forest tree on its bootstrap."""
+    """Node-by-node DFS CART (left first): the DT, or with ``mtry`` and ``rng`` one forest tree on its bootstrap.
+
+    The tree is a nested tuple ``(feature, left, right)`` with int leaves.
+    """
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
     w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0]).astype(np.float64)
     bitsf = patterns.astype(np.float64)
-    holder = Split(-1)
-    stack = [(np.arange(bitsf.shape[0]), holder, "left")]
-    while stack:
-        live, parent, side = stack.pop()
+
+    def grow(live):
         feature, tot0, tot1 = reference_best_split(bitsf, w0, w1, live, mtry, rng)
         if feature is None:
-            setattr(parent, side, Leaf(_majority(tot0, tot1)))
-            continue
-        node = Split(feature)
-        setattr(parent, side, node)
+            return _majority(tot0, tot1)
         mask = bitsf[live, feature] == 1.0
-        stack.append((live[mask], node, "right"))
-        stack.append((live[~mask], node, "left"))
-    return holder.left
+        # the left subtree is grown, and draws, before the right one
+        return (feature, grow(live[~mask]), grow(live[mask]))
+
+    return grow(np.arange(bitsf.shape[0]))
 
 
 def reference_forest(m, n_trees, seed):
@@ -231,14 +239,21 @@ def reference_forest(m, n_trees, seed):
 
 def reference_vote(trees, rows):
     """Majority vote of the trees, row by row; an exact tie goes to benign."""
-    votes = [sum(leaf_label(tree, row) for tree in trees) for row in rows]
+    votes = [sum(eval_tree(tree, row) for tree in trees) for row in rows]
     return [1 if 2 * v > len(trees) else 0 for v in votes]
 
 
-def leaf_label(tree, row):
-    while isinstance(tree, Split):
-        tree = tree.right if row[tree.feature] == 1 else tree.left
-    return tree.label
+def fresh_queries(data, m):
+    """The fit rows of ``m`` and up to 20 drawn rows of its width."""
+    fresh = data.draw(arrays(np.uint8, (data.draw(st.integers(0, 20)), m.n_features), elements=st.integers(0, 1)))
+    return np.concatenate([m.X, fresh])
+
+
+def assert_predicts_like_reference(clf, trees, queries):
+    """``predict`` equals the row-by-row reference vote, for C- and Fortran-ordered rows."""
+    expected = reference_vote(trees, queries)
+    assert predict(clf, queries).tolist() == expected
+    assert predict(clf, np.asfortranarray(queries)).tolist() == expected
 
 
 @st.composite
@@ -270,28 +285,34 @@ class TestForestEqualsPerTreeReference:
     def test_trees_and_predictions(self, m, n_trees, seed, data):
         clf = fit(ClassifierKind.random_forest(trees=n_trees), m, seed)
         expected = reference_forest(m, n_trees, seed)
-        assert clf.model.trees == expected
-        fresh = data.draw(arrays(np.uint8, (data.draw(st.integers(0, 20)), m.n_features), elements=st.integers(0, 1)))
-        queries = np.concatenate([m.X, fresh])
-        assert predict(clf, queries).tolist() == reference_vote(expected, queries)
-        assert predict(clf, np.asfortranarray(queries)).tolist() == reference_vote(expected, queries)
+        assert table_trees(clf.model) == expected
+        assert_predicts_like_reference(clf, expected, fresh_queries(data, m))
 
     def test_zero_width(self):
         m = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 0, 1, 1, 0])
-        assert fit(ClassifierKind.random_forest(trees=4), m, 3).model.trees == reference_forest(m, 4, 3)
+        clf = fit(ClassifierKind.random_forest(trees=4), m, 3)
+        expected = reference_forest(m, 4, 3)
+        assert table_trees(clf.model) == expected
+        assert_predicts_like_reference(clf, expected, m.X)
 
 
 class TestTreeEqualsDfsReference:
     """The level-wise decision tree is, node for node, the DFS reference tree."""
 
     @settings(max_examples=300, deadline=None)
-    @given(forest_matrices())
-    def test_trees(self, m):
-        assert fit(ClassifierKind.decision_tree(), m, 0).model.trees == [reference_grow_tree(m.X, m.y)]
+    @given(forest_matrices(), st.data())
+    def test_trees(self, m, data):
+        clf = fit(ClassifierKind.decision_tree(), m, 0)
+        expected = [reference_grow_tree(m.X, m.y)]
+        assert table_trees(clf.model) == expected
+        assert_predicts_like_reference(clf, expected, fresh_queries(data, m))
 
     def test_zero_width(self):
         m = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 0, 1, 1, 0])
-        assert fit(ClassifierKind.decision_tree(), m, 0).model.trees == [reference_grow_tree(m.X, m.y)]
+        clf = fit(ClassifierKind.decision_tree(), m, 0)
+        expected = [reference_grow_tree(m.X, m.y)]
+        assert table_trees(clf.model) == expected
+        assert_predicts_like_reference(clf, expected, m.X)
 
 
 class TestKnn:
@@ -344,6 +365,17 @@ class TestPredict:
         clf = fit(ClassifierKind.decision_tree(), m, seed=0)
         with pytest.raises(ValueError):
             predict(clf, [[0, 1, 1]])
+
+    @pytest.mark.parametrize("kind", [
+        ClassifierKind.decision_tree(), ClassifierKind.random_forest(trees=3),
+        ClassifierKind.knn(k=1), ClassifierKind.linear_svm(),
+    ], ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_non_binary_cell_rejected(self, kind, value):
+        m = matrix_from_rows([[0, 1, 0], [1, 0, 1], [1, 1, 0], [0, 0, 1]], [0, 1, 1, 0])
+        clf = fit(kind, m, seed=0)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            predict(clf, [[value, 0, 0]])
 
 
 class TestAccuracy:
@@ -404,7 +436,7 @@ def eager_holdout(kind, fit_part, score_part, seed=0):
 
 def reference_accuracy(tree, matrix):
     """Fraction of the rows of ``matrix`` that ``tree`` labels right, walked row by row."""
-    return float(np.mean(np.array([leaf_label(tree, row) for row in matrix.X]) == matrix.y))
+    return float(np.mean(np.array([eval_tree(tree, row) for row in matrix.X]) == matrix.y))
 
 
 def lazy_holdout(kind, fit_part, score_part, seed=0):

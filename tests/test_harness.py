@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rlselect.classifiers import ClassifierKind
-from rlselect import featurize, harness
+from rlselect import classifiers, featurize, harness
 from rlselect.cli import main
-from rlselect.dataset import SyntheticSpec, generate_synthetic, load_csv, save_csv
+from rlselect.dataset import SampleMatrix, SyntheticSpec, generate_synthetic, load_csv, save_csv
 from rlselect.featurize import cmd_featurize
 from rlselect.harness import (
     PAPER_SCALE,
@@ -382,6 +382,21 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         # the config loads, but its CSV does not exist
         assert main(["evaluate", "--config", str(cfg_path), "--subset", "0,1"]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "curves"])
+    def test_one_class_dataset_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        m = generate_synthetic(SyntheticSpec(60, 6, (0,), q=0.9, seed=3))
+        csv_path = tmp_path / "benign.csv"
+        save_csv(SampleMatrix(m.dictionary, m.X, np.zeros_like(m.y)), csv_path)
+        cfg = RunConfig(csv_path=str(csv_path), synthetic=None, subset_size=2, out_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        fits = []
+        monkeypatch.setattr(classifiers, "holdout_accuracy", lambda *args: fits.append(args))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: dataset:" in captured.err and "single class" not in captured.err
+        assert fits == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])
     def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset):
