@@ -5,8 +5,7 @@ Four deterministic learners over binary feature matrices:
 * decision tree — CART with Gini impurity, unbounded depth, split ties to the
   lowest feature index;
 * random forest — bootstrap CART trees, ceil(sqrt(N)) candidate features per
-  split, majority vote (an exact tie to benign); all trees of a fit grow in
-  lock step on one pattern table (below);
+  impure node, majority vote (an exact tie to benign);
 * kNN — Hamming-distance k-vote, distance ties to the lower row index (k odd);
 * linear SVM — hinge-loss stochastic subgradient (Pegasos-style schedule).
 
@@ -14,12 +13,23 @@ All fits are pure functions of (kind, matrix, seed); no global RNG is touched.
 Trees operate internally on deduplicated row patterns with per-label weights,
 which is equivalent to row-level CART and much faster on low-width projections.
 
-One level-wise grower, ``_grow_levels``, builds the decision tree. Each pass
-takes every node of one tree level at once: it groups the patterns by node,
-sums the integer per-label counts reaching each child of every candidate
-split, and splits each impure node on the first feature of least
-``_child_impurity``. ``fit`` runs it with every fit pattern as a query, so
-every node is kept, and lays its levels end to end as a node table.
+One level-wise grower, ``_grow_levels``, builds every tree. Its entries are
+(pattern, integer label counts, tree root) triples, so one level can hold the
+nodes of many trees. Each pass takes every node of one level at once: it
+groups the entries by node, sums the integer per-label counts reaching each
+child of every candidate split, a few nodes at a time so the sums stay in
+cache, and splits each impure node on the first candidate of least
+``_child_impurity``. ``fit`` keeps every node and lays the levels end to end
+as a node table.
+
+The decision tree is the case of one tree, unit row weights and every
+feature a candidate. A forest gives tree t its bootstrap as integer per-label
+weights over the distinct rows of X, drawn from its own generator
+``_tree_rng(seed, t)``. Then, at each level, tree t draws ``rng.random(N)``
+keys from that generator for each of its impure nodes, in level order, and a
+node's candidates are the ``ceil(sqrt(N))`` features of smallest key. No
+tree draws from another tree's generator, so tree t is the same whatever the
+number of trees beside it.
 
 A fitted tree or forest is one node table of four arrays: ``feature`` (-1 for
 a leaf), ``label`` (the node's majority label), ``child`` (the row of the
@@ -28,17 +38,6 @@ first row). Prediction starts every distinct row at every root and moves the
 whole (trees x rows) node matrix down one level per pass, with
 ``node = child[node] + bit``, until every entry sits on a leaf; then the trees
 vote and the votes are scattered back to the rows.
-
-A forest fit builds one pattern table, the distinct rows of X, and gives each
-tree its bootstrap as integer per-label weights over that table. The trees
-grow in lock step: each keeps its own DFS stack, and one pass pops a node from
-every tree that has work and scores all of those nodes together, with the same
-integer counts, impurity arithmetic and tie rule as the decision tree. Tree t
-draws its bootstrap, then one candidate set per impure node in DFS preorder,
-from its own generator ``_tree_rng(seed, t)``. No other tree draws from that
-generator, so lock step leaves every draw, and so every tree, as a
-tree-by-tree fit makes it. A node that splits appends its two children to
-the shared table as adjacent rows.
 
 ``holdout_accuracy`` fits on one part and scores another; the reward oracle
 and every cross-validation fold go through it. For the decision tree it never
@@ -109,11 +108,6 @@ class ClassifierKind:
         return {"dt": "DecisionTree", "rf": "RandomForest", "knn": "KNN", "svm": "LinearSVM"}[self.name]
 
 
-def _majority(w0: float, w1: float) -> int:
-    # Exact tie goes to benign.
-    return 1 if w1 > w0 else 0
-
-
 def _vec_gini(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     n = c0 + c1
     p1 = c1 / np.maximum(n, 1e-300)
@@ -123,8 +117,8 @@ def _vec_gini(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
 def _child_impurity(l0, l1, r0, r1, n, valid):
     """Weighted Gini of the two children per candidate split, inf where ``valid`` is False.
 
-    Shared by the decision-tree and forest growers, so both compute every
-    float the same way from the same integer-valued counts.
+    The one grower computes every float this way from integer-valued counts,
+    for the decision tree, the lazy reward and the forest alike.
     """
     return np.where(
         valid,
@@ -133,159 +127,158 @@ def _child_impurity(l0, l1, r0, r1, n, valid):
     )
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray):
-    """The node table of the unbounded CART tree of (X, y): its levels from ``_grow_levels``, end to end.
+_CHUNK_CELLS = 1 << 16  # pattern x candidate cells scored at once, few enough to stay in cache
 
-    Every fit pattern is a query, so every node is kept, and the two children
-    of the splits of one level sit in the next level in pairs, in the order of
-    their parents.
+
+def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
+    """The node table of a random forest on (X, y).
+
+    Tree t draws its bootstrap rows from ``_tree_rng(seed, t)``. Then, at
+    each level, it draws one row of keys ``rng.random(N)`` per impure node,
+    in level order, from the same generator; a node's candidates are the
+    ``ceil(sqrt(N))`` features of smallest key. A pure node draws nothing.
+    """
+    n_samples, width = X.shape
+    mtry = math.ceil(math.sqrt(width))
+    rngs = [_tree_rng(seed, t) for t in range(n_trees)]
+    boots = [rng.integers(0, n_samples, size=n_samples) for rng in rngs]
+
+    def draw(trees):
+        # the impure nodes of a level come grouped by tree; each tree draws for its own
+        return np.concatenate([
+            np.sort(np.argpartition(rngs[t].random((k, width)), mtry - 1, axis=1)[:, :mtry], axis=1)
+            for t, k in enumerate(np.bincount(trees, minlength=n_trees).tolist()) if k
+        ])
+
+    return _grow_trees(X, y, boots, draw)
+
+
+def _grow_trees(X: np.ndarray, y: np.ndarray, samples: list, draw=None):
+    """The node table of one CART tree per sample (row indices of X): the levels of ``_grow_levels``, end to end.
+
+    The decision tree is the one tree whose sample is every row once, with
+    every feature a candidate. Tree t's root is row t, and the two children
+    of the splits of one level sit in the next level in pairs, in the order
+    of their parents.
     """
     patterns, inverse = _unique_rows(X)
-    w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0])
-    w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0])
-    levels = _grow_levels(patterns, w0, w1, patterns)[1]
+    code = y.astype(np.intp) * patterns.shape[0] + inverse
+    # weights[t, label, p]: the rows of pattern p with that label in sample t
+    weights = np.stack([np.bincount(code[rows], minlength=2 * patterns.shape[0]) for rows in samples])
+    weights = weights.reshape(len(samples), 2, -1)
+    tree, pid = np.nonzero(weights.sum(axis=1))
+    levels = _grow_levels(patterns, pid, weights[tree, 0, pid], weights[tree, 1, pid], tree, draw=draw)[1]
     child, end = [], 0
     for feature, _ in levels:
         end += feature.size  # where the next level starts
         split = feature >= 0
         child.append(np.where(split, end + 2 * (np.cumsum(split) - 1), -1))
     feature, label = (np.concatenate(a) for a in zip(*levels))
-    return feature, label, np.concatenate(child), np.zeros(1, dtype=np.intp)
+    return feature, label, np.concatenate(child), np.arange(len(samples))
 
 
-def _grow_levels(bits: np.ndarray, w0: np.ndarray, w1: np.ndarray, queries: np.ndarray):
-    """CART on weighted patterns, grown level by level along the paths of the query patterns.
+def _best_splits(bits, w0, w1, at, tot0, tot1, cand=None):
+    """Per node, the feature of least ``_child_impurity`` (the first on ties), or -1 if none separates it.
 
-    ``bits`` are the distinct fit patterns with integer label counts ``w0`` and
-    ``w1``, each pattern with a nonzero total. Each pass handles one tree
-    level: a node that holds a query is a leaf if it is pure or no feature
-    separates its patterns, else it splits on the first feature of least
-    ``_child_impurity``; only the children that hold a query are kept.
-
-    Returns the leaf label of each query and, per level, the arrays
-    ``(feature, label)`` of its kept nodes: the split feature (-1 for a leaf)
-    and the majority label (ties to benign). A level's nodes are in the order
-    of their codes ``2 * parent + bit``, where ``parent`` is the index in the
-    level above.
+    Node k holds the rows of ``bits`` from ``at[k]`` to the next start, with
+    integer label counts ``w0`` and ``w1`` per row and totals ``tot0[k]``
+    and ``tot1[k]``. Column j of ``bits`` is feature j, or ``cand[k, j]``
+    when candidates are given.
     """
-    out = np.empty(queries.shape[0], dtype=np.uint8)
-    levels = []
-    q_ids = np.arange(queries.shape[0])  # live queries
-    q_node = np.zeros(queries.shape[0], dtype=np.intp)
-    f_node = np.zeros(bits.shape[0], dtype=np.intp)  # node of each live fit pattern
+    r0 = np.add.reduceat(bits * w0[:, None], at, axis=0).astype(np.float64)
+    r1 = np.add.reduceat(bits * w1[:, None], at, axis=0).astype(np.float64)
+    l0 = tot0.astype(np.float64)[:, None] - r0
+    l1 = tot1.astype(np.float64)[:, None] - r1
+    valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
+    splits = valid.any(axis=1)
+    if not splits.any():  # there may be no column to take the argmin over (zero width)
+        return np.full(at.size, -1)
+    n = (tot0 + tot1).astype(np.float64)[:, None]
+    best = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1)
+    if cand is not None:
+        best = cand[np.arange(best.size), best]
+    return np.where(splits, best, -1)
+
+
+def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
+    """CART on weighted patterns, grown level by level; a level may hold the nodes of many trees.
+
+    An entry is a fit pattern ``patterns[pid]`` of one tree with integer
+    label counts ``w0`` and ``w1`` (nonzero total) and ``node``, its tree's
+    root: tree t's root is node t of the first level. Each pass handles one
+    level: a node is a leaf if it is pure or no candidate feature separates
+    its patterns, else it splits on the first candidate of least
+    ``_child_impurity``. Every feature is a candidate unless ``draw`` is
+    given: ``draw(trees)`` gets the tree of each impure node of the level,
+    in level order, and returns their sorted candidates, one row per node.
+
+    Without ``queries`` every node is kept. ``queries`` are pattern rows of
+    a single tree; then only the nodes that hold a query are kept, and the
+    first value returned is the leaf label of each query.
+
+    The second is, per level, the arrays ``(feature, label)`` of its kept
+    nodes: the split feature (-1 for a leaf) and the majority label (ties to
+    benign). A level's nodes are in the order of their codes
+    ``2 * parent + bit``, where ``parent`` is the index in the level above.
+    """
+    levels, out = [], None
+    tree = np.arange(node.max() + 1)  # the tree of each node of the level
+    if queries is not None:
+        out = np.empty(queries.shape[0], dtype=np.uint8)
+        q_ids = np.arange(queries.shape[0])  # live queries
+        q_node = np.zeros(queries.shape[0], dtype=np.intp)
     while True:
-        # nodes are numbered 0..K-1 and each holds at least one fit pattern
-        order = np.argsort(f_node)
-        bits, w0, w1, f_node = bits[order], w0[order], w1[order], f_node[order]
-        starts = np.flatnonzero(np.r_[True, f_node[1:] != f_node[:-1]])
+        # nodes are numbered 0..K-1 and each holds at least one entry
+        order = np.argsort(node)
+        pid, w0, w1, node = pid[order], w0[order], w1[order], node[order]
+        sizes = np.bincount(node)
+        starts = np.cumsum(sizes) - sizes
         tot0 = np.add.reduceat(w0, starts)
         tot1 = np.add.reduceat(w1, starts)
-        r0 = np.add.reduceat(bits * w0[:, None], starts, axis=0).astype(np.float64)
-        r1 = np.add.reduceat(bits * w1[:, None], starts, axis=0).astype(np.float64)
-        l0 = tot0.astype(np.float64)[:, None] - r0
-        l1 = tot1.astype(np.float64)[:, None] - r1
-        valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
-        n = (tot0 + tot1).astype(np.float64)[:, None]
-        splits = (tot0 > 0) & (tot1 > 0) & valid.any(axis=1)
-        # without a split there may be no column to take the argmin over (zero width)
-        best = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1) if splits.any() else -1
-        feature = np.where(splits, best, -1)
         label = (tot1 > tot0).astype(np.uint8)
+        feature = np.full(sizes.size, -1, dtype=np.intp)
+        impure = (tot0 > 0) & (tot1 > 0)
+        nodes = np.flatnonzero(impure)
+        if nodes.size:
+            # score only the entries of impure nodes (a pure node is a leaf), a few nodes at a time
+            rows = slice(None) if nodes.size == sizes.size else impure[node]
+            ids, c0, c1, sizes = pid[rows], w0[rows], w1[rows], sizes[nodes]
+            first = np.cumsum(sizes) - sizes
+            cand = None if draw is None else draw(tree[nodes])
+            cols = patterns.shape[1] if cand is None else cand.shape[1]
+            cuts = []
+            if ids.size * cols > _CHUNK_CELLS:
+                cuts = (np.flatnonzero(np.diff(first * cols // _CHUNK_CELLS)) + 1).tolist()
+            for a, b in zip([0, *cuts], [*cuts, nodes.size]):
+                lo, hi = first[a], first[b - 1] + sizes[b - 1]
+                if cand is None:
+                    bits, part = patterns[ids[lo:hi]], None
+                else:
+                    part = cand[a:b]
+                    bits = patterns[ids[lo:hi, None], np.repeat(part, sizes[a:b], axis=0)]
+                feature[nodes[a:b]] = _best_splits(
+                    bits, c0[lo:hi], c1[lo:hi], first[a:b] - lo, tot0[nodes[a:b]], tot1[nodes[a:b]], part
+                )
         levels.append((feature, label))
 
-        leaf = ~splits[q_node]
-        out[q_ids[leaf]] = label[q_node[leaf]]
-        q_ids, q_node = q_ids[~leaf], q_node[~leaf]
-        if q_ids.size == 0:
-            return out, levels
-        q_child = 2 * q_node + queries[q_ids, feature[q_node]]
-        f_child = 2 * f_node + bits[np.arange(bits.shape[0]), feature[f_node]]
-        code, q_node = np.unique(q_child, return_inverse=True)
+        split = feature >= 0
+        if queries is None:
+            if not split.any():
+                return out, levels
+            code = (2 * np.flatnonzero(split)[:, None] + np.arange(2)).ravel()
+        else:
+            leaf = ~split[q_node]
+            out[q_ids[leaf]] = label[q_node[leaf]]
+            q_ids, q_node = q_ids[~leaf], q_node[~leaf]
+            if q_ids.size == 0:
+                return out, levels
+            q_child = 2 * q_node + queries[q_ids, feature[q_node]]
+            code, q_node = np.unique(q_child, return_inverse=True)
+        f_child = 2 * node + patterns[pid, feature[node]]
         pos = np.minimum(np.searchsorted(code, f_child), code.size - 1)
         keep = code[pos] == f_child
-        bits, w0, w1, f_node = bits[keep], w0[keep], w1[keep], pos[keep]
-
-
-def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
-    """The node table of a random forest on (X, y), all trees grown together on one pattern table.
-
-    Tree t draws its bootstrap from ``_tree_rng(seed, t)``, then draws the
-    ``ceil(sqrt(N))`` candidate features of each impure node from the same
-    generator, in DFS preorder (left child first). Its bootstrap is a row of
-    integer weights per label over the distinct rows of X, and its live set
-    at a node is the patterns with nonzero weight there.
-
-    Every tree keeps its own DFS stack; each pass pops one node from every
-    tree that has work and scores all of those nodes at once. The counts
-    are integers, exact in float64, and the impurity is ``_child_impurity``
-    with the first-minimum tie rule, so each tree is the one a DFS CART
-    grown alone on its bootstrap rows makes. Every node enters the table as
-    a leaf with its majority label; a node that splits gets its feature and
-    appends its two children as adjacent rows. Only impure nodes are
-    stacked, each draws once when popped; a pure node, the root included,
-    draws nothing and stays a leaf.
-    """
-    n_samples, width = X.shape
-    mtry = math.ceil(math.sqrt(width))
-    patterns, inverse = _unique_rows(X)
-    n_patterns = patterns.shape[0]
-    rngs = [_tree_rng(seed, t) for t in range(n_trees)]
-    # weights[t, label, p]: rows of pattern p with that label in tree t's bootstrap
-    code = y.astype(np.intp) * n_patterns + inverse
-    weights = np.stack([
-        np.bincount(code[rng.integers(0, n_samples, size=n_samples)], minlength=2 * n_patterns)
-        for rng in rngs
-    ]).reshape(n_trees, 2, n_patterns)
-    w = weights.transpose(1, 0, 2).reshape(2, n_trees * n_patterns)  # w[label, t * n_patterns + p]
-
-    totals = weights.sum(axis=2).tolist()
-    label = [_majority(c0, c1) for c0, c1 in totals]  # row t is tree t's root
-    feature, child = [-1] * n_trees, [-1] * n_trees
-    stacks = [[] for _ in range(n_trees)]  # entries: (live pattern ids, row of the node)
-    for t, (c0, c1) in enumerate(totals):
-        if c0 and c1:
-            stacks[t].append((np.flatnonzero(weights[t].sum(axis=0)), t))
-    active = [t for t in range(n_trees) if stacks[t]]
-    while active:
-        tops = [stacks[t].pop() for t in active]
-        draws = [rngs[t].choice(width, size=mtry, replace=False) for t in active]
-        cand = np.sort(np.reshape(draws, (len(active), mtry)), axis=1)
-        sizes = np.array([live.size for live, _ in tops])
-        ids = np.concatenate([live for live, _ in tops])
-        node_of = np.repeat(np.arange(len(active)), sizes)
-        starts = np.cumsum(sizes) - sizes
-        e = w[:, ids + n_patterns * np.repeat(active, sizes)]
-        tot = np.add.reduceat(e, starts, axis=1)
-        # per label, node and candidate: the weight reaching the bit==1 (right) child
-        right = np.add.reduceat(patterns[ids[:, None], cand[node_of]] * e[:, :, None], starts, axis=1)
-        right = right.astype(np.float64)
-        left = tot.astype(np.float64)[:, :, None] - right
-        valid = ((left[0] + left[1]) > 0) & ((right[0] + right[1]) > 0)
-        splits = valid.any(axis=1)
-        if splits.any():
-            n = (tot[0] + tot[1]).astype(np.float64)[:, None]
-            best = np.argmin(_child_impurity(left[0], left[1], right[0], right[1], n, valid), axis=1)
-            nodes = np.arange(len(active))
-            chosen = cand[nodes, best]
-            l0, l1, r0, r1 = (a[nodes, best].tolist() for a in (*left, *right))
-            # children in one stable partition: node k's bit-0 patterns, then its bit-1 patterns
-            side = 2 * node_of + patterns[ids, chosen[node_of]]
-            grouped = ids[np.argsort(side, kind="stable")]
-            bounds = [0] + np.cumsum(np.bincount(side, minlength=2 * len(active))).tolist()
-        for k in np.flatnonzero(splits).tolist():
-            t, row, first = active[k], tops[k][1], len(label)
-            feature[row], child[row] = int(chosen[k]), first
-            feature += [-1, -1]
-            child += [-1, -1]
-            label += [_majority(l0[k], l1[k]), _majority(r0[k], r1[k])]
-            # push right first so the left child is expanded first
-            if r0[k] and r1[k]:
-                stacks[t].append((grouped[bounds[2 * k + 1]:bounds[2 * k + 2]], first + 1))
-            if l0[k] and l1[k]:
-                stacks[t].append((grouped[bounds[2 * k]:bounds[2 * k + 1]], first))
-        active = [t for t in active if stacks[t]]
-    return (np.array(feature, dtype=np.intp), np.array(label, dtype=np.uint8),
-            np.array(child, dtype=np.intp), np.arange(n_trees))
+        pid, w0, w1, node = pid[keep], w0[keep], w1[keep], pos[keep]
+        tree = tree[code // 2]
 
 
 def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +309,8 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     labels = (w1 > w0).astype(np.uint8)
     seen = (w0 + w1) > 0
     if not seen.all():
-        labels[~seen] = _grow_levels(patterns[seen], w0[seen], w1[seen], patterns[~seen])[0]
+        ids = np.flatnonzero(seen)
+        labels[~seen] = _grow_levels(patterns, ids, w0[ids], w1[ids], np.zeros_like(ids), queries=patterns[~seen])[0]
     return labels[score_ids]
 
 
@@ -348,21 +342,26 @@ class _ForestModel:
         return (2 * votes > self.roots.size).astype(np.uint8)[inverse]
 
 
+_KNN_CELLS = 1 << 22  # scored row x fit row distances held at once
+
+
 class _KnnModel:
     def __init__(self, X: np.ndarray, y: np.ndarray, k: int):
-        self.X = X.astype(np.int16)
+        self.X = X.astype(np.float64)
+        self.ones = self.X.sum(axis=1)
         self.y = y
         self.k = k
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        rows = rows.astype(np.int16)
         out = np.empty(rows.shape[0], dtype=np.uint8)
-        for i, row in enumerate(rows):
-            d = np.count_nonzero(self.X != row, axis=1)
-            # lexsort: distance first, then original row index for ties
-            nearest = np.lexsort((np.arange(d.size), d))[: self.k]
-            ones = int(self.y[nearest].sum())
-            out[i] = 1 if 2 * ones > self.k else 0
+        step = max(1, _KNN_CELLS // self.X.shape[0])
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo:lo + step].astype(np.float64)
+            # Hamming distance of 0/1 rows, |a| + |b| - 2 a.b, exact in float64
+            d = block.sum(axis=1)[:, None] + self.ones - 2.0 * (block @ self.X.T)
+            # a stable sort keeps the lower row index first among equal distances
+            nearest = np.argsort(d, axis=1, kind="stable")[:, : self.k]
+            out[lo:lo + step] = 2 * self.y[nearest].sum(axis=1, dtype=np.int64) > self.k
         return out
 
 
@@ -404,7 +403,7 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
     n_features = matrix.n_features
 
     if kind.name == "dt":
-        model: object = _ForestModel(*_grow_tree(X, y))
+        model: object = _ForestModel(*_grow_trees(X, y, [np.arange(matrix.n_samples)]))
     elif kind.name == "rf":
         model = _ForestModel(*_grow_forest(X, y, kind.trees, seed))
     elif kind.name == "knn":

@@ -320,8 +320,8 @@ def run_training(
     episode with the episode's report record, the learning network and the
     run's own environment (the learning-curve driver hooks in here; episodes
     it steps through ``env`` share the run's reward oracle and its counts).
-    A matrix whose oracle fit part lacks a class is a ``ConfigError``, raised
-    before any fit.
+    A matrix whose oracle fit part lacks a class, or whose oracle score part
+    is empty, is a ``ConfigError``, raised before any fit.
     """
     t0 = time.perf_counter()
     if matrix is None:
@@ -340,6 +340,11 @@ def run_training(
         raise ConfigError(
             f"dataset: the reward oracle's fit part has {benign} benign and {malware} malware rows; "
             "both classes are required"
+        )
+    if oracle.score_part.n_samples == 0:
+        raise ConfigError(
+            f"dataset: the reward oracle's score part is empty ({matrix.n_samples} rows, "
+            f"oracle_fit_fraction {config.oracle_fit_fraction}); it needs at least one row"
         )
     env = FeatureEnv(n, cfg.subset_size, oracle)
     theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))

@@ -1,8 +1,10 @@
+import collections
 import hashlib
 import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rlselect import classifiers
 from rlselect.classifiers import (
     ClassifierKind,
     FitError,
     _child_impurity,
-    _majority,
     _tree_rng,
     _unique_rows,
     _vec_gini,
@@ -181,20 +183,17 @@ def forest_pin() -> dict:
     }
 
 
-def reference_best_split(bitsf, w0, w1, idx, mtry=None, rng=None):
+def reference_best_split(bitsf, w0, w1, idx, candidates=None):
     """Best CART split of the live patterns, or None for a leaf; ties to the lowest feature.
 
-    A forest tree draws ``mtry`` sorted candidates from ``rng`` at each
-    impure node; without ``mtry`` every feature is a candidate (the DT).
+    ``candidates()`` is called once per impure node and returns its sorted
+    candidate features; without it every feature is a candidate (the DT).
     """
     lw0, lw1 = w0[idx], w1[idx]
     tot0, tot1 = float(lw0.sum()), float(lw1.sum())
     if tot0 == 0.0 or tot1 == 0.0:
         return None, tot0, tot1
-    if mtry is None:
-        cand = np.arange(bitsf.shape[1])
-    else:
-        cand = np.sort(rng.choice(bitsf.shape[1], size=mtry, replace=False))
+    cand = np.arange(bitsf.shape[1]) if candidates is None else candidates()
     sub = bitsf[np.ix_(idx, cand)]
     r0, r1 = lw0 @ sub, lw1 @ sub
     l0, l1 = tot0 - r0, tot1 - r1
@@ -204,26 +203,66 @@ def reference_best_split(bitsf, w0, w1, idx, mtry=None, rng=None):
     return int(cand[np.argmin(_child_impurity(l0, l1, r0, r1, tot0 + tot1, valid))]), tot0, tot1
 
 
-def reference_grow_tree(X, y, mtry=None, rng=None):
-    """Node-by-node DFS CART (left first): the DT, or with ``mtry`` and ``rng`` one forest tree on its bootstrap.
+def reference_majority(tot0, tot1):
+    """A leaf's label: the heavier class, an exact tie to benign."""
+    return 1 if tot1 > tot0 else 0
 
-    The tree is a nested tuple ``(feature, left, right)`` with int leaves.
-    """
+
+def reference_patterns(X, y):
+    """Distinct rows of X as float64 bits, with the float64 count of each label per row."""
     patterns, inverse = np.unique(X, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     w0 = np.bincount(inverse[y == 0], minlength=patterns.shape[0]).astype(np.float64)
     w1 = np.bincount(inverse[y == 1], minlength=patterns.shape[0]).astype(np.float64)
-    bitsf = patterns.astype(np.float64)
+    return patterns.astype(np.float64), w0, w1
+
+
+def reference_grow_tree(X, y):
+    """Node-by-node DFS CART (left first) with every feature a candidate: the decision tree.
+
+    The tree is a nested tuple ``(feature, left, right)`` with int leaves.
+    """
+    bitsf, w0, w1 = reference_patterns(X, y)
 
     def grow(live):
-        feature, tot0, tot1 = reference_best_split(bitsf, w0, w1, live, mtry, rng)
+        feature, tot0, tot1 = reference_best_split(bitsf, w0, w1, live)
         if feature is None:
-            return _majority(tot0, tot1)
+            return reference_majority(tot0, tot1)
         mask = bitsf[live, feature] == 1.0
-        # the left subtree is grown, and draws, before the right one
         return (feature, grow(live[~mask]), grow(live[mask]))
 
     return grow(np.arange(bitsf.shape[0]))
+
+
+def reference_bfs_tree(X, y, mtry, rng):
+    """One forest tree on its bootstrap rows, grown node by node in level order (left first).
+
+    Each impure node draws ``rng.random(N)`` when it is reached, and its
+    candidates are the ``mtry`` features of smallest key; a pure node draws
+    nothing. The tree is a nested tuple like ``reference_grow_tree``'s.
+    """
+    bitsf, w0, w1 = reference_patterns(X, y)
+
+    def candidates():
+        return np.sort(np.argsort(rng.random(bitsf.shape[1]), kind="stable")[:mtry])
+
+    nodes, queue, n_ids = {}, collections.deque([(0, np.arange(bitsf.shape[0]))]), 1
+    while queue:
+        at, live = queue.popleft()
+        feature, tot0, tot1 = reference_best_split(bitsf, w0, w1, live, candidates)
+        if feature is None:
+            nodes[at] = reference_majority(tot0, tot1)
+            continue
+        mask = bitsf[live, feature] == 1.0
+        nodes[at] = (feature, n_ids, n_ids + 1)
+        queue += [(n_ids, live[~mask]), (n_ids + 1, live[mask])]
+        n_ids += 2
+
+    def build(at):
+        node = nodes[at]
+        return node if isinstance(node, int) else (node[0], build(node[1]), build(node[2]))
+
+    return build(0)
 
 
 def reference_forest(m, n_trees, seed):
@@ -233,7 +272,7 @@ def reference_forest(m, n_trees, seed):
     for t in range(n_trees):
         rng = _tree_rng(seed, t)
         boot = rng.integers(0, m.n_samples, size=m.n_samples)
-        trees.append(reference_grow_tree(m.X[boot], m.y[boot], mtry, rng))
+        trees.append(reference_bfs_tree(m.X[boot], m.y[boot], mtry, rng))
     return trees
 
 
@@ -278,7 +317,7 @@ def forest_matrices(draw):
 
 
 class TestForestEqualsPerTreeReference:
-    """The lock-step forest grows, tree for tree, the per-tree reference forest."""
+    """The level-wise forest grows, tree for tree, the per-tree BFS reference forest."""
 
     @settings(max_examples=300, deadline=None)
     @given(forest_matrices(), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
@@ -294,6 +333,13 @@ class TestForestEqualsPerTreeReference:
         expected = reference_forest(m, 4, 3)
         assert table_trees(clf.model) == expected
         assert_predicts_like_reference(clf, expected, m.X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forest_matrices(), st.integers(0, 2**32 - 1))
+    def test_no_tree_draws_from_another_trees_generator(self, m, seed):
+        six = table_trees(fit(ClassifierKind.random_forest(trees=6), m, seed).model)
+        three = table_trees(fit(ClassifierKind.random_forest(trees=3), m, seed).model)
+        assert six[:3] == three
 
 
 class TestTreeEqualsDfsReference:
@@ -315,7 +361,52 @@ class TestTreeEqualsDfsReference:
         assert_predicts_like_reference(clf, expected, m.X)
 
 
+class TestChunkedLevels:
+    """Scoring a level a few nodes at a time grows the trees that scoring it at once grows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forest_matrices(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1, 40, 200]))
+    def test_small_chunks(self, m, n_trees, seed, cells):
+        half = np.arange(m.n_samples) % 2 == 0
+        fit_part, score_part = m.rows(np.flatnonzero(half)), m.rows(np.flatnonzero(~half))
+        dt = ClassifierKind.decision_tree()
+        with mock.patch.object(classifiers, "_CHUNK_CELLS", cells):
+            trees = table_trees(fit(dt, m, 0).model)
+            forest = table_trees(fit(ClassifierKind.random_forest(trees=n_trees), m, seed).model)
+            lazy = lazy_holdout(dt, fit_part, score_part)
+        assert trees == [reference_grow_tree(m.X, m.y)]
+        assert forest == reference_forest(m, n_trees, seed)
+        assert lazy == eager_holdout(dt, fit_part, score_part)
+
+
+def reference_knn_predict(X, y, k, rows):
+    """Row-by-row kNN: one Hamming pass and one lexsort (distance, then row index) per scored row."""
+    X = X.astype(np.int16)
+    out = []
+    for row in np.asarray(rows).astype(np.int16):
+        d = np.count_nonzero(X != row, axis=1)
+        nearest = np.lexsort((np.arange(d.size), d))[:k]
+        out.append(1 if 2 * int(y[nearest].sum()) > k else 0)
+    return out
+
+
 class TestKnn:
+    @settings(max_examples=200, deadline=None)
+    @given(forest_matrices(), st.sampled_from([1, 3, 5, 7]), st.data())
+    def test_equals_row_by_row_reference(self, m, k, data):
+        queries = fresh_queries(data, m)
+        clf = fit(ClassifierKind.knn(k=k), m, 0)
+        assert predict(clf, queries).tolist() == reference_knn_predict(m.X, m.y, k, queries)
+
+    @pytest.mark.parametrize("cells", [1, 100, 1000])
+    def test_row_blocks_equal_reference(self, monkeypatch, cells):
+        # a block of scored rows never splits a row; blocks of 1, 2 and 20 rows here
+        monkeypatch.setattr(classifiers, "_KNN_CELLS", cells)
+        m = generate_synthetic(SyntheticSpec(50, 6, (0, 1), q=0.8, seed=12))
+        rows = np.random.default_rng(13).integers(0, 2, size=(37, 6), dtype=np.uint8)
+        clf = fit(ClassifierKind.knn(k=5), m, seed=0)
+        assert predict(clf, rows).tolist() == reference_knn_predict(m.X, m.y, 5, rows)
+
     def test_training_row_is_own_nearest_neighbor(self):
         rng = np.random.default_rng(6)
         X = np.unique(rng.integers(0, 2, size=(30, 5)), axis=0)

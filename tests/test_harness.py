@@ -398,6 +398,23 @@ class TestCli:
         assert "config error: dataset:" in captured.err and "single class" not in captured.err
         assert fits == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "curves"])
+    def test_empty_oracle_score_part_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        # 3 rows per class and a 0.9 fit fraction leave no row to score
+        m = generate_synthetic(SyntheticSpec(6, 4, (0,), q=0.9, seed=3))
+        csv_path = tmp_path / "six.csv"
+        save_csv(SampleMatrix(m.dictionary, m.X, np.array([0, 1] * 3, dtype=np.uint8)), csv_path)
+        cfg = RunConfig(csv_path=str(csv_path), synthetic=None, subset_size=2,
+                        oracle_fit_fraction=0.9, out_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        fits = []
+        monkeypatch.setattr(classifiers, "holdout_accuracy", lambda *args: fits.append(args))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: dataset:" in captured.err and "score part is empty" in captured.err
+        assert fits == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])
     def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset):
         cfg_path = tmp_path / "cfg.json"
