@@ -407,7 +407,7 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
     elif kind.name == "rf":
         model = _ForestModel(*_grow_forest(X, y, kind.trees, seed))
     elif kind.name == "knn":
-        model = _KnnModel(X.copy(), y.copy(), kind.k)
+        model = _KnnModel(X, y.copy(), kind.k)
     elif kind.name == "svm":
         model = _fit_svm(X, y, kind.lam, kind.epochs, seed)
     else:  # pragma: no cover - guarded by ClassifierKind
