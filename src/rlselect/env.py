@@ -82,6 +82,8 @@ class RewardOracle:
         key = tuple(subset)
         if any(b <= a for a, b in zip(key, key[1:])):
             raise ValueError(f"subset must be sorted strictly ascending, got {key}")
+        if key[0] < 1 or key[-1] > self.n_features:
+            raise ValueError(f"subset features must be in 1..{self.n_features}, got {key}")
         if key in self._cache:
             self.hit_count += 1
             return self._cache[key]

@@ -575,6 +575,22 @@ class TestHoldoutAccuracy:
         lambda w: arrays(np.uint8, st.tuples(st.integers(1, 30), st.just(w)), elements=st.integers(0, 1))
     ))
     def test_packed_unique_rows_equal_numpy_unique(self, X):
+        self.check_unique_rows(X)
+
+    @pytest.mark.parametrize("shape", [
+        *[(12, width) for width in (0, 1, 8, 9, 63, 64, 65, 72)], (0, 0), (0, 10), (0, 72),
+    ], ids=lambda shape: "x".join(map(str, shape)))
+    def test_packed_unique_rows_at_the_word_boundary(self, shape):
+        # up to 64 features a row is one 64-bit code, above that its packed bytes
+        X = np.random.default_rng(shape[1]).integers(0, 2, size=shape, dtype=np.uint8)
+        if shape[0] and shape[1]:
+            X[1:4] = X[0]
+            X[1, -1] ^= 1  # differs from row 0 in the last feature only
+            X[2, 0] ^= 1  # in the first only; row 3 repeats row 0
+        self.check_unique_rows(X)
+
+    @staticmethod
+    def check_unique_rows(X):
         patterns, inverse = np.unique(X, axis=0, return_inverse=True)
         for rows in (X, np.asfortranarray(X)):
             packed_patterns, packed_inverse = _unique_rows(rows)

@@ -125,6 +125,20 @@ class TestRewardOracle:
         with pytest.raises(ValueError):
             oracle((4, 2))
 
+    @pytest.mark.parametrize("subset", [(0,), (0, 3), (9,), (2, 9)])
+    def test_subset_outside_features_rejected(self, subset):
+        oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=6)
+        with pytest.raises(ValueError, match="1..8"):
+            oracle(subset)
+
+    def test_dt_reward_on_multi_word_subsets_is_fit_then_accuracy(self):
+        # above 64 features a row's code is its packed bytes, not one 64-bit word
+        oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(n=300, features=80, q=0.8), seed=6)
+        for subset in (tuple(range(1, 65)), tuple(range(1, 66)), tuple(range(2, 81)), tuple(range(1, 81))):
+            columns = [i - 1 for i in subset]
+            clf = classifiers.fit(oracle.kind, project(oracle.fit_part, columns), oracle.seed)
+            assert oracle(subset) == classifiers.accuracy(clf, project(oracle.score_part, columns))
+
     def test_rewards_identical_within_run(self):
         oracle = RewardOracle(ClassifierKind.knn(k=3), planted_matrix(q=0.8), seed=7)
         values = {oracle((2, 5)) for _ in range(5)}
