@@ -1,7 +1,8 @@
 """Pinned runs must regenerate their committed artifacts byte for byte.
 
 Demo 6 covers the experiment drivers with an RNN at gamma 0. The pinned GRU
-training config uses gamma 0.5, so its report also pins the DDQN-target path.
+and LSTM training configs use gamma 0.5, so their reports also pin the
+DDQN-target path, and between them and demo 6 every cell kind is pinned.
 The pinned corpus pins the ingest path: featurize, then the IG and chi-square
 scores of the CSV it writes.
 Demos 1 to 5 are smoke-run: they must exit 0. Demo 3 (about 3 s) is the
@@ -54,14 +55,26 @@ def test_demo_06_regenerates_committed_artifacts(tmp_path):
         assert (written / name).read_bytes() == (COMMITTED / name).read_bytes(), name
 
 
-def test_pinned_gru_training_writes_committed_report(tmp_path):
-    # 400x20 synthetic matrix, GRU H=32, gamma 0.5, 40 episodes, seed 5
+def train_pinned(tmp_path, name: str) -> Path:
+    """Run ``rlselect train`` on ``tests/pinned/<name>.json``; return the report it wrote."""
+    config = PINNED / f"{name}.json"
     subprocess.run(
-        [sys.executable, "-m", "rlselect.cli", "train", "--config", str(PINNED / "train_gru.json")],
+        [sys.executable, "-m", "rlselect.cli", "train", "--config", str(config)],
         cwd=tmp_path, env=ENV, check=True, capture_output=True,
     )
-    written = tmp_path / "runs" / "pinned-train" / "report.json"
+    return tmp_path / json.loads(config.read_text())["out_dir"] / "report.json"
+
+
+def test_pinned_gru_training_writes_committed_report(tmp_path):
+    # 400x20 synthetic matrix, GRU H=32, gamma 0.5, 40 episodes, seed 5
+    written = train_pinned(tmp_path, "train_gru")
     assert written.read_bytes() == (PINNED / "train_gru.report.json").read_bytes()
+
+
+def test_pinned_lstm_training_writes_committed_report(tmp_path):
+    # the GRU config with an LSTM cell
+    written = train_pinned(tmp_path, "train_lstm")
+    assert written.read_bytes() == (PINNED / "train_lstm.report.json").read_bytes()
 
 
 def test_pinned_corpus_featurizes_to_committed_csv_and_scores(tmp_path):
