@@ -1,0 +1,25 @@
+"""Whole-file writes: a reader sees the old file or the new one, never a partial one."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def replace_atomically(path):
+    """Open a text file beside ``path`` for writing; on a clean exit it replaces ``path``.
+
+    If the block raises (a payload that does not serialize, an interrupt),
+    the temporary file is removed and ``path`` keeps its earlier contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

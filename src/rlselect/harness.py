@@ -35,6 +35,7 @@ from .dataset import (
 )
 from .env import FeatureEnv, RewardOracle
 from .featurize import cmd_featurize  # kept here: the benchmark calls and traces harness.cmd_featurize
+from .files import replace_atomically
 from .net import NetworkConfig, OptimizerState
 
 COMPARE_METHODS = ("rl", "information_gain", "chi_square", "random")
@@ -423,7 +424,7 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
+    with replace_atomically(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

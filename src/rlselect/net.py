@@ -21,15 +21,20 @@ B states becomes a (B, T) token matrix: BOS, then each state's indices,
 zero-padded to the longest row, with a (B, T) length mask. A masked step
 keeps that row's h (and c); in backpropagation it has a zero pre-activation
 gradient and passes dh (and dc) through unchanged. The input projections of
-all steps are one GEMM, and so is each weight gradient, over every (step,
-row) pair. The embedding gradient scatters with ``np.add.at``, because BOS
-is in every row. The loss of a batch is the mean over its rows, and the 1/B
-sits in the head gradient, which for the linear head touches only the taken
-columns.
+all steps are one GEMM. Step 0 is BOS in every row with h = 0, so it has no
+recurrent product in either direction: its recurrent term is the constant
+0.0, and backpropagation stops there without the GEMMs that would give the
+unused gradient of h0. Backpropagation fills one (T, B, G*H) array with
+every step's pre-activation gradient, and each weight gradient is one GEMM
+over all its (step, row) pairs, step 0 included. The embedding gradient
+scatters with ``np.add.at``, because BOS is in every row. The loss of a
+batch is the mean over its rows, and the 1/B sits in the head gradient,
+which for the linear head touches only the taken columns.
 
 ``forward_batch`` scores B states at once. ``forward(params, state)`` is the
 B = 1 call of the same kernels. ``backward`` takes one transition, or a batch
-as sequences of states, actions and targets.
+as sequences of states, actions and targets. A checkpoint is replaced
+whole when saved and checked against the configured layout when loaded.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from .files import replace_atomically
 
 CELLS = ("rnn", "gru", "lstm")
 HEADS = ("linear", "softmax")
@@ -90,25 +97,29 @@ class NetworkParams:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
+def _layout(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor of ``config``, in parameter order."""
+    e, h, n = config.embed_dim, config.hidden_dim, config.output_dim
+    g = _GATES[config.cell]
+    return {
+        "embed": (config.vocab_size, e), "w_x": (e, g * h), "w_h": (h, g * h), "b": (g * h,),
+        "w_out": (h, n), "b_out": (n,),
+    }
+
+
 def init(config: NetworkConfig, seed: int) -> NetworkParams:
     """Uniform(-r, r) weights with r = 1/sqrt(fan_in); zero biases except LSTM forget gate (1.0)."""
     rng = np.random.default_rng(seed)
-    e, h = config.embed_dim, config.hidden_dim
-    g = _GATES[config.cell]
-
-    def uniform(fan_in, shape):
-        r = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-r, r, size=shape)
-
-    tensors = {
-        "embed": uniform(e, (config.vocab_size, e)),
-        "w_x": uniform(e, (e, g * h)),
-        "w_h": uniform(h, (h, g * h)),
-        "b": np.zeros(g * h),
-        "w_out": uniform(h, (h, config.output_dim)),
-        "b_out": np.zeros(config.output_dim),
-    }
+    fan_in = {"embed": config.embed_dim, "w_x": config.embed_dim, "w_h": config.hidden_dim, "w_out": config.hidden_dim}
+    tensors = {}
+    for name, shape in _layout(config).items():
+        if name in fan_in:
+            r = 1.0 / np.sqrt(fan_in[name])
+            tensors[name] = rng.uniform(-r, r, size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
     if config.cell == "lstm":
+        h = config.hidden_dim
         tensors["b"][h : 2 * h] = 1.0  # forget gate, [i | f | g | o] layout
     return NetworkParams(config, tensors)
 
@@ -148,34 +159,45 @@ def _tokens(config: NetworkConfig, states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray):
-    """Run the cell over a token batch; return the final (B, H) hidden state and per-step caches.
+    """Run the cell over a token batch; return the final (B, H) hidden state and the tape for ``_bptt``.
 
-    The input projections of every step come from one GEMM. A masked step
-    (past the row's length) keeps that row's h and c; a step with no masked
-    row caches ``None`` for its mask.
+    The input projections of every step come from one GEMM. Step 0 (BOS in
+    every row, h = 0) has no recurrent product: its recurrent term is the
+    constant 0.0, which has the bits of a zero matrix times ``w_h``. A masked
+    step (past the row's length) keeps that row's h and c. The tape holds h
+    entering each step in one (T, B, H) array, GRU's r * h in another, each
+    step's mask (``None`` when no row is masked) and its cell cache.
     """
     cfg = params.config
     hd = cfg.hidden_dim
     w_h = params.tensors["w_h"]
-    xw = params.tensors["embed"][tokens.T] @ params.tensors["w_x"] + params.tensors["b"]
-    h = np.zeros((tokens.shape[0], hd))
-    c = np.zeros_like(h)
-    steps = []
-    for xa, m in zip(xw, mask.T[:, :, None]):
+    xw = params.tensors["embed"][tokens.T] @ params.tensors["w_x"]
+    xw += params.tensors["b"]
+    hs = np.zeros((*tokens.T.shape, hd))
+    rhs = np.zeros_like(hs) if cfg.cell == "gru" else None
+    c = np.zeros_like(hs[0])
+    masks, caches = [], []
+    for t, (xa, m) in enumerate(zip(xw, mask.T[:, :, None])):
         m = None if m.all() else m
+        h = hs[t]
         if cfg.cell == "rnn":
-            h_new = np.tanh(xa + h @ w_h)
+            h_new = np.tanh(xa + (h @ w_h if t else 0.0))
             cache = (h_new,)
         elif cfg.cell == "gru":
-            ha = h @ w_h[:, : 2 * hd]
-            z = _sigmoid(xa[:, :hd] + ha[:, :hd])
-            r = _sigmoid(xa[:, hd : 2 * hd] + ha[:, hd:])
-            rh = r * h
-            n = np.tanh(xa[:, 2 * hd :] + rh @ w_h[:, 2 * hd :])
+            if t:
+                ha = h @ w_h[:, : 2 * hd]
+                z = _sigmoid(xa[:, :hd] + ha[:, :hd])
+                r = _sigmoid(xa[:, hd : 2 * hd] + ha[:, hd:])
+                rh = np.multiply(r, h, out=rhs[t])
+                n = np.tanh(xa[:, 2 * hd :] + rh @ w_h[:, 2 * hd :])
+            else:  # r * h stays 0
+                z = _sigmoid(xa[:, :hd] + 0.0)
+                r = _sigmoid(xa[:, hd : 2 * hd] + 0.0)
+                n = np.tanh(xa[:, 2 * hd :] + 0.0)
             h_new = (1.0 - z) * h + z * n
-            cache = (z, r, n, rh)
+            cache = (z, r, n)
         else:  # lstm
-            a = xa + h @ w_h
+            a = xa + (h @ w_h if t else 0.0)
             i = _sigmoid(a[:, :hd])
             f = _sigmoid(a[:, hd : 2 * hd])
             g = np.tanh(a[:, 2 * hd : 3 * hd])
@@ -185,61 +207,73 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray):
             h_new = o * tanh_c
             cache = (c, i, f, g, o, tanh_c)
             c = c_new if m is None else np.where(m, c_new, c)
-        steps.append((h, m, cache))
+        masks.append(m)
+        caches.append(cache)
         h = h_new if m is None else np.where(m, h_new, h)
-    return h, steps
+        if t + 1 < len(hs):
+            hs[t + 1] = h
+    return h, (hs, rhs, masks, caches)
 
 
-def _bptt(params: NetworkParams, tokens: np.ndarray, steps, dh: np.ndarray) -> dict[str, np.ndarray]:
+def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate dL/dh_T (B, H) through the unrolled steps into the embedding and cell weights.
 
-    A masked step has zero pre-activation gradient and passes dh (and dc)
-    through unchanged. Weight gradients are one GEMM over all (step, row)
-    pairs; the embedding gradient scatters with ``np.add.at`` because token
-    0 (BOS, and padding) repeats in every row.
+    Each step's pre-activation gradient fills its slice of one (T, B, G*H)
+    array. A masked step's slice is zero, and it passes dh (and dc) through
+    unchanged. Step 0 runs no GEMM: the gradient of h0 is not needed, and
+    GRU's r-gate gradient there is a product with h0 = 0. Weight gradients
+    are one GEMM over all (step, row) pairs, step 0 included; the embedding
+    gradient scatters with ``np.add.at`` because token 0 (BOS, and padding)
+    repeats in every row.
     """
     hd = params.config.hidden_dim
     cell = params.config.cell
     w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
+    hs, rhs, masks, caches = tape
+    d = np.empty((*hs.shape[:2], w_h.shape[1]))
     dc = np.zeros_like(dh)
-    dpres = []
-    for h_prev, m, cache in reversed(steps):
+    for t in reversed(range(len(d))):
+        dpre, h_prev, m, cache = d[t], hs[t], masks[t], caches[t]
         if cell == "rnn":
             (h_new,) = cache
-            dpre = dh * (1.0 - h_new * h_new)
-            dh_prev = dpre @ w_h.T
+            np.multiply(dh, 1.0 - h_new * h_new, out=dpre)
         elif cell == "gru":
-            z, r, n, rh = cache
-            dn_pre = dh * z * (1.0 - n * n)
-            drh = dn_pre @ w_h[:, 2 * hd :].T
-            dz_pre = dh * (n - h_prev) * z * (1.0 - z)
-            dr_pre = drh * h_prev * r * (1.0 - r)
-            dpre = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
-            dh_prev = dh * (1.0 - z) + drh * r + dpre[:, : 2 * hd] @ w_h[:, : 2 * hd].T
+            z, r, n = cache
+            dn_pre = np.multiply(dh * z, 1.0 - n * n, out=dpre[:, 2 * hd :])
+            np.multiply(dh * (n - h_prev) * z, 1.0 - z, out=dpre[:, :hd])
+            if t:
+                drh = dn_pre @ w_h[:, 2 * hd :].T
+                np.multiply(drh * h_prev * r, 1.0 - r, out=dpre[:, hd : 2 * hd])
+            else:  # dr_pre = drh * h0 * ..., and h0 = 0
+                dpre[:, hd : 2 * hd] = 0.0
         else:  # lstm
             c_prev, i, f, g, o, tanh_c = cache
             dc_t = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            dpre = np.concatenate([
-                dc_t * g * i * (1.0 - i),
-                dc_t * c_prev * f * (1.0 - f),
-                dc_t * i * (1.0 - g * g),
-                dh * tanh_c * o * (1.0 - o),
-            ], axis=1)
+            dpre[:, :hd] = dc_t * g * i * (1.0 - i)
+            dpre[:, hd : 2 * hd] = dc_t * c_prev * f * (1.0 - f)
+            dpre[:, 2 * hd : 3 * hd] = dc_t * i * (1.0 - g * g)
+            dpre[:, 3 * hd :] = dh * tanh_c * o * (1.0 - o)
+        if not t:  # nothing needs the gradient of the zero start state
+            break
+        if cell == "gru":
+            dh_prev = dh * (1.0 - z) + drh * r + dpre[:, : 2 * hd] @ w_h[:, : 2 * hd].T
+        else:
             dh_prev = dpre @ w_h.T
+        if cell == "lstm":
             dc = dc_t * f if m is None else np.where(m, dc_t * f, dc)
         if m is None:
-            dpres.append(dpre)
             dh = dh_prev
         else:
-            dpres.append(dpre * m)
+            dpre *= m
             dh = np.where(m, dh_prev, dh)
 
-    d = np.concatenate(dpres[::-1])  # (T * B, G * H), step-major like tokens.T
+    d = d.reshape(-1, d.shape[2])  # (T * B, G * H), step-major like tokens.T
     xs = params.tensors["embed"][tokens.T.ravel()]
-    h_prevs = np.concatenate([h_prev for h_prev, _, _ in steps])
+    h_prevs = hs.reshape(-1, hd)
     if cell == "gru":  # the candidate's recurrent input is r * h, not h
-        rhs = np.concatenate([cache[3] for _, _, cache in steps])
-        g_wh = np.concatenate([h_prevs.T @ d[:, : 2 * hd], rhs.T @ d[:, 2 * hd :]], axis=1)
+        g_wh = np.empty_like(w_h)
+        np.matmul(h_prevs.T, d[:, : 2 * hd], out=g_wh[:, : 2 * hd])
+        np.matmul(rhs.reshape(-1, hd).T, d[:, 2 * hd :], out=g_wh[:, 2 * hd :])
     else:
         g_wh = h_prevs.T @ d
     g_embed = np.zeros_like(params.tensors["embed"])
@@ -279,7 +313,7 @@ def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarr
     if actions.dtype.kind not in "iu" or np.any((actions < 1) | (actions > cfg.n_features)):
         raise ValueError(f"action {action} outside 1..{cfg.n_features}")
     tokens, mask = _tokens(cfg, states)
-    h, steps = _unroll(params, tokens, mask)
+    h, tape = _unroll(params, tokens, mask)
 
     w_out = params.tensors["w_out"]
     rows, cols = np.arange(len(states)), actions - 1
@@ -299,7 +333,7 @@ def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarr
         np.add.at(g_out.T, cols, residual[:, None] * h)
         g_bias = np.bincount(cols, weights=residual, minlength=cfg.output_dim)
         dh = residual[:, None] * w_out[:, cols].T
-    grads = _bptt(params, tokens, steps, dh) | {"w_out": g_out, "b_out": g_bias}
+    grads = _bptt(params, tokens, tape, dh) | {"w_out": g_out, "b_out": g_bias}
     return {name: grads[name] for name in params.tensors}
 
 
@@ -350,21 +384,36 @@ def sync(source: NetworkParams, dest: NetworkParams) -> None:
 
 
 def save_checkpoint(path, params: NetworkParams, opt: OptimizerState) -> None:
-    """Structured-text checkpoint; float64 values round-trip exactly via repr."""
+    """Structured-text checkpoint; float64 values round-trip exactly via repr.
+
+    The file is replaced whole, so an interrupted save leaves the previous one.
+    """
     payload = {
         "config": asdict(params.config),
         "optimizer": asdict(opt),
         "tensors": {k: v.tolist() for k, v in params.tensors.items()},
     }
-    with open(path, "w") as fh:
+    with replace_atomically(path) as fh:
         json.dump(payload, fh)
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, OptimizerState]:
+    """Read a checkpoint; every tensor must be present with the shape ``init`` gives its config."""
     with open(path) as fh:
         payload = json.load(fh)
     config = NetworkConfig(**payload["config"])
-    tensors = {k: np.asarray(v, dtype=np.float64) for k, v in payload["tensors"].items()}
+    stored = payload["tensors"]
+    layout = _layout(config)
+    unknown = sorted(stored.keys() - layout.keys())
+    if unknown:
+        raise ValueError(f"checkpoint tensor {unknown[0]!r} is not a tensor of the configured network")
+    tensors = {}
+    for name, shape in layout.items():
+        if name not in stored:
+            raise ValueError(f"checkpoint has no tensor {name!r}; expected shape {shape}")
+        tensors[name] = np.asarray(stored[name], dtype=np.float64)
+        if tensors[name].shape != shape:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {tensors[name].shape}; expected shape {shape}")
     params = NetworkParams(config, tensors)
     opt = OptimizerState(**payload["optimizer"])
     return params, opt

@@ -167,6 +167,15 @@ class TestCmdTrain:
         assert params.config.n_features == 12
         assert opt.step_count > 0
 
+    def test_failed_json_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        harness._write_json(path, {"final_reward": 0.5})
+        earlier = path.read_bytes()
+        with pytest.raises(TypeError):
+            harness._write_json(path, {"final_reward": 0.75, "episodes": [object()]})
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_epsilon_follows_schedule(self, tmp_path):
         report = cmd_train(tiny_config(tmp_path, total_episodes=4, p=0.8))
         eps = [e["epsilon"] for e in report.episodes]

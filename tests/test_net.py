@@ -1,3 +1,7 @@
+import json
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +208,166 @@ class TestBatch:
             net.backward(params, (1,), 2.0, 0.5)
 
 
+# The batched kernels as they stood before step 0 lost its recurrent products
+# and BPTT its per-step concatenations. The kernels in ``net`` must give the
+# same values bit for bit (``np.array_equal``, so the sign of a zero may
+# differ: GRU's step-0 r-gate gradient is +0.0 where the reference has
+# drh * h0 * ..., a zero with drh's sign).
+def reference_unroll(params, tokens: np.ndarray, mask: np.ndarray):
+    """Run the cell over a token batch; return the final (B, H) hidden state and per-step caches.
+
+    The input projections of every step come from one GEMM. A masked step
+    (past the row's length) keeps that row's h and c; a step with no masked
+    row caches ``None`` for its mask.
+    """
+    cfg = params.config
+    hd = cfg.hidden_dim
+    w_h = params.tensors["w_h"]
+    xw = params.tensors["embed"][tokens.T] @ params.tensors["w_x"] + params.tensors["b"]
+    h = np.zeros((tokens.shape[0], hd))
+    c = np.zeros_like(h)
+    steps = []
+    for xa, m in zip(xw, mask.T[:, :, None]):
+        m = None if m.all() else m
+        if cfg.cell == "rnn":
+            h_new = np.tanh(xa + h @ w_h)
+            cache = (h_new,)
+        elif cfg.cell == "gru":
+            ha = h @ w_h[:, : 2 * hd]
+            z = net._sigmoid(xa[:, :hd] + ha[:, :hd])
+            r = net._sigmoid(xa[:, hd : 2 * hd] + ha[:, hd:])
+            rh = r * h
+            n = np.tanh(xa[:, 2 * hd :] + rh @ w_h[:, 2 * hd :])
+            h_new = (1.0 - z) * h + z * n
+            cache = (z, r, n, rh)
+        else:  # lstm
+            a = xa + h @ w_h
+            i = net._sigmoid(a[:, :hd])
+            f = net._sigmoid(a[:, hd : 2 * hd])
+            g = np.tanh(a[:, 2 * hd : 3 * hd])
+            o = net._sigmoid(a[:, 3 * hd :])
+            c_new = f * c + i * g
+            tanh_c = np.tanh(c_new)
+            h_new = o * tanh_c
+            cache = (c, i, f, g, o, tanh_c)
+            c = c_new if m is None else np.where(m, c_new, c)
+        steps.append((h, m, cache))
+        h = h_new if m is None else np.where(m, h_new, h)
+    return h, steps
+
+
+def reference_bptt(params, tokens: np.ndarray, steps, dh: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagate dL/dh_T (B, H) through the unrolled steps into the embedding and cell weights.
+
+    A masked step has zero pre-activation gradient and passes dh (and dc)
+    through unchanged. Weight gradients are one GEMM over all (step, row)
+    pairs; the embedding gradient scatters with ``np.add.at`` because token
+    0 (BOS, and padding) repeats in every row.
+    """
+    hd = params.config.hidden_dim
+    cell = params.config.cell
+    w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
+    dc = np.zeros_like(dh)
+    dpres = []
+    for h_prev, m, cache in reversed(steps):
+        if cell == "rnn":
+            (h_new,) = cache
+            dpre = dh * (1.0 - h_new * h_new)
+            dh_prev = dpre @ w_h.T
+        elif cell == "gru":
+            z, r, n, rh = cache
+            dn_pre = dh * z * (1.0 - n * n)
+            drh = dn_pre @ w_h[:, 2 * hd :].T
+            dz_pre = dh * (n - h_prev) * z * (1.0 - z)
+            dr_pre = drh * h_prev * r * (1.0 - r)
+            dpre = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
+            dh_prev = dh * (1.0 - z) + drh * r + dpre[:, : 2 * hd] @ w_h[:, : 2 * hd].T
+        else:  # lstm
+            c_prev, i, f, g, o, tanh_c = cache
+            dc_t = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            dpre = np.concatenate([
+                dc_t * g * i * (1.0 - i),
+                dc_t * c_prev * f * (1.0 - f),
+                dc_t * i * (1.0 - g * g),
+                dh * tanh_c * o * (1.0 - o),
+            ], axis=1)
+            dh_prev = dpre @ w_h.T
+            dc = dc_t * f if m is None else np.where(m, dc_t * f, dc)
+        if m is None:
+            dpres.append(dpre)
+            dh = dh_prev
+        else:
+            dpres.append(dpre * m)
+            dh = np.where(m, dh_prev, dh)
+
+    d = np.concatenate(dpres[::-1])  # (T * B, G * H), step-major like tokens.T
+    xs = params.tensors["embed"][tokens.T.ravel()]
+    h_prevs = np.concatenate([h_prev for h_prev, _, _ in steps])
+    if cell == "gru":  # the candidate's recurrent input is r * h, not h
+        rhs = np.concatenate([cache[3] for _, _, cache in steps])
+        g_wh = np.concatenate([h_prevs.T @ d[:, : 2 * hd], rhs.T @ d[:, 2 * hd :]], axis=1)
+    else:
+        g_wh = h_prevs.T @ d
+    g_embed = np.zeros_like(params.tensors["embed"])
+    np.add.at(g_embed, tokens.T.ravel(), d @ w_x.T)
+    return {"embed": g_embed, "w_x": xs.T @ d, "w_h": g_wh, "b": d.sum(axis=0)}
+
+
+@contextmanager
+def reference_kernels():
+    with mock.patch.object(net, "_unroll", reference_unroll), mock.patch.object(net, "_bptt", reference_bptt):
+        yield
+
+
+@st.composite
+def exactness_cases(draw, cell, head):
+    n = draw(st.integers(1, 7))
+    cfg = NetworkConfig.for_features(
+        n, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 5, 8, 17, 40])), cell, head,
+    )
+    subsets = st.lists(st.integers(1, n), unique=True, max_size=min(n, 6)).map(lambda s: tuple(sorted(s)))
+    shape = draw(st.sampled_from(["empty", "one", "mixed"]))
+    if shape == "empty":  # T = 1: only the BOS step
+        states = [()] * draw(st.integers(1, 9))
+    elif shape == "one":
+        states = [draw(subsets)]
+    else:  # the empty first row is masked at every step after BOS
+        states = [()] + draw(st.lists(subsets, min_size=1, max_size=35))
+    actions = draw(st.lists(st.integers(1, n), min_size=len(states), max_size=len(states)))
+    targets = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(states), max_size=len(states)))
+    return net.init(cfg, draw(st.integers(0, 2**31 - 1))), states, actions, targets
+
+
+def assert_same_bits_as_reference(params, states, actions, targets):
+    scores = net.forward_batch(params, states)
+    grads = net.backward(params, states, actions, targets)
+    with reference_kernels():
+        ref_scores = net.forward_batch(params, states)
+        ref_grads = net.backward(params, states, actions, targets)
+    assert np.array_equal(scores, ref_scores)
+    assert list(grads) == list(ref_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestExactness:
+    @pytest.mark.parametrize("cell, head", CELL_HEADS)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_kernels(self, cell, head, data):
+        assert_same_bits_as_reference(*data.draw(exactness_cases(cell, head)))
+
+    @pytest.mark.parametrize("cell", net.CELLS)
+    def test_equals_reference_kernels_at_bench_scale(self, cell):
+        # the select-net shape: 16 features, H = 256, a batch of 32 states of up to 4 features
+        rng = np.random.default_rng(31)
+        params = net.init(NetworkConfig.for_features(16, 32, 256, cell), 32)
+        states = [random_state(rng, 16) for _ in range(32)]
+        actions = rng.integers(1, 17, size=32).tolist()
+        targets = rng.normal(size=32).tolist()
+        assert_same_bits_as_reference(params, states, actions, targets)
+
+
 class TestStep:
     def _setup(self):
         cfg = NetworkConfig.for_features(5, 3, 4, "rnn")
@@ -291,6 +455,40 @@ class TestCheckpoint:
         assert opt2 == opt
         for name in params.tensors:
             assert np.array_equal(loaded.tensors[name], params.tensors[name])
+
+    def _saved(self, tmp_path, edit):
+        # GRU, H = 4: w_h is (4, 12), b_out is (6,)
+        path = tmp_path / "ckpt.json"
+        net.save_checkpoint(path, net.init(NetworkConfig.for_features(6, 3, 4, "gru"), 13), OptimizerState(10))
+        payload = json.loads(path.read_text())
+        edit(payload["tensors"])
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda t: t.pop("b_out"))
+        with pytest.raises(ValueError, match=r"no tensor 'b_out'; expected shape \(6,\)"):
+            net.load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda t: t.update(w_h=np.zeros((2, 12)).tolist()))
+        with pytest.raises(ValueError, match=r"'w_h' has shape \(2, 12\); expected shape \(4, 12\)"):
+            net.load_checkpoint(path)
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        path = self._saved(tmp_path, lambda t: t.update(w_c=[0.0]))
+        with pytest.raises(ValueError, match="'w_c'"):
+            net.load_checkpoint(path)
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path):
+        params = net.init(NetworkConfig.for_features(6, 3, 4, "rnn"), 13)
+        path = tmp_path / "ckpt.json"
+        net.save_checkpoint(path, params, OptimizerState(10))
+        earlier = path.read_bytes()
+        with pytest.raises(TypeError):
+            net.save_checkpoint(path, params, OptimizerState(10, step_count=object()))
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 class TestTrainability:
