@@ -456,28 +456,19 @@ class TestCheckpoint:
         for name in params.tensors:
             assert np.array_equal(loaded.tensors[name], params.tensors[name])
 
-    def _saved(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("b_out"), r"no tensor 'b_out'; expected shape \(6,\)"),
+        (lambda t: t.update(w_h=np.zeros((2, 12)).tolist()), r"'w_h' has shape \(2, 12\); expected shape \(4, 12\)"),
+        (lambda t: t.update(w_c=[0.0]), r"'w_c' is not a tensor"),
+    ], ids=["missing", "wrong-shape", "unknown"])
+    def test_layout_mismatch_rejected(self, tmp_path, edit, message):
         # GRU, H = 4: w_h is (4, 12), b_out is (6,)
         path = tmp_path / "ckpt.json"
         net.save_checkpoint(path, net.init(NetworkConfig.for_features(6, 3, 4, "gru"), 13), OptimizerState(10))
         payload = json.loads(path.read_text())
         edit(payload["tensors"])
         path.write_text(json.dumps(payload))
-        return path
-
-    def test_missing_tensor_rejected(self, tmp_path):
-        path = self._saved(tmp_path, lambda t: t.pop("b_out"))
-        with pytest.raises(ValueError, match=r"no tensor 'b_out'; expected shape \(6,\)"):
-            net.load_checkpoint(path)
-
-    def test_wrong_shape_rejected(self, tmp_path):
-        path = self._saved(tmp_path, lambda t: t.update(w_h=np.zeros((2, 12)).tolist()))
-        with pytest.raises(ValueError, match=r"'w_h' has shape \(2, 12\); expected shape \(4, 12\)"):
-            net.load_checkpoint(path)
-
-    def test_unknown_tensor_rejected(self, tmp_path):
-        path = self._saved(tmp_path, lambda t: t.update(w_c=[0.0]))
-        with pytest.raises(ValueError, match="'w_c'"):
+        with pytest.raises(ValueError, match=message):
             net.load_checkpoint(path)
 
     def test_failed_save_keeps_earlier_file(self, tmp_path):
