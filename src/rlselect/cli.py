@@ -156,7 +156,7 @@ def _load_config(args) -> RunConfig:
     if args.paper_scale:
         config = config.paper_scale()
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = replace(config, seed=args.seed)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config

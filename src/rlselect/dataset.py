@@ -16,6 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .files import replace_atomically
+
 CATEGORIES = ("permission", "intent", "ngram", "synthetic")
 
 # CSV column prefixes marking the feature category; stripped on load, added on save.
@@ -241,7 +243,7 @@ def save_csv(matrix: SampleMatrix, path) -> None:
     body = np.full((cells.shape[0], 2 * cells.shape[1] + 1), ord(","), dtype=np.uint8)
     body[:, 0:-1:2] = cells
     body[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path) as fh:
         csv.writer(fh).writerow(columns + ["label"])  # names may need quoting
         fh.write(body.tobytes().decode("ascii"))
 

@@ -11,13 +11,13 @@ from pathlib import Path
 def replace_atomically(path):
     """Open a text file beside ``path`` for writing; on a clean exit it replaces ``path``.
 
-    If the block raises (a payload that does not serialize, an interrupt),
-    the temporary file is removed and ``path`` keeps its earlier contents.
+    Line ends pass untranslated, as csv needs. If the block raises, the
+    temporary file is removed and ``path`` keeps its earlier contents.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

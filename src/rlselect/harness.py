@@ -1,11 +1,12 @@
 """Experiment drivers: training runs, evaluation tables, comparisons, stability,
 learning curves and timing ratios, plus the run-config schema they share.
 
-Every command is a pure function of (config, seeds, input files): all
-randomness flows from the config's root seed through named sub-seeds, so
-reruns produce identical outputs and each component is independently
-reproducible. Wall-clock timings are written to a separate ``timings.json``
-so the main ``report.json`` stays byte-reproducible.
+A training run is one ``TrainingRun``, stepped episode by episode. Every
+command is a pure function of (config, seeds, input files): all randomness
+flows from the config's root seed through named sub-seeds, so reruns produce
+identical outputs and each component is independently reproducible.
+Wall-clock timings are written to a separate ``timings.json`` so the main
+``report.json`` stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -214,9 +215,6 @@ class RunConfig:
     def paper_scale(self) -> "RunConfig":
         return replace(self, **PAPER_SCALE)
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=seed)
-
     def to_dict(self) -> dict:
         out: dict = {}
         for f in fields(self):
@@ -280,141 +278,142 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"}
 
 
-def _episode(env: FeatureEnv, params: net.NetworkParams, eps: float, rng, memory=None):
-    """One epsilon-greedy episode under ``params``; each transition goes to ``memory`` if given.
+class TrainingRun:
+    """One training run as steps: ``warm_up()``, ``episode()`` per training
+    episode, then ``finish()``, the final greedy selection.
 
-    Returns (actions in pick order, 1-based; step rewards). ``select_action``
-    draws from ``rng`` only when ``eps > 0``, so a greedy episode leaves the
-    stream untouched.
+    All run state is held in fields, readable at any episode boundary. The
+    constructor loads and checks the data: an oracle fit part that lacks a
+    class, or an empty oracle score part, is a ``ConfigError`` before any fit.
     """
-    state = env.reset()
-    order, rewards = [], []
-    done = False
-    while not done:
-        prev = state
-        action = select_action(state, eps, params, rng)
-        state, reward, done = env.step(state, action)
-        if memory is not None:
-            memory.push(Transition(prev, action, reward, state, done))
-        order.append(action)
-        rewards.append(reward)
-    return order, rewards
 
+    def __init__(self, config: RunConfig, matrix: SampleMatrix | None = None):
+        self.started = time.perf_counter()
+        if matrix is None:
+            matrix = load_matrix(config)
+        n = matrix.n_features
+        self.config, self.matrix, self.agent = config, matrix, config.agent_config()
+        if self.agent.subset_size > n:
+            raise ConfigError(f"subset_size {self.agent.subset_size} exceeds feature count {n}")
 
-@dataclass
-class TrainResult:
-    theta1: net.NetworkParams
-    theta2: net.NetworkParams
-    optimizer: OptimizerState
-    report: RunReport
-    oracle: RewardOracle
-
-
-def run_training(
-    config: RunConfig,
-    matrix: SampleMatrix | None = None,
-    per_episode=None,
-) -> TrainResult:
-    """Warm-up, training episodes, and the final greedy evaluation.
-
-    ``per_episode(record, theta1, env)`` is invoked after every training
-    episode with the episode's report record, the learning network and the
-    run's own environment (the learning-curve driver hooks in here; episodes
-    it steps through ``env`` share the run's reward oracle and its counts).
-    A matrix whose oracle fit part lacks a class, or whose oracle score part
-    is empty, is a ``ConfigError``, raised before any fit.
-    """
-    t0 = time.perf_counter()
-    if matrix is None:
-        matrix = load_matrix(config)
-    n = matrix.n_features
-    cfg = config.agent_config()
-    if cfg.subset_size > n:
-        raise ConfigError(f"subset_size {cfg.subset_size} exceeds feature count {n}")
-
-    oracle = RewardOracle(
-        config.classifier, matrix, sub_seed(config.seed, "oracle"),
-        fit_fraction=config.oracle_fit_fraction,
-    )
-    benign, malware = oracle.fit_part.class_counts()
-    if not (benign and malware):
-        raise ConfigError(
-            f"dataset: the reward oracle's fit part has {benign} benign and {malware} malware rows; "
-            "both classes are required"
+        self.oracle = RewardOracle(
+            config.classifier, matrix, sub_seed(config.seed, "oracle"),
+            fit_fraction=config.oracle_fit_fraction,
         )
-    if oracle.score_part.n_samples == 0:
-        raise ConfigError(
-            f"dataset: the reward oracle's score part is empty ({matrix.n_samples} rows, "
-            f"oracle_fit_fraction {config.oracle_fit_fraction}); it needs at least one row"
-        )
-    env = FeatureEnv(n, cfg.subset_size, oracle)
-    theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
-    theta2 = theta1.copy()
-    opt = config.optimizer_state()
-    memory = ReplayMemory(config.replay_capacity)
-    rng = np.random.default_rng(sub_seed(config.seed, "agent"))
-    schedule = cfg.schedule()
+        benign, malware = self.oracle.fit_part.class_counts()
+        if not (benign and malware):
+            raise ConfigError(
+                f"dataset: the reward oracle's fit part has {benign} benign and {malware} malware rows; "
+                "both classes are required"
+            )
+        if self.oracle.score_part.n_samples == 0:
+            raise ConfigError(
+                f"dataset: the reward oracle's score part is empty ({matrix.n_samples} rows, "
+                f"oracle_fit_fraction {config.oracle_fit_fraction}); it needs at least one row"
+            )
+        self.env = FeatureEnv(n, self.agent.subset_size, self.oracle)
+        self.theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
+        self.theta2 = self.theta1.copy()
+        self.optimizer = config.optimizer_state()
+        self.replay = ReplayMemory(config.replay_capacity)
+        self.rng = np.random.default_rng(sub_seed(config.seed, "agent"))
+        self.schedule = self.agent.schedule()
+        self.episodes: list[dict] = []
+        self.warmup_transitions = 0
+        self.warmed = self.started  # end of the warm-up
+        self.train_steps, self.train_step_s = 0, 0.0
+        self.report: RunReport | None = None
 
-    # Warm-up: uniform-random episodes until enough transitions are stored.
-    while memory.inserted < cfg.warmup_steps:
-        _episode(env, theta1, 1.0, rng, memory)
-    warmup_transitions = memory.inserted
-    t_warm = time.perf_counter()
+    def rollout(self, eps: float, memory: ReplayMemory | None = None):
+        """One epsilon-greedy episode under ``theta1``; each transition goes to ``memory`` if given.
 
-    episodes = []
-    train_steps, train_step_s = 0, 0.0
-    for episode in range(1, cfg.total_episodes + 1):
-        eps = schedule.epsilon(episode - 1)
+        Returns (actions in pick order, 1-based; step rewards). A greedy
+        rollout (``eps == 0``) draws nothing from the run's generator.
+        """
+        state = self.env.reset()
+        order, rewards = [], []
+        done = False
+        while not done:
+            prev = state
+            action = select_action(state, eps, self.theta1, self.rng)
+            state, reward, done = self.env.step(state, action)
+            if memory is not None:
+                memory.push(Transition(prev, action, reward, state, done))
+            order.append(action)
+            rewards.append(reward)
+        return order, rewards
+
+    def warm_up(self) -> None:
+        """Uniform-random episodes until the replay holds ``warmup_steps`` transitions."""
+        while self.replay.inserted < self.agent.warmup_steps:
+            self.rollout(1.0, self.replay)
+        self.warmup_transitions = self.replay.inserted
+        self.warmed = time.perf_counter()
+
+    def episode(self) -> dict:
+        """The next training episode, its due train steps and target sync; returns its record."""
+        agent, number = self.agent, len(self.episodes) + 1
+        eps = self.schedule.epsilon(number - 1)
         try:
-            _, rewards = _episode(env, theta1, eps, rng, memory)
+            _, rewards = self.rollout(eps, self.replay)
             # one step when learning is due, one more before each target sync
-            due = (episode % cfg.learn_frequency == 0) + (episode % cfg.sync_frequency == 0)
-            if due and len(memory) >= cfg.batch_size:
+            due = (number % agent.learn_frequency == 0) + (number % agent.sync_frequency == 0)
+            if due and len(self.replay) >= agent.batch_size:
                 t_step = time.perf_counter()
                 for _ in range(due):
-                    train_step(memory, theta1, theta2, opt, cfg, rng)
-                train_step_s += time.perf_counter() - t_step
-                train_steps += due
-            if episode % cfg.sync_frequency == 0:
-                net.sync(theta1, theta2)
+                    train_step(self.replay, self.theta1, self.theta2, self.optimizer, agent, self.rng)
+                self.train_step_s += time.perf_counter() - t_step
+                self.train_steps += due
+            if number % agent.sync_frequency == 0:
+                net.sync(self.theta1, self.theta2)
         except Exception as exc:
-            raise RuntimeError(f"training failed at episode {episode}: {exc}") from exc
+            raise RuntimeError(f"training failed at episode {number}: {exc}") from exc
         record = {
-            "episode": episode,
+            "episode": number,
             "epsilon": eps,
             "step_rewards": [float(r) for r in rewards],
             "final_reward": float(rewards[-1]),
         }
-        episodes.append(record)
-        if per_episode is not None:
-            per_episode(record, theta1, env)
-    t_train = time.perf_counter()
+        self.episodes.append(record)
+        return record
 
-    order, _ = _episode(env, theta1, 0.0, rng)
-    subset = tuple(sorted(order))
-    final_reward = float(oracle(subset))
-    t_end = time.perf_counter()
+    def finish(self) -> RunReport:
+        """The final greedy selection; sets and returns ``report``."""
+        t_train = time.perf_counter()
+        order, _ = self.rollout(0.0)
+        subset = tuple(sorted(order))
+        final_reward = float(self.oracle(subset))
+        t_end = time.perf_counter()
+        self.report = RunReport(
+            config=self.config.to_dict(),
+            episodes=self.episodes,
+            selection_order=[a - 1 for a in order],
+            final_subset=[a - 1 for a in subset],
+            final_subset_names=[self.matrix.dictionary.names[a - 1] for a in subset],
+            final_reward=final_reward,
+            warmup_transitions=self.warmup_transitions,
+            oracle_stats={"fits": self.oracle.fit_count, "cache_hits": self.oracle.hit_count},
+            timings={
+                "warmup_s": self.warmed - self.started,
+                "train_s": t_train - self.warmed,
+                "eval_s": t_end - t_train,
+                "total_s": t_end - self.started,
+                "oracle_s": self.oracle.miss_seconds,
+                "train_step_s": self.train_step_s,
+                "train_steps": self.train_steps,
+            },
+        )
+        return self.report
 
-    report = RunReport(
-        config=config.to_dict(),
-        episodes=episodes,
-        selection_order=[a - 1 for a in order],
-        final_subset=[a - 1 for a in subset],
-        final_subset_names=[matrix.dictionary.names[a - 1] for a in subset],
-        final_reward=final_reward,
-        warmup_transitions=warmup_transitions,
-        oracle_stats={"fits": oracle.fit_count, "cache_hits": oracle.hit_count},
-        timings={
-            "warmup_s": t_warm - t0,
-            "train_s": t_train - t_warm,
-            "eval_s": t_end - t_train,
-            "total_s": t_end - t0,
-            "oracle_s": oracle.miss_seconds,
-            "train_step_s": train_step_s,
-            "train_steps": train_steps,
-        },
-    )
-    return TrainResult(theta1, theta2, opt, report, oracle)
+
+def run_training(config: RunConfig, matrix: SampleMatrix | None = None) -> TrainingRun:
+    """Warm-up, ``total_episodes`` training episodes and the final greedy selection; returns the run."""
+    run = TrainingRun(config, matrix)
+    run.warm_up()
+    for _ in range(config.total_episodes):
+        run.episode()
+    run.finish()
+    return run
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -431,7 +430,7 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     """Header ``columns``, then each row's values under those keys in that order."""
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([row[c] for c in columns] for row in rows)
@@ -449,12 +448,12 @@ def _publish(config: RunConfig, name: str, payload: dict, tables: dict[str, tupl
 
 def cmd_train(config: RunConfig) -> RunReport:
     """Full training run; writes report.json, timings.json, and checkpoint.json."""
-    result = run_training(config)
+    run = run_training(config)
     out = _out_dir(config)
-    _write_json(out / "report.json", result.report.to_dict())
-    _write_json(out / "timings.json", result.report.timings)
-    net.save_checkpoint(out / "checkpoint.json", result.theta1, result.optimizer)
-    return result.report
+    _write_json(out / "report.json", run.report.to_dict())
+    _write_json(out / "timings.json", run.report.timings)
+    net.save_checkpoint(out / "checkpoint.json", run.theta1, run.optimizer)
+    return run.report
 
 
 def _kfold_cv(config: RunConfig, matrix: SampleMatrix, folds: int):
@@ -549,8 +548,7 @@ def cmd_compare(
                 ]
             else:
                 if method == "rl":
-                    result = run_training(replace(config, subset_size=size), matrix=matrix)
-                    subset = result.report.final_subset
+                    subset = run_training(replace(config, subset_size=size), matrix).report.final_subset
                 else:
                     subset = baselines.top_k(ig if method == "information_gain" else chi, size)
                 draws = [subset]
@@ -585,9 +583,8 @@ def cmd_stability(
 
     per_run = []
     for run in range(runs):
-        run_cfg = config.with_seed(sub_seed(config.seed, f"stability-{run}"))
-        result = run_training(run_cfg, matrix=matrix)
-        order = result.report.selection_order
+        run_cfg = replace(config, seed=sub_seed(config.seed, f"stability-{run}"))
+        order = run_training(run_cfg, matrix).report.selection_order
         curve = [cv(sorted(order[:size]))[0] for size in range(1, len(order) + 1)]
         per_run.append({"run": run, "selection_order": order, "accuracies": curve})
 
@@ -625,13 +622,13 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
     """Greedy-policy accuracy after every training episode, plus period averages.
 
     The loaded matrix is split 80/20 (stratified): training runs on the 80,
-    the held-out 20 provides the test-side accuracy. After each training
-    episode the hook of ``run_training`` runs one greedy evaluation episode
-    through the run's own environment. Each episode records the
-    epsilon-greedy episode's own final reward, and the accuracy of the subset
-    the greedy episode selects: under the training oracle (that episode's
-    last step reward) and under the test oracle (fit on the whole 80, scored
-    on the 20).
+    the held-out 20 provides the test-side accuracy. The driver steps the
+    training run itself: after each training episode it runs one greedy
+    ``rollout`` through the run's own environment, and it skips the run's
+    final selection. Each episode records the epsilon-greedy episode's own
+    final reward, and the accuracy of the subset the greedy rollout selects:
+    under the training oracle (that rollout's last step reward) and under the
+    test oracle (fit on the whole 80, scored on the 20).
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
@@ -643,10 +640,12 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
         config.classifier, train_part, matrix.rows(test_idx), sub_seed(config.seed, "test-oracle")
     )
 
+    run = TrainingRun(config, train_part)
+    run.warm_up()
     rows = []
-
-    def per_episode(record: dict, theta1: net.NetworkParams, env: FeatureEnv):
-        order, rewards = _episode(env, theta1, 0.0, rng=None)  # greedy: draws nothing
+    for _ in range(config.total_episodes):
+        record = run.episode()
+        order, rewards = run.rollout(0.0)
         rows.append(
             {
                 "episode": record["episode"],
@@ -656,8 +655,6 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
                 "test_accuracy": float(test_oracle(tuple(sorted(order)))),
             }
         )
-
-    run_training(config, matrix=train_part, per_episode=per_episode)
 
     period_rows = []
     for start in range(0, len(rows), period):

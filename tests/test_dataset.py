@@ -75,6 +75,16 @@ class TestLoadCsv:
         assert back.dictionary == dictionary
         assert np.array_equal(back.X, m.X) and np.array_equal(back.y, m.y)
 
+    def test_failed_save_csv_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_csv(SampleMatrix(FeatureDictionary.from_names(("a", "b")), np.array([[1, 0]]), np.array([1])), path)
+        earlier = path.read_bytes()
+        unwritable = FeatureDictionary.from_names(("a", "\ud800"))  # a lone surrogate encodes in no codec
+        with pytest.raises(UnicodeEncodeError):
+            save_csv(SampleMatrix(unwritable, np.array([[0, 1]]), np.array([0])), path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_save_csv_bytes_equal_csv_writer(self, tmp_path_factory, data):

@@ -176,10 +176,40 @@ class TestCmdTrain:
         assert path.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_failed_csv_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        columns = ["episode", "final_reward"]
+        harness._write_csv(path, columns, [{"episode": 1, "final_reward": 0.5}])
+        earlier = path.read_bytes()
+        assert earlier == b"episode,final_reward\r\n1,0.5\r\n"
+        with pytest.raises(KeyError):
+            harness._write_csv(path, columns, [{"episode": 1, "final_reward": 0.75}, {"episode": 2}])
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+
     def test_epsilon_follows_schedule(self, tmp_path):
         report = cmd_train(tiny_config(tmp_path, total_episodes=4, p=0.8))
         eps = [e["epsilon"] for e in report.episodes]
         assert eps == pytest.approx([1.0, 1.0 - 0.8 / 4, 1.0 - 1.6 / 4, 1.0 - 2.4 / 4])
+
+
+class TestTrainingRun:
+    def test_greedy_rollouts_between_episodes_change_only_oracle_stats(self, tmp_path):
+        # the learning-curve driver steps a run this way
+        cfg = tiny_config(tmp_path, total_episodes=6, gamma=0.5)
+        matrix = harness.load_matrix(cfg)
+        reference = harness.run_training(cfg, matrix).report.to_dict()
+        run = harness.TrainingRun(cfg, matrix)
+        run.warm_up()
+        for _ in range(cfg.total_episodes):
+            run.episode()
+            run.rollout(0.0)
+        stepped = run.finish().to_dict()
+        stepped_calls, reference_calls = (
+            sum(report.pop("oracle_stats").values()) for report in (stepped, reference)
+        )
+        assert stepped_calls == reference_calls + cfg.total_episodes * cfg.subset_size
+        assert stepped == reference
 
 
 class TestCmdEvaluate:
