@@ -42,9 +42,11 @@ whole (trees x rows) node matrix down one level per pass, with
 ``node = child[node] + bit``, until every entry sits on a leaf; then the trees
 vote and the votes are scattered back to the rows.
 
-``holdout_accuracy`` fits on one part and scores another; the reward oracle
-and every cross-validation fold go through it. For the decision tree it never
-builds the tree, and its accuracy is exactly that of ``fit`` + ``accuracy``:
+``holdout_accuracies`` fits on one part and scores another, for many column
+sets of the two parts at once. The reward oracle scores its batches of
+subsets with it, and ``holdout_accuracy`` (every cross-validation fold) is
+its one-set case. For the decision tree it never builds a tree, and each
+accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
 
 * In unbounded CART on binary patterns every leaf is pure or holds a single
   pattern, so a scored row whose pattern occurs in the fit part gets that
@@ -52,6 +54,10 @@ builds the tree, and its accuracy is exactly that of ``fit`` + ``accuracy``:
 * For the unseen patterns it runs the same grower with only those patterns
   as queries, so only the nodes on their paths are grown (a lazy decision
   tree), and every split choice is the one ``fit`` makes.
+* The sets read one table of the fit rows stacked on the score rows. Their
+  rows are deduped in one sort, with the set as a group key, and their lazy
+  trees grow in one level-wise pass, one root per set. A narrower set is
+  padded with an all-zero column, which never separates a node.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SampleMatrix, SplitPlan
+from .dataset import SampleMatrix, SplitPlan, project
 
 
 class FitError(ValueError):
@@ -215,9 +221,11 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
     given: ``draw(trees)`` gets the tree of each impure node of the level,
     in level order, and returns their sorted candidates, one row per node.
 
-    Without ``queries`` every node is kept. ``queries`` are pattern rows of
-    a single tree; then only the nodes that hold a query are kept, and the
-    first value returned is the leaf label of each query.
+    Without ``queries`` every node is kept. ``queries`` is a pair (rows,
+    roots): pattern rows, each starting at the root of its own tree, so the
+    queries of many trees grow in one pass. Then only the nodes that hold a
+    query are kept, and the first value returned is the leaf label of each
+    query.
 
     The second is, per level, the arrays ``(feature, label)`` of its kept
     nodes: the split feature (-1 for a leaf) and the majority label (ties to
@@ -227,9 +235,9 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
     levels, out = [], None
     tree = np.arange(node.max() + 1)  # the tree of each node of the level
     if queries is not None:
-        out = np.empty(queries.shape[0], dtype=np.uint8)
-        q_ids = np.arange(queries.shape[0])  # live queries
-        q_node = np.zeros(queries.shape[0], dtype=np.intp)
+        queries, q_node = queries
+        out = np.empty(q_node.size, dtype=np.uint8)
+        q_ids = np.arange(q_node.size)  # live queries
     while True:
         # nodes are numbered 0..K-1 and each holds at least one entry
         order = np.argsort(node)
@@ -284,24 +292,27 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
         tree = tree[code // 2]
 
 
-def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unique_rows(X: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(patterns, inverse) of ``np.unique(X, axis=0, return_inverse=True)`` for a 0/1 matrix.
 
     Each row is packed into bytes and becomes one code whose order is the
-    lexicographic order of the rows: up to 64 features, the bytes zero-padded
-    to 8 and read as one big-endian ``uint64``; above, the bytes as one
-    opaque ``np.void``. The codes are sorted once, and a code unlike the one
-    before it starts a pattern (any row of a pattern is that pattern).
+    lexicographic order of the rows: up to 64 bits, the bytes zero-padded to
+    8 and read as one big-endian ``uint64``; above, the bytes as one opaque
+    ``np.void``. ``group`` (a nonnegative integer per row) puts the group's
+    big-endian bytes in front of the row's, so equal rows of two groups are
+    two patterns, and the patterns come in group order, then row order. The
+    codes are sorted once, and a code unlike the one before it starts a
+    pattern (any row of a pattern is that pattern).
     """
     packed = np.packbits(X, axis=1)
-    n, width = packed.shape
-    if width <= 8:
-        word = np.zeros((n, 8), dtype=np.uint8)  # zero-width rows are all one pattern
-        word[:, :width] = packed
-        codes = word.view(">u8").ravel()
-    else:
-        # rows may come in any memory order
-        codes = np.ascontiguousarray(packed).view(np.dtype((np.void, width))).ravel()
+    n = packed.shape[0]
+    key = 0 if group is None else (int(group.max(initial=0)).bit_length() + 7) // 8
+    width = key + packed.shape[1]
+    word = np.zeros((n, max(width, 8)), dtype=np.uint8)  # zero-width rows are all one pattern
+    if key:
+        word[:, :key] = group.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - key:]
+    word[:, key:width] = packed
+    codes = word.view(">u8" if word.shape[1] == 8 else np.dtype((np.void, width))).ravel()
     order = np.argsort(codes)
     codes = codes[order]
     first = np.empty(n, dtype=bool)
@@ -312,23 +323,52 @@ def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[order[first]], inverse
 
 
-def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray) -> np.ndarray:
-    """Labels the unbounded CART tree of (fit_X, fit_y) gives the rows of score_X.
+def stack_parts(fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray:
+    """The table ``holdout_accuracies`` reads: the fit rows, then the score rows, then one all-zero column."""
+    width = fit_part.n_features
+    table = np.zeros((fit_part.n_samples + score_part.n_samples, width + 1), dtype=np.uint8)
+    table[: fit_part.n_samples, :width] = fit_part.X
+    table[fit_part.n_samples:, :width] = score_part.X
+    return table
 
-    A pattern of the fit part ends in a pure leaf or a leaf of its own, so it
-    gets its majority label; the tree is grown only along the paths of the
-    score patterns the fit part lacks.
+
+def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.ndarray:
+    """Labels the unbounded CART tree of each column set gives the score rows: (sets, score rows).
+
+    ``table`` is ``stack_parts`` of a fit part with labels ``fit_y`` and a
+    score part. A set narrower than the widest is padded with the table's
+    all-zero column: it never separates a node, and it comes after the real
+    columns, so it never wins a tie. The rows of every set are deduped in one
+    sort, with the set as the group. A pattern of a set's fit rows ends in a
+    pure leaf or a leaf of its own, so it gets its majority label; the trees
+    of all the sets grow in one level-wise pass, only along the paths of the
+    score patterns their fit rows lack.
     """
-    patterns, inverse = _unique_rows(np.concatenate([fit_X, score_X]))
-    fit_ids, score_ids = inverse[: fit_X.shape[0]], inverse[fit_X.shape[0]:]
-    code = fit_y.astype(np.intp) * patterns.shape[0] + fit_ids
-    w0, w1 = np.bincount(code, minlength=2 * patterns.shape[0]).reshape(2, -1)
+    n_rows, n_fit, n_sets = table.shape[0], fit_y.size, len(column_sets)
+    width = max(map(len, column_sets))
+    cols = np.full((n_sets, width), table.shape[1] - 1, dtype=np.intp)
+    for s, c in enumerate(column_sets):
+        cols[s, : len(c)] = c
+    # row r of set s is entry r * n_sets + s
+    group = np.tile(np.arange(n_sets), n_rows)
+    patterns, inverse = _unique_rows(table[:, cols].reshape(n_rows * n_sets, width), group)
+    n_patterns = patterns.shape[0]
+    code = np.repeat(fit_y.astype(np.intp), n_sets) * n_patterns + inverse[: n_fit * n_sets]
+    w0, w1 = np.bincount(code, minlength=2 * n_patterns).reshape(2, -1)
     labels = (w1 > w0).astype(np.uint8)
     seen = (w0 + w1) > 0
     if not seen.all():
-        ids = np.flatnonzero(seen)
-        labels[~seen] = _grow_levels(patterns, ids, w0[ids], w1[ids], np.zeros_like(ids), queries=patterns[~seen])[0]
-    return labels[score_ids]
+        pattern_set = np.empty(n_patterns, dtype=np.intp)
+        pattern_set[inverse] = group
+        grow = np.zeros(n_sets, dtype=bool)
+        grow[pattern_set[~seen]] = True
+        root = np.cumsum(grow) - 1  # tree t is the t-th set that has an unseen pattern
+        ids, unseen = np.flatnonzero(seen & grow[pattern_set]), np.flatnonzero(~seen)
+        labels[unseen] = _grow_levels(
+            patterns, ids, w0[ids], w1[ids], root[pattern_set[ids]],
+            queries=(patterns[unseen], root[pattern_set[unseen]]),
+        )[0]
+    return labels[inverse[n_fit * n_sets:]].reshape(-1, n_sets).T
 
 
 class _ForestModel:
@@ -477,17 +517,23 @@ def accuracy(clf: TrainedClassifier, matrix: SampleMatrix) -> float:
     return float(np.mean(predict(clf, matrix.X) == matrix.y))
 
 
-def holdout_accuracy(
-    kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix, seed: int
-) -> float:
-    """Accuracy on ``score_part`` of the classifier trained on ``fit_part``.
+def holdout_accuracies(
+    kind: ClassifierKind,
+    fit_part: SampleMatrix,
+    score_part: SampleMatrix,
+    column_sets,
+    seed: int,
+    table: np.ndarray | None = None,
+) -> list[float]:
+    """Accuracy on ``score_part`` of the classifier trained on ``fit_part``, for each column set.
 
-    Equal to ``accuracy(fit(kind, fit_part, seed), score_part)``, errors
-    included; for the decision tree it is computed without building the tree
-    (see the module docstring).
+    A column set holds 0-based, strictly increasing feature indices. Each
+    result equals ``accuracy(fit(kind, project(fit_part, c), seed),
+    project(score_part, c))``, errors included. The decision tree builds no
+    tree, and all the sets are scored in one pass over ``table``, which is
+    ``stack_parts(fit_part, score_part)``, stacked here unless given (see the
+    module docstring). Other kinds fit once per set.
     """
-    if kind.name != "dt":
-        return accuracy(fit(kind, fit_part, seed), score_part)
     _check_trainable(fit_part)
     if score_part.n_samples == 0:
         raise ValueError("accuracy of an empty matrix is undefined")
@@ -495,8 +541,27 @@ def holdout_accuracy(
         raise ValueError(
             f"rows have width {score_part.n_features}, classifier was trained on {fit_part.n_features}"
         )
-    predictions = _lazy_tree_predict(fit_part.X, fit_part.y, score_part.X)
-    return float(np.mean(predictions == score_part.y))
+    if kind.name == "dt":
+        if table is None:
+            table = stack_parts(fit_part, score_part)
+        predictions = _lazy_tree_predict(table, fit_part.y, column_sets)
+        return [float(a) for a in np.mean(predictions == score_part.y, axis=1)]
+
+    def columns(part, c):  # a set of every column is the part itself
+        return part if len(c) == part.n_features else project(part, c)
+
+    return [accuracy(fit(kind, columns(fit_part, c), seed), columns(score_part, c)) for c in column_sets]
+
+
+def holdout_accuracy(
+    kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix, seed: int
+) -> float:
+    """Accuracy on ``score_part`` of the classifier trained on ``fit_part``: ``holdout_accuracies`` of every column.
+
+    Equal to ``accuracy(fit(kind, fit_part, seed), score_part)``, errors
+    included.
+    """
+    return holdout_accuracies(kind, fit_part, score_part, [range(fit_part.n_features)], seed)[0]
 
 
 def cv_accuracy(

@@ -5,7 +5,9 @@ until ``subset_size`` features are held; the state stays sorted at all times,
 so any pick order of the same features lands in the same state. Rewards are
 classifier accuracies: the oracle fits on one stratified partition of its
 matrix, scores on the other, and memoizes by subset so identical subsets are
-never refit within a run.
+never refit within a run. An episode's actions never depend on its rewards,
+so a training run picks them all first and scores the episode's states in
+one ``RewardOracle.score`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from . import classifiers
 from .agent import State
 from .classifiers import ClassifierKind
-from .dataset import SampleMatrix, SplitKind, project, stratified_split
+from .dataset import SampleMatrix, SplitKind, stratified_split
 
 
 def reset() -> State:
@@ -34,11 +36,16 @@ class RewardOracle:
 
     ``fit_fraction`` of the rows (stratified) trains the classifier; the rest
     are scored. Subsets are 1-based feature indices as the agent sees them.
-    Each miss goes through ``classifiers.holdout_accuracy``. A decision-tree
-    reward is exact but grows no tree: scored rows whose pattern occurs in the
-    fit part get its majority label, and the tree is grown lazily, level by
-    level, only along the paths of the unseen patterns. ``miss_seconds`` sums
-    the wall time of the misses.
+    ``score(subsets)`` checks every subset, then scores every distinct miss
+    in one ``classifiers.holdout_accuracies`` call over the fit rows stacked
+    on the score rows, a table built once per oracle. A decision-tree reward
+    is exact but grows no tree: scored rows whose pattern occurs in the fit
+    part get its majority label, and the trees of all the misses are grown
+    lazily, together, level by level, only along the paths of the unseen
+    patterns. Each reward is then returned through ``__call__``, which holds
+    the memo and counts one fit per distinct miss and a hit per repeat, as
+    one call per subset would. ``miss_seconds`` sums the wall time of the
+    batched passes.
     """
 
     def __init__(
@@ -71,12 +78,14 @@ class RewardOracle:
         self.score_part = score_part
         self.seed = seed
         self.n_features = fit_part.n_features
+        self._table = classifiers.stack_parts(fit_part, score_part)
         self._cache: dict[State, float] = {}
+        self._fresh: dict[State, float] = {}  # scored misses that ``__call__`` has not counted yet
         self.fit_count = 0
         self.hit_count = 0
         self.miss_seconds = 0.0
 
-    def __call__(self, subset: State) -> float:
+    def _key(self, subset) -> State:
         if len(subset) == 0:
             raise ValueError("cannot score an empty subset")
         key = tuple(subset)
@@ -84,41 +93,59 @@ class RewardOracle:
             raise ValueError(f"subset must be sorted strictly ascending, got {key}")
         if key[0] < 1 or key[-1] > self.n_features:
             raise ValueError(f"subset features must be in 1..{self.n_features}, got {key}")
+        return key
+
+    def _fit(self, keys: list[State]) -> None:
+        start = time.perf_counter()
+        rewards = classifiers.holdout_accuracies(
+            self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed, self._table
+        )
+        self.miss_seconds += time.perf_counter() - start
+        self._fresh.update(zip(keys, rewards))
+
+    def score(self, subsets) -> list[float]:
+        """The reward of each subset, every distinct miss scored in one pass; checks all before any fit."""
+        keys = [self._key(subset) for subset in subsets]
+        misses = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if misses:
+            self._fit(misses)
+        return [self(key) for key in keys]
+
+    def __call__(self, subset: State) -> float:
+        key = self._key(subset)
         if key in self._cache:
             self.hit_count += 1
             return self._cache[key]
-        columns = [i - 1 for i in key]
-        start = time.perf_counter()
-        reward = classifiers.holdout_accuracy(
-            self.kind, project(self.fit_part, columns), project(self.score_part, columns), self.seed
-        )
-        self.miss_seconds += time.perf_counter() - start
+        if key not in self._fresh:
+            self._fit([key])
         self.fit_count += 1
-        self._cache[key] = reward
+        self._cache[key] = reward = self._fresh.pop(key)
         return reward
 
 
 class FeatureEnv:
-    """Selection episode driver: sorted state, oracle reward, termination at subset_size."""
+    """Selection episode driver: sorted state, termination at subset_size.
 
-    def __init__(self, n_features: int, subset_size: int, oracle):
+    Rewards are not the environment's: a caller scores an episode's states
+    with ``RewardOracle.score``.
+    """
+
+    def __init__(self, n_features: int, subset_size: int):
         if not 1 <= subset_size <= n_features:
             raise ValueError(
                 f"subset_size must be in 1..{n_features}, got {subset_size}"
             )
         self.n_features = n_features
         self.subset_size = subset_size
-        self.oracle = oracle
 
     def reset(self) -> State:
         return reset()
 
-    def step(self, state: State, action: int) -> tuple[State, float, bool]:
-        """(new_state, reward, done); errors on duplicate actions or full states."""
+    def step(self, state: State, action: int) -> tuple[State, bool]:
+        """(new_state, done); errors on duplicate actions or full states."""
         if len(state) >= self.subset_size:
             raise ValueError("episode already complete")
         if not 1 <= action <= self.n_features:
             raise ValueError(f"action {action} outside 1..{self.n_features}")
         new_state = insert_sorted(state, action)
-        reward = float(self.oracle(new_state))
-        return new_state, reward, len(new_state) == self.subset_size
+        return new_state, len(new_state) == self.subset_size

@@ -311,7 +311,7 @@ class TrainingRun:
                 f"dataset: the reward oracle's score part is empty ({matrix.n_samples} rows, "
                 f"oracle_fit_fraction {config.oracle_fit_fraction}); it needs at least one row"
             )
-        self.env = FeatureEnv(n, self.agent.subset_size, self.oracle)
+        self.env = FeatureEnv(n, self.agent.subset_size)
         self.theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
         self.theta2 = self.theta1.copy()
         self.optimizer = config.optimizer_state()
@@ -327,20 +327,23 @@ class TrainingRun:
     def rollout(self, eps: float, memory: ReplayMemory | None = None):
         """One epsilon-greedy episode under ``theta1``; each transition goes to ``memory`` if given.
 
-        Returns (actions in pick order, 1-based; step rewards). A greedy
-        rollout (``eps == 0``) draws nothing from the run's generator.
+        Returns (actions in pick order, 1-based; step rewards). The actions
+        depend only on ``theta1`` and the generator, never on a reward, so
+        they are all picked first and the episode's states are scored in one
+        ``RewardOracle.score`` call. A greedy rollout (``eps == 0``) draws
+        nothing from the run's generator.
         """
-        state = self.env.reset()
-        order, rewards = [], []
+        states, order = [self.env.reset()], []
         done = False
         while not done:
-            prev = state
-            action = select_action(state, eps, self.theta1, self.rng)
-            state, reward, done = self.env.step(state, action)
-            if memory is not None:
-                memory.push(Transition(prev, action, reward, state, done))
+            action = select_action(states[-1], eps, self.theta1, self.rng)
+            state, done = self.env.step(states[-1], action)
+            states.append(state)
             order.append(action)
-            rewards.append(reward)
+        rewards = self.oracle.score(states[1:])
+        if memory is not None:
+            for t, action in enumerate(order):
+                memory.push(Transition(states[t], action, rewards[t], states[t + 1], t == len(order) - 1))
         return order, rewards
 
     def warm_up(self) -> None:
@@ -398,7 +401,7 @@ class TrainingRun:
                 "train_s": t_train - self.warmed,
                 "eval_s": t_end - t_train,
                 "total_s": t_end - self.started,
-                "oracle_s": self.oracle.miss_seconds,
+                "oracle_s": self.oracle.miss_seconds,  # the batched scoring passes
                 "train_step_s": self.train_step_s,
                 "train_steps": self.train_steps,
             },

@@ -17,6 +17,7 @@ from rlselect.classifiers import (
     ClassifierKind,
     FitError,
     _child_impurity,
+    _grow_levels,
     _tree_rng,
     _unique_rows,
     _vec_gini,
@@ -379,6 +380,34 @@ class TestChunkedLevels:
         assert lazy == eager_holdout(dt, fit_part, score_part)
 
 
+class TestManyTreeQueries:
+    """Queries of many trees, grown in one pass, get the leaf labels that one grow per tree gives them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_one_pass_equals_one_grow_per_tree(self, width, n_trees, seed):
+        rng = np.random.default_rng(seed)
+        patterns = np.unique(rng.integers(0, 2, size=(16, width), dtype=np.uint8), axis=0)
+        trees = []
+        for _ in range(n_trees):
+            pid = np.flatnonzero(rng.random(patterns.shape[0]) < 0.7)
+            pid = pid if pid.size else np.arange(1)
+            w0, w1 = rng.integers(0, 4, size=(2, pid.size))
+            w1[w0 + w1 == 0] = 1  # every entry has a nonzero total
+            queries = rng.integers(0, 2, size=(int(rng.integers(0, 6)), width), dtype=np.uint8)  # a tree may have none
+            trees.append((pid, w0, w1, queries))
+        per_tree = [
+            _grow_levels(patterns, pid, w0, w1, np.zeros(pid.size, dtype=np.intp),
+                         queries=(q, np.zeros(q.shape[0], dtype=np.intp)))[0]
+            for pid, w0, w1, q in trees
+        ]
+        pid, w0, w1, queries = (np.concatenate(a) for a in zip(*trees))
+        root = np.repeat(np.arange(n_trees), [t[0].size for t in trees])
+        q_root = np.repeat(np.arange(n_trees), [t[3].shape[0] for t in trees])
+        one_pass = _grow_levels(patterns, pid, w0, w1, root, queries=(queries, q_root))[0]
+        assert one_pass.tolist() == np.concatenate(per_tree).tolist()
+
+
 def reference_knn_predict(X, y, k, rows):
     """Row-by-row kNN: one Hamming pass and one lexsort (distance, then row index) per scored row."""
     X = X.astype(np.int16)
@@ -589,6 +618,19 @@ class TestHoldoutAccuracy:
             X[2, 0] ^= 1  # in the first only; row 3 repeats row 0
         self.check_unique_rows(X)
 
+    @pytest.mark.parametrize("width", [0, 1, 8, 48, 49, 56, 57, 63, 64, 65, 72])
+    @pytest.mark.parametrize("n_groups", [1, 3, 300])
+    def test_grouped_unique_rows_equal_numpy_unique_with_the_group_first(self, width, n_groups):
+        # one or two key bytes in front of the row's bytes, in one 64-bit code or past it
+        rng = np.random.default_rng(width)
+        X = rng.integers(0, 2, size=(40, width), dtype=np.uint8)
+        X[20:] = X[:20]
+        group = rng.integers(0, n_groups, size=40)
+        patterns, inverse = np.unique(np.column_stack([group, X]), axis=0, return_inverse=True)
+        grouped_patterns, grouped_inverse = _unique_rows(X, group)
+        assert np.array_equal(grouped_patterns, patterns[:, 1:])
+        assert np.array_equal(grouped_inverse, inverse.ravel())
+
     @staticmethod
     def check_unique_rows(X):
         patterns, inverse = np.unique(X, axis=0, return_inverse=True)
@@ -606,6 +648,11 @@ class TestHoldoutAccuracy:
         fit_part = matrix_from_rows(fit_rows, rng.integers(0, 2, size=fit_rows.shape[0]))
         score_part = matrix_from_rows(score_rows, rng.integers(0, 2, size=score_rows.shape[0]))
         assert lazy_holdout(self.dt, fit_part, score_part) == eager_holdout(self.dt, fit_part, score_part)
+
+    def test_zero_width(self):
+        fit_part = matrix_from_rows(np.zeros((6, 0), dtype=np.uint8), [0, 1, 1, 0, 1, 1])
+        score_part = matrix_from_rows(np.zeros((3, 0), dtype=np.uint8), [1, 0, 1])
+        assert holdout_accuracy(self.dt, fit_part, score_part, 0) == eager_holdout(self.dt, fit_part, score_part)
 
     def test_single_pattern_fit_part(self):
         fit_part = matrix_from_rows([[1, 0, 1]] * 5, [0, 1, 1, 0, 1])

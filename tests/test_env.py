@@ -1,16 +1,48 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlselect import classifiers
 from rlselect.classifiers import ClassifierKind
 from rlselect.dataset import SyntheticSpec, generate_synthetic, project
 from rlselect.env import FeatureEnv, RewardOracle, insert_sorted, reset
 
+from conftest import matrix_from_rows
+
 
 def planted_matrix(seed=0, n=400, features=8, informative=(0,), q=1.0):
     return generate_synthetic(SyntheticSpec(n, features, informative, q, seed))
+
+
+def pooled_matrix(seed, n=150, features=80, pool=12):
+    """Rows drawn from a small pool: repeated rows, tied labels, and score patterns seen and unseen in the fit part."""
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 2, size=(pool, features), dtype=np.uint8)
+    return matrix_from_rows(patterns[rng.integers(0, pool, size=n)], rng.integers(0, 2, size=n))
+
+
+# 80 features, so subsets reach past the 64-feature word boundary
+WIDE_MATRICES = (planted_matrix(seed=3, n=150, features=80, informative=(0, 40, 64), q=0.8), pooled_matrix(seed=4))
+KINDS = (
+    ClassifierKind.decision_tree(), ClassifierKind.random_forest(trees=3),
+    ClassifierKind.knn(k=3), ClassifierKind.linear_svm(epochs=2),
+)
+
+
+@st.composite
+def batches(draw, n_features=80):
+    """A batch of subsets of mixed widths in 1..80 (63, 64 and 65 drawn often), some repeated."""
+    width = st.one_of(st.integers(1, n_features), st.sampled_from([63, 64, 65]))
+    subset = width.flatmap(
+        lambda w: st.lists(st.integers(1, n_features), min_size=w, max_size=w, unique=True).map(sorted).map(tuple)
+    )
+    distinct = draw(st.lists(subset, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return [distinct[i] for i in picks]
 
 
 class TestEpisodeState:
@@ -30,48 +62,48 @@ class TestEpisodeState:
 class TestFeatureEnv:
     def _env(self, subset_size=3):
         oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=1)
-        return FeatureEnv(8, subset_size, oracle)
+        return FeatureEnv(8, subset_size), oracle
 
     def test_episode_terminates_at_subset_size(self):
-        env = self._env(3)
-        state = env.reset()
+        env, oracle = self._env(3)
+        state, states = env.reset(), []
         for step in range(3):
-            state, reward, done = env.step(state, step + 2)
-            assert 0.0 <= reward <= 1.0
+            state, done = env.step(state, step + 2)
+            states.append(state)
             assert done == (step == 2)
         assert len(state) == 3
+        assert all(0.0 <= reward <= 1.0 for reward in oracle.score(states))
 
     def test_step_on_full_state_rejected(self):
-        env = self._env(1)
-        state, _, done = env.step(env.reset(), 1)
+        env, _ = self._env(1)
+        state, done = env.step(env.reset(), 1)
         assert done
         with pytest.raises(ValueError):
             env.step(state, 2)
 
     def test_duplicate_action_rejected(self):
-        env = self._env(3)
-        state, _, _ = env.step(env.reset(), 5)
+        env, _ = self._env(3)
+        state, _ = env.step(env.reset(), 5)
         with pytest.raises(ValueError):
             env.step(state, 5)
 
     def test_selection_order_invariance(self):
-        env = self._env(3)
-        finals = []
+        env, oracle = self._env(3)
+        states = []
         for order in itertools.permutations((2, 6, 7)):
             state = env.reset()
             for action in order:
-                state, reward, done = env.step(state, action)
-            finals.append((state, reward))
-        states, rewards = zip(*finals)
+                state, done = env.step(state, action)
+            states.append(state)
         assert len(set(states)) == 1
-        assert len(set(rewards)) == 1
+        assert len(set(oracle.score(states))) == 1
 
     def test_transition_count_and_prefix_length(self):
-        env = self._env(4)
+        env, _ = self._env(4)
         state = env.reset()
         for t in range(1, 5):
             assert len(state) == t - 1
-            state, _, done = env.step(state, t)
+            state, done = env.step(state, t)
         assert done
 
 
@@ -150,3 +182,52 @@ class TestRewardOracle:
         for subset in ((1,), (1, 3), (2, 3, 5), (1, 3)):
             assert parts(subset) == split(subset)
         assert (parts.fit_count, parts.hit_count) == (3, 1)
+
+
+class TestRewardOracleScore:
+    """``score`` equals one ``holdout_accuracy`` per subset, and counts like one call per subset."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_score_equals_one_at_a_time_holdout_accuracy(self, kind, data):
+        matrix = data.draw(st.sampled_from(WIDE_MATRICES))
+        batched, sequential = RewardOracle(kind, matrix, seed=5), RewardOracle(kind, matrix, seed=5)
+        for batch in (data.draw(batches()), data.draw(batches())):  # the second may hit what the first scored
+            rewards = batched.score(batch)
+            for subset, reward in zip(batch, rewards):
+                cols = [i - 1 for i in subset]
+                assert reward == classifiers.holdout_accuracy(
+                    kind, project(batched.fit_part, cols), project(batched.score_part, cols), batched.seed
+                )
+            assert rewards == [sequential(subset) for subset in batch]
+            assert (batched.fit_count, batched.hit_count) == (sequential.fit_count, sequential.hit_count)
+
+    def test_repeats_in_a_batch_count_one_fit_then_hits(self):
+        oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=3)
+        rewards = oracle.score([(2, 4), (1,), (2, 4), (2, 4), (1,)])
+        assert rewards[0] == rewards[2] == rewards[3] and rewards[1] == rewards[4]
+        assert (oracle.fit_count, oracle.hit_count) == (2, 3)
+        assert oracle.score([]) == [] and (oracle.fit_count, oracle.hit_count) == (2, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([(), (4, 2), (3, 3), (0, 3), (2, 81)]))
+    def test_bad_subset_anywhere_raises_before_any_fit(self, data, bad):
+        kind, matrix = ClassifierKind.decision_tree(), WIDE_MATRICES[0]
+        oracle, twin = RewardOracle(kind, matrix, seed=5), RewardOracle(kind, matrix, seed=5)
+        for o in (oracle, twin):
+            o.score([(1, 2), (3,)])
+        good = data.draw(batches())
+        batch = list(good)
+        batch.insert(data.draw(st.integers(0, len(good))), bad)
+        with pytest.raises(ValueError) as one:
+            oracle(bad)
+        with mock.patch.object(classifiers, "holdout_accuracies", wraps=classifiers.holdout_accuracies) as spy:
+            with pytest.raises(ValueError) as batched:
+                oracle.score(batch)
+        assert str(batched.value) == str(one.value)
+        assert spy.call_count == 0
+        assert (oracle.fit_count, oracle.hit_count) == (twin.fit_count, twin.hit_count) == (2, 0)
+        # the memo is unchanged: the batch's good subsets score as if it had never been seen
+        assert oracle.score(good) == twin.score(good)
+        assert (oracle.fit_count, oracle.hit_count) == (twin.fit_count, twin.hit_count)
