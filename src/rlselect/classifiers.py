@@ -323,8 +323,13 @@ def _unique_rows(X: np.ndarray, group: np.ndarray | None = None) -> tuple[np.nda
     return X[order[first]], inverse
 
 
-def stack_parts(fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray:
-    """The table ``holdout_accuracies`` reads: the fit rows, then the score rows, then one all-zero column."""
+def stack_parts(kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray | None:
+    """The table ``holdout_accuracies`` reads for ``kind``: the fit rows, then the score rows, then one all-zero column.
+
+    None for a kind that fits once per set and reads no table.
+    """
+    if kind.name != "dt":
+        return None
     width = fit_part.n_features
     table = np.zeros((fit_part.n_samples + score_part.n_samples, width + 1), dtype=np.uint8)
     table[: fit_part.n_samples, :width] = fit_part.X
@@ -531,7 +536,7 @@ def holdout_accuracies(
     result equals ``accuracy(fit(kind, project(fit_part, c), seed),
     project(score_part, c))``, errors included. The decision tree builds no
     tree, and all the sets are scored in one pass over ``table``, which is
-    ``stack_parts(fit_part, score_part)``, stacked here unless given (see the
+    ``stack_parts(kind, fit_part, score_part)``, stacked here unless given (see the
     module docstring). Other kinds fit once per set.
     """
     _check_trainable(fit_part)
@@ -543,7 +548,7 @@ def holdout_accuracies(
         )
     if kind.name == "dt":
         if table is None:
-            table = stack_parts(fit_part, score_part)
+            table = stack_parts(kind, fit_part, score_part)
         predictions = _lazy_tree_predict(table, fit_part.y, column_sets)
         return [float(a) for a in np.mean(predictions == score_part.y, axis=1)]
 

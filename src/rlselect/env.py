@@ -37,15 +37,15 @@ class RewardOracle:
     ``fit_fraction`` of the rows (stratified) trains the classifier; the rest
     are scored. Subsets are 1-based feature indices as the agent sees them.
     ``score(subsets)`` checks every subset, then scores every distinct miss
-    in one ``classifiers.holdout_accuracies`` call over the fit rows stacked
-    on the score rows, a table built once per oracle. A decision-tree reward
-    is exact but grows no tree: scored rows whose pattern occurs in the fit
-    part get its majority label, and the trees of all the misses are grown
-    lazily, together, level by level, only along the paths of the unseen
-    patterns. Each reward is then returned through ``__call__``, which holds
-    the memo and counts one fit per distinct miss and a hit per repeat, as
-    one call per subset would. ``miss_seconds`` sums the wall time of the
-    batched passes.
+    in one ``classifiers.holdout_accuracies`` call. A decision-tree reward
+    is exact but grows no tree: it reads the fit rows stacked on the score
+    rows, a table built once per oracle; scored rows whose pattern occurs in
+    the fit part get its majority label, and the trees of all the misses are
+    grown lazily, together, level by level, only along the paths of the
+    unseen patterns. Each reward is then returned from the memo through
+    ``__call__``; the counts are one fit per distinct miss and a hit per
+    repeat, as one call per subset would give. ``miss_seconds`` sums the
+    wall time of the batched passes.
     """
 
     def __init__(
@@ -78,9 +78,8 @@ class RewardOracle:
         self.score_part = score_part
         self.seed = seed
         self.n_features = fit_part.n_features
-        self._table = classifiers.stack_parts(fit_part, score_part)
+        self._table = classifiers.stack_parts(kind, fit_part, score_part)
         self._cache: dict[State, float] = {}
-        self._fresh: dict[State, float] = {}  # scored misses that ``__call__`` has not counted yet
         self.fit_count = 0
         self.hit_count = 0
         self.miss_seconds = 0.0
@@ -95,31 +94,33 @@ class RewardOracle:
             raise ValueError(f"subset features must be in 1..{self.n_features}, got {key}")
         return key
 
-    def _fit(self, keys: list[State]) -> None:
+    def _fit(self, keys: list[State]) -> list[float]:
         start = time.perf_counter()
         rewards = classifiers.holdout_accuracies(
             self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed, self._table
         )
         self.miss_seconds += time.perf_counter() - start
-        self._fresh.update(zip(keys, rewards))
+        return rewards
 
     def score(self, subsets) -> list[float]:
         """The reward of each subset, every distinct miss scored in one pass; checks all before any fit."""
         keys = [self._key(subset) for subset in subsets]
         misses = [key for key in dict.fromkeys(keys) if key not in self._cache]
         if misses:
-            self._fit(misses)
+            self._cache.update(zip(misses, self._fit(misses)))
+            # the first ``__call__`` of each miss below is served from the memo: count it as the fit it was
+            self.fit_count += len(misses)
+            self.hit_count -= len(misses)
         return [self(key) for key in keys]
 
     def __call__(self, subset: State) -> float:
-        key = self._key(subset)
-        if key in self._cache:
+        key = tuple(subset)
+        if key in self._cache:  # only checked subsets are memoized
             self.hit_count += 1
             return self._cache[key]
-        if key not in self._fresh:
-            self._fit([key])
+        key = self._key(key)
+        self._cache[key] = reward = self._fit([key])[0]
         self.fit_count += 1
-        self._cache[key] = reward = self._fresh.pop(key)
         return reward
 
 

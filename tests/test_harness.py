@@ -431,7 +431,8 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         fits = []
-        monkeypatch.setattr(classifiers, "holdout_accuracy", lambda *args: fits.append(args))
+        for name in ("holdout_accuracy", "holdout_accuracies"):
+            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
         assert main([command, "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert "config error: dataset:" in captured.err and "single class" not in captured.err
@@ -448,7 +449,8 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         fits = []
-        monkeypatch.setattr(classifiers, "holdout_accuracy", lambda *args: fits.append(args))
+        for name in ("holdout_accuracy", "holdout_accuracies"):
+            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
         assert main([command, "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert "config error: dataset:" in captured.err and "score part is empty" in captured.err
