@@ -150,11 +150,13 @@ def ddqn_targets(
     theta2: net.NetworkParams,
     gamma: float,
     convention: str = "paper",
+    workspace: net.Workspace | None = None,
 ) -> np.ndarray:
     """``ddqn_target`` of every transition in ``batch``, with one batched forward per network.
 
     Only the non-terminal next states are scored; each row's argmax is masked
-    to unselected features, and ties go to the lower index.
+    to unselected features, and ties go to the lower index. Both forwards
+    unroll in ``workspace`` when one is given.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -163,7 +165,8 @@ def ddqn_targets(
     if gamma == 0.0 or not live:
         return targets
     states = [batch[i].next_state for i in live]
-    q_online, q_target = net.forward_batch(theta1, states), net.forward_batch(theta2, states)
+    q_online = net.forward_batch(theta1, states, workspace)
+    q_target = net.forward_batch(theta2, states, workspace)
     chooser, evaluator = (q_target, q_online) if convention == "paper" else (q_online, q_target)
     masked = chooser.copy()
     for row, state in enumerate(states):
@@ -209,14 +212,18 @@ def train_step(
     opt: net.OptimizerState,
     cfg: AgentConfig,
     rng: np.random.Generator,
+    workspace: net.Workspace | None = None,
 ) -> net.NetworkParams:
     """One DDQN update: sample a batch, regress Q(prev)[action] onto the targets.
 
     The targets come from ``ddqn_targets``; one batched BPTT pass gives the
     batch's mean gradient, applied as a single optimizer step on the online
-    network. The only draw from ``rng`` is the replay sample.
+    network. The only draw from ``rng`` is the replay sample. The forwards,
+    the BPTT pass and the step all write into ``workspace``, or into one new
+    workspace when none is given.
     """
+    ws = net.Workspace() if workspace is None else workspace
     batch = memory.sample(cfg.batch_size, rng)
-    targets = ddqn_targets(batch, theta1, theta2, cfg.gamma, cfg.ddqn_convention)
-    grads = net.backward(theta1, [tr.prev_state for tr in batch], [tr.action for tr in batch], targets)
-    return net.step(theta1, grads, opt)
+    targets = ddqn_targets(batch, theta1, theta2, cfg.gamma, cfg.ddqn_convention, ws)
+    grads = net.backward(theta1, [tr.prev_state for tr in batch], [tr.action for tr in batch], targets, ws)
+    return net.step(theta1, grads, opt, ws)

@@ -316,6 +316,7 @@ class TrainingRun:
         self.theta2 = self.theta1.copy()
         self.optimizer = config.optimizer_state()
         self.replay = ReplayMemory(config.replay_capacity)
+        self.workspace: net.Workspace | None = net.Workspace()  # the train steps' arrays; dropped by finish()
         self.rng = np.random.default_rng(sub_seed(config.seed, "agent"))
         self.schedule = self.agent.schedule()
         self.episodes: list[dict] = []
@@ -364,7 +365,7 @@ class TrainingRun:
             if due and len(self.replay) >= agent.batch_size:
                 t_step = time.perf_counter()
                 for _ in range(due):
-                    train_step(self.replay, self.theta1, self.theta2, self.optimizer, agent, self.rng)
+                    train_step(self.replay, self.theta1, self.theta2, self.optimizer, agent, self.rng, self.workspace)
                 self.train_step_s += time.perf_counter() - t_step
                 self.train_steps += due
             if number % agent.sync_frequency == 0:
@@ -381,7 +382,8 @@ class TrainingRun:
         return record
 
     def finish(self) -> RunReport:
-        """The final greedy selection; sets and returns ``report``."""
+        """The final greedy selection; sets and returns ``report`` and drops ``workspace``."""
+        self.workspace = None  # a finished run trains no more, so it holds no train-step arrays
         t_train = time.perf_counter()
         order, _ = self.rollout(0.0)
         subset = tuple(sorted(order))

@@ -35,11 +35,24 @@ which for the linear head touches only the taken columns.
 B = 1 call of the same kernels. ``backward`` takes one transition, or a batch
 as sequences of states, actions and targets. A checkpoint is replaced
 whole when saved and checked against the configured layout when loaded.
+
+A ``Workspace`` holds every array that a forward pass, a BPTT pass and an
+optimizer step write: the tapes, each step's gates and temporaries, the
+gradients and the step's scratch. The caller owns it: a training run makes
+one, passes it to the target forwards, the BPTT pass and the step of every
+train step, and drops it when the run finishes. A call given none makes a
+new workspace for itself, so there is one code path. Each buffer grows to
+the largest size it has been asked for and never shrinks. It exists because
+arrays of a batch's size, made and freed on every call, are handed back to
+the system by the allocator and page-faulted in again by the next call.
+Every kernel keeps the operations, their order and the shape of every GEMM
+of a plain unroll, so the workspace changes no output bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -124,10 +137,19 @@ def init(config: NetworkConfig, seed: int) -> NetworkParams:
     return NetworkParams(config, tensors)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from one exp(-|x|)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, both from one exp(-|x|).
+
+    Writes into ``out`` (which may be ``x``) and uses ``scratch`` (not ``x``)
+    for exp(-|x|); each is a new array when not given.
+    """
+    out = np.empty(x.shape) if out is None else out
+    e = np.copysign(x, -1.0, out=np.empty(x.shape) if scratch is None else scratch)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(out, e, out=out)  # 1 where x >= 0, else e (0 <= e <= 1)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -158,64 +180,109 @@ def _tokens(config: NetworkConfig, states) -> tuple[np.ndarray, np.ndarray]:
     return tokens, np.arange(tokens.shape[1]) < lengths[:, None]
 
 
-def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray):
+# Per-step (B, H) arrays each cell keeps on its tape for BPTT.
+_CACHED = {"rnn": 1, "gru": 3, "lstm": 5}
+
+
+class Workspace:
+    """The arrays that forward passes, BPTT passes and optimizer steps write, kept between calls.
+
+    ``array(name, shape)`` returns a C-contiguous float64 view at the start of
+    the named buffer. A buffer grows to the largest size it has been asked
+    for and never shrinks. A view holds whatever the last call left, so every
+    kernel writes a view before it reads it. Gradients that ``backward``
+    returns with a workspace are views into it, and the next call that uses
+    the workspace overwrites them.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Workspace):
     """Run the cell over a token batch; return the final (B, H) hidden state and the tape for ``_bptt``.
 
     The input projections of every step come from one GEMM. Step 0 (BOS in
     every row, h = 0) has no recurrent product: its recurrent term is the
     constant 0.0, which has the bits of a zero matrix times ``w_h``. A masked
-    step (past the row's length) keeps that row's h and c. The tape holds h
-    entering each step in one (T, B, H) array, GRU's r * h in another, each
-    step's mask (``None`` when no row is masked) and its cell cache.
+    step (past the row's length) keeps that row's h and c. Every array is a
+    view into ``ws``. The tape holds the embedded tokens, h entering each step
+    in one (T, B, H) array, GRU's r * h and LSTM's c in another, each step's
+    cell cache in one (T, K, B, H) array, and each step's mask (``None`` when
+    no row is masked).
     """
     cfg = params.config
-    hd = cfg.hidden_dim
+    hd, cell = cfg.hidden_dim, cfg.cell
     w_h = params.tensors["w_h"]
-    xw = params.tensors["embed"][tokens.T] @ params.tensors["w_x"]
+    rows, steps = tokens.shape
+    x = np.take(params.tensors["embed"], tokens.T, axis=0, out=ws.array("x", (steps, rows, cfg.embed_dim)), mode="clip")
+    xw = np.matmul(x, params.tensors["w_x"], out=ws.array("xw", (steps, rows, w_h.shape[1])))
     xw += params.tensors["b"]
-    hs = np.zeros((*tokens.T.shape, hd))
-    rhs = np.zeros_like(hs) if cfg.cell == "gru" else None
-    c = np.zeros_like(hs[0])
-    masks, caches = [], []
-    for t, (xa, m) in enumerate(zip(xw, mask.T[:, :, None])):
-        m = None if m.all() else m
+    hs = ws.array("hs", (steps, rows, hd))
+    hs[0] = 0.0
+    carry = None  # GRU's r * h or LSTM's c entering each step
+    if cell != "rnn":
+        carry = ws.array("carry", (steps, rows, hd))
+        carry[0] = 0.0
+    cache = ws.array("cache", (steps, _CACHED[cell], rows, hd))
+    keep = mask.T[:, :, None]
+    masks = [None if m.all() else m for m in keep]
+    hold = None if masks[-1] is None else ~keep  # a row masked at any step is masked at the last
+    h_last = ws.array("h", (rows, hd))
+    rec = ws.array("rec", (rows, w_h.shape[1]))  # the recurrent product
+    s = ws.array("s", (rows, hd))  # sigmoid scratch and a product
+    for t, (xa, m) in enumerate(zip(xw, masks)):
         h = hs[t]
-        if cfg.cell == "rnn":
-            h_new = np.tanh(xa + (h @ w_h if t else 0.0))
-            cache = (h_new,)
-        elif cfg.cell == "gru":
+        h_new = hs[t + 1] if t + 1 < steps else h_last
+        if cell == "rnn":
+            u = cache[t, 0]
+            np.add(xa, np.matmul(h, w_h, out=rec) if t else 0.0, out=u)
+            np.tanh(u, out=u)
+            np.copyto(h_new, u)
+        elif cell == "gru":
+            z, r, n = cache[t]
             if t:
-                ha = h @ w_h[:, : 2 * hd]
-                z = _sigmoid(xa[:, :hd] + ha[:, :hd])
-                r = _sigmoid(xa[:, hd : 2 * hd] + ha[:, hd:])
-                rh = np.multiply(r, h, out=rhs[t])
-                n = np.tanh(xa[:, 2 * hd :] + rh @ w_h[:, 2 * hd :])
+                ha = np.matmul(h, w_h[:, : 2 * hd], out=rec[:, : 2 * hd])
+                np.add(xa[:, :hd], ha[:, :hd], out=z)
+                np.add(xa[:, hd : 2 * hd], ha[:, hd:], out=r)
+                rh = np.multiply(_sigmoid(r, r, s), h, out=carry[t])
+                np.add(xa[:, 2 * hd :], np.matmul(rh, w_h[:, 2 * hd :], out=rec[:, 2 * hd :]), out=n)
             else:  # r * h stays 0
-                z = _sigmoid(xa[:, :hd] + 0.0)
-                r = _sigmoid(xa[:, hd : 2 * hd] + 0.0)
-                n = np.tanh(xa[:, 2 * hd :] + 0.0)
-            h_new = (1.0 - z) * h + z * n
-            cache = (z, r, n)
+                np.add(xa[:, :hd], 0.0, out=z)
+                _sigmoid(np.add(xa[:, hd : 2 * hd], 0.0, out=r), r, s)
+                np.add(xa[:, 2 * hd :], 0.0, out=n)
+            _sigmoid(z, z, s)
+            np.tanh(n, out=n)
+            np.subtract(1.0, z, out=h_new)  # h' = (1 - z) * h + z * n
+            h_new *= h
+            h_new += np.multiply(z, n, out=s)
         else:  # lstm
-            a = xa + (h @ w_h if t else 0.0)
-            i = _sigmoid(a[:, :hd])
-            f = _sigmoid(a[:, hd : 2 * hd])
-            g = np.tanh(a[:, 2 * hd : 3 * hd])
-            o = _sigmoid(a[:, 3 * hd :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            cache = (c, i, f, g, o, tanh_c)
-            c = c_new if m is None else np.where(m, c_new, c)
-        masks.append(m)
-        caches.append(cache)
-        h = h_new if m is None else np.where(m, h_new, h)
-        if t + 1 < len(hs):
-            hs[t + 1] = h
-    return h, (hs, rhs, masks, caches)
+            i, f, g, o, tanh_c = cache[t]
+            c, c_new = carry[t], carry[t + 1] if t + 1 < steps else ws.array("c", (rows, hd))
+            a = np.add(xa, np.matmul(h, w_h, out=rec) if t else 0.0, out=rec)
+            _sigmoid(a[:, :hd], i, s)
+            _sigmoid(a[:, hd : 2 * hd], f, s)
+            np.tanh(a[:, 2 * hd : 3 * hd], out=g)
+            _sigmoid(a[:, 3 * hd :], o, s)
+            np.multiply(f, c, out=c_new)  # c' = f * c + i * g
+            c_new += np.multiply(i, g, out=s)
+            np.tanh(c_new, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_new)
+            if m is not None:
+                np.copyto(c_new, c, where=hold[t])
+        if m is not None:
+            np.copyto(h_new, h, where=hold[t])
+    return h_last, (x, hs, carry, cache, masks, hold)
 
 
-def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray) -> dict[str, np.ndarray]:
+def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray, ws: Workspace) -> dict[str, np.ndarray]:
     """Backpropagate dL/dh_T (B, H) through the unrolled steps into the embedding and cell weights.
 
     Each step's pre-activation gradient fills its slice of one (T, B, G*H)
@@ -224,83 +291,124 @@ def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray) -> di
     GRU's r-gate gradient there is a product with h0 = 0. Weight gradients
     are one GEMM over all (step, row) pairs, step 0 included; the embedding
     gradient scatters with ``np.add.at`` because token 0 (BOS, and padding)
-    repeats in every row.
+    repeats in every row. Every array, ``dh`` included, is a view into
+    ``ws``, and ``dh`` is overwritten.
     """
     hd = params.config.hidden_dim
     cell = params.config.cell
     w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
-    hs, rhs, masks, caches = tape
-    d = np.empty((*hs.shape[:2], w_h.shape[1]))
-    dc = np.zeros_like(dh)
+    x, hs, carry, cache, masks, hold = tape
+    d = ws.array("d", (*hs.shape[:2], w_h.shape[1]))
+    dh_prev, s = ws.array("dh_prev", dh.shape), ws.array("s", dh.shape)
+    if cell == "gru":
+        drh, u = ws.array("drh", dh.shape), ws.array("u", dh.shape)
+    elif cell == "lstm":
+        dc, dc_t = ws.array("dc", dh.shape), ws.array("dc_t", dh.shape)
+        dc[...] = 0.0
     for t in reversed(range(len(d))):
-        dpre, h_prev, m, cache = d[t], hs[t], masks[t], caches[t]
+        dpre, h_prev, m = d[t], hs[t], masks[t]
         if cell == "rnn":
-            (h_new,) = cache
-            np.multiply(dh, 1.0 - h_new * h_new, out=dpre)
+            np.subtract(1.0, np.square(cache[t, 0], out=s), out=s)
+            np.multiply(dh, s, out=dpre)
         elif cell == "gru":
-            z, r, n = cache
-            dn_pre = np.multiply(dh * z, 1.0 - n * n, out=dpre[:, 2 * hd :])
-            np.multiply(dh * (n - h_prev) * z, 1.0 - z, out=dpre[:, :hd])
+            z, r, n = cache[t]
+            dz_pre, dr_pre, dn_pre = dpre[:, :hd], dpre[:, hd : 2 * hd], dpre[:, 2 * hd :]
+            np.multiply(dh, z, out=dn_pre)  # dh * z * (1 - n * n)
+            dn_pre *= np.subtract(1.0, np.square(n, out=s), out=s)
+            np.subtract(n, h_prev, out=dz_pre)  # dh * (n - h_prev) * z * (1 - z)
+            dz_pre *= dh
+            dz_pre *= z
+            dz_pre *= np.subtract(1.0, z, out=s)
             if t:
-                drh = dn_pre @ w_h[:, 2 * hd :].T
-                np.multiply(drh * h_prev * r, 1.0 - r, out=dpre[:, hd : 2 * hd])
+                np.matmul(dn_pre, w_h[:, 2 * hd :].T, out=drh)
+                np.multiply(drh, h_prev, out=dr_pre)  # drh * h_prev * r * (1 - r)
+                dr_pre *= r
+                dr_pre *= np.subtract(1.0, r, out=s)
             else:  # dr_pre = drh * h0 * ..., and h0 = 0
-                dpre[:, hd : 2 * hd] = 0.0
+                dr_pre[...] = 0.0
         else:  # lstm
-            c_prev, i, f, g, o, tanh_c = cache
-            dc_t = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            dpre[:, :hd] = dc_t * g * i * (1.0 - i)
-            dpre[:, hd : 2 * hd] = dc_t * c_prev * f * (1.0 - f)
-            dpre[:, 2 * hd : 3 * hd] = dc_t * i * (1.0 - g * g)
-            dpre[:, 3 * hd :] = dh * tanh_c * o * (1.0 - o)
+            i, f, g, o, tanh_c = cache[t]
+            di, df, dg, do = (dpre[:, k * hd : (k + 1) * hd] for k in range(4))
+            np.multiply(dh, o, out=dc_t)  # dc + dh * o * (1 - tanh_c * tanh_c)
+            dc_t *= np.subtract(1.0, np.square(tanh_c, out=s), out=s)
+            dc_t += dc
+            np.multiply(dc_t, g, out=di)  # dc_t * g * i * (1 - i)
+            di *= i
+            di *= np.subtract(1.0, i, out=s)
+            np.multiply(dc_t, carry[t], out=df)  # dc_t * c_prev * f * (1 - f)
+            df *= f
+            df *= np.subtract(1.0, f, out=s)
+            np.multiply(dc_t, i, out=dg)  # dc_t * i * (1 - g * g)
+            dg *= np.subtract(1.0, np.square(g, out=s), out=s)
+            np.multiply(dh, tanh_c, out=do)  # dh * tanh_c * o * (1 - o)
+            do *= o
+            do *= np.subtract(1.0, o, out=s)
         if not t:  # nothing needs the gradient of the zero start state
             break
-        if cell == "gru":
-            dh_prev = dh * (1.0 - z) + drh * r + dpre[:, : 2 * hd] @ w_h[:, : 2 * hd].T
+        if cell == "gru":  # dh * (1 - z) + drh * r + dpre[:, :2H] @ w_h[:, :2H].T
+            np.matmul(dpre[:, : 2 * hd], w_h[:, : 2 * hd].T, out=dh_prev)
+            np.subtract(1.0, z, out=s)
+            s *= dh
+            s += np.multiply(drh, r, out=u)
+            dh_prev += s
         else:
-            dh_prev = dpre @ w_h.T
+            np.matmul(dpre, w_h.T, out=dh_prev)
         if cell == "lstm":
-            dc = dc_t * f if m is None else np.where(m, dc_t * f, dc)
-        if m is None:
-            dh = dh_prev
-        else:
+            dc_t *= f
+            if m is not None:
+                np.copyto(dc_t, dc, where=hold[t])
+            dc, dc_t = dc_t, dc
+        if m is not None:
             dpre *= m
-            dh = np.where(m, dh_prev, dh)
+            np.copyto(dh_prev, dh, where=hold[t])
+        dh, dh_prev = dh_prev, dh
 
     d = d.reshape(-1, d.shape[2])  # (T * B, G * H), step-major like tokens.T
-    xs = params.tensors["embed"][tokens.T.ravel()]
+    xs = x.reshape(-1, x.shape[2])
     h_prevs = hs.reshape(-1, hd)
+    g_wh = ws.array("g_w_h", w_h.shape)
     if cell == "gru":  # the candidate's recurrent input is r * h, not h
-        g_wh = np.empty_like(w_h)
         np.matmul(h_prevs.T, d[:, : 2 * hd], out=g_wh[:, : 2 * hd])
-        np.matmul(rhs.reshape(-1, hd).T, d[:, 2 * hd :], out=g_wh[:, 2 * hd :])
+        np.matmul(carry.reshape(-1, hd).T, d[:, 2 * hd :], out=g_wh[:, 2 * hd :])
     else:
-        g_wh = h_prevs.T @ d
-    g_embed = np.zeros_like(params.tensors["embed"])
-    np.add.at(g_embed, tokens.T.ravel(), d @ w_x.T)
-    return {"embed": g_embed, "w_x": xs.T @ d, "w_h": g_wh, "b": d.sum(axis=0)}
+        np.matmul(h_prevs.T, d, out=g_wh)
+    g_embed = ws.array("g_embed", params.tensors["embed"].shape)
+    g_embed[...] = 0.0
+    np.add.at(g_embed, tokens.T.ravel(), np.matmul(d, w_x.T, out=ws.array("dx", xs.shape)))
+    return {
+        "embed": g_embed,
+        "w_x": np.matmul(xs.T, d, out=ws.array("g_w_x", w_x.shape)),
+        "w_h": g_wh,
+        "b": np.sum(d, axis=0, out=ws.array("g_b", (d.shape[1],))),
+    }
 
 
-def forward_batch(params: NetworkParams, states) -> np.ndarray:
-    """(B, N) scores, row b for the sorted selection ``states[b]`` (any of them may be empty)."""
+def forward_batch(params: NetworkParams, states, workspace: Workspace | None = None) -> np.ndarray:
+    """(B, N) scores, row b for the sorted selection ``states[b]`` (any of them may be empty).
+
+    The scores are a new array; the unroll writes into ``workspace``, or into
+    a new one when none is given.
+    """
     tokens, mask = _tokens(params.config, states)
-    h, _ = _unroll(params, tokens, mask)
+    h, _ = _unroll(params, tokens, mask, Workspace() if workspace is None else workspace)
     scores = h @ params.tensors["w_out"] + params.tensors["b_out"]
     if params.config.head == "softmax":
         scores = _softmax(scores)
     return scores
 
 
-def forward(params: NetworkParams, state) -> np.ndarray:
+def forward(params: NetworkParams, state, workspace: Workspace | None = None) -> np.ndarray:
     """Score every feature given the sorted selection ``state`` (may be empty)."""
-    return forward_batch(params, [state])[0]
+    return forward_batch(params, [state], workspace)[0]
 
 
-def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarray]:
+def backward(params: NetworkParams, state, action, target, workspace: Workspace | None = None) -> dict[str, np.ndarray]:
     """Gradients of the mean of 0.5 * (Q(state)[action-1] - target)^2 w.r.t. every tensor, via BPTT.
 
     One transition (``action`` an int), or a batch: ``state`` a sequence of B
-    states, ``action`` and ``target`` sequences of length B.
+    states, ``action`` and ``target`` sequences of length B. The gradients are
+    views into ``workspace`` and the next call that uses it overwrites them;
+    without one, they are views into a new workspace of their own.
     """
     cfg = params.config
     states = [state] if np.ndim(action) == 0 else list(state)
@@ -312,12 +420,16 @@ def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarr
         raise ValueError(f"target must be finite, got {target}")
     if actions.dtype.kind not in "iu" or np.any((actions < 1) | (actions > cfg.n_features)):
         raise ValueError(f"action {action} outside 1..{cfg.n_features}")
+    ws = Workspace() if workspace is None else workspace
     tokens, mask = _tokens(cfg, states)
-    h, tape = _unroll(params, tokens, mask)
+    h, tape = _unroll(params, tokens, mask, ws)
 
     w_out = params.tensors["w_out"]
     rows, cols = np.arange(len(states)), actions - 1
-    z = h @ w_out + params.tensors["b_out"]
+    z = np.matmul(h, w_out, out=ws.array("z", (len(states), cfg.output_dim)))
+    z += params.tensors["b_out"]
+    g_out, g_bias = ws.array("g_w_out", w_out.shape), ws.array("g_b_out", (cfg.output_dim,))
+    dh = ws.array("dh", h.shape)
     if cfg.head == "softmax":
         # d q_a / d z_j = q_a * (delta_aj - q_j); dense over every column
         q = _softmax(z)
@@ -325,15 +437,17 @@ def backward(params: NetworkParams, state, action, target) -> dict[str, np.ndarr
         scale = (qa - targets) * qa / len(states)
         dz = -scale[:, None] * q
         dz[rows, cols] += scale
-        g_out, g_bias = h.T @ dz, dz.sum(axis=0)
-        dh = dz @ w_out.T
+        np.matmul(h.T, dz, out=g_out)
+        np.sum(dz, axis=0, out=g_bias)
+        np.matmul(dz, w_out.T, out=dh)
     else:  # only the taken columns carry gradient
         residual = (z[rows, cols] - targets) / len(states)
-        g_out = np.zeros_like(w_out)
-        np.add.at(g_out.T, cols, residual[:, None] * h)
-        g_bias = np.bincount(cols, weights=residual, minlength=cfg.output_dim)
-        dh = residual[:, None] * w_out[:, cols].T
-    grads = _bptt(params, tokens, tape, dh) | {"w_out": g_out, "b_out": g_bias}
+        g_out[...] = 0.0
+        np.add.at(g_out.T, cols, np.multiply(residual[:, None], h, out=dh))  # dh's buffer, until dh is written
+        g_bias[...] = np.bincount(cols, weights=residual, minlength=cfg.output_dim)
+        w_cols = np.take(w_out, cols, axis=1, out=ws.array("w_cols", (len(w_out), len(cols))), mode="clip")
+        np.multiply(residual[:, None], w_cols.T, out=dh)
+    grads = _bptt(params, tokens, tape, dh, ws) | {"w_out": g_out, "b_out": g_bias}
     return {name: grads[name] for name in params.tensors}
 
 
@@ -358,19 +472,29 @@ class OptimizerState:
         return self.base_rate * max(0.0, 1.0 - self.step_count / self.total_steps)
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def global_norm(grads: dict[str, np.ndarray], workspace: Workspace | None = None) -> float:
+    """The L2 norm of every gradient together; each g * g is written into ``workspace``."""
+    ws = Workspace() if workspace is None else workspace
+    return float(np.sqrt(sum(float(np.square(g, out=ws.array("update", g.shape)).sum()) for g in grads.values())))
 
 
-def step(params: NetworkParams, grads: dict[str, np.ndarray], opt: OptimizerState) -> NetworkParams:
-    """One clipped SGD update in place; advances the optimizer's step counter."""
+def step(
+    params: NetworkParams, grads: dict[str, np.ndarray], opt: OptimizerState, workspace: Workspace | None = None,
+) -> NetworkParams:
+    """One clipped SGD update in place; advances the optimizer's step counter.
+
+    The squares for the norm and each scaled gradient are written into one
+    array of ``workspace``, so ``grads`` must not be views of that array.
+    """
+    ws = Workspace() if workspace is None else workspace
     scale = 1.0
-    norm = global_norm(grads)
+    norm = global_norm(grads, ws)
     if norm > opt.clip_norm:
         scale = opt.clip_norm / norm
     rate = opt.rate()
     for name, tensor in params.tensors.items():
-        tensor -= rate * scale * grads[name]
+        g = grads[name]
+        tensor -= np.multiply(g, rate * scale, out=ws.array("update", g.shape))
     opt.step_count += 1
     return params
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,33 @@ class TestTrainStep:
         train_step(memory, theta1, theta2, opt, cfg, np.random.default_rng(0))
         for name in before.tensors:
             assert np.array_equal(theta1.tensors[name], before.tensors[name])
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("cell", net.CELLS)
+    def test_warmed_train_step_allocates_under_one_mib(self, cell):
+        # the select-net shape: 16 features, H = 256, batches of 32, subset 4, gamma 0.5
+        rng = np.random.default_rng(3)
+        memory = ReplayMemory(1000)
+        for _ in range(50):  # whole episodes; the fourth pick ends one
+            picks = rng.choice(np.arange(1, 17), size=4, replace=False).tolist()
+            for t in range(4):
+                prev, nxt = tuple(sorted(picks[:t])), tuple(sorted(picks[: t + 1]))
+                memory.push(Transition(prev, picks[t], float(rng.random()), nxt, t == 3))
+        theta1 = net.init(NetworkConfig.for_features(16, 8, 256, cell), 1)
+        theta2 = theta1.copy()
+        opt = OptimizerState(total_steps=1000, base_rate=1e-3)
+        cfg = AgentConfig(subset_size=4, total_episodes=10, batch_size=32, gamma=0.5)
+        workspace, step_rng = net.Workspace(), np.random.default_rng(5)
+        for _ in range(3):
+            train_step(memory, theta1, theta2, opt, cfg, step_rng, workspace)
+        tracemalloc.start()
+        try:
+            train_step(memory, theta1, theta2, opt, cfg, step_rng, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAgentConfig:

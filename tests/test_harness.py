@@ -211,6 +211,13 @@ class TestTrainingRun:
         assert stepped_calls == reference_calls + cfg.total_episodes * cfg.subset_size
         assert stepped == reference
 
+    def test_finished_run_holds_no_workspace(self, tmp_path):
+        # callers keep finished runs (a benchmark cycle keeps all of its runs), so
+        # a run drops its train-step arrays when it finishes
+        run = harness.run_training(tiny_config(tmp_path, gamma=0.5))
+        assert run.train_steps > 0
+        assert run.workspace is None
+
 
 class TestCmdEvaluate:
     def test_perfect_feature_full_set(self, tmp_path):

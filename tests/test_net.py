@@ -1,3 +1,4 @@
+import itertools
 import json
 from contextlib import contextmanager
 from unittest import mock
@@ -212,8 +213,9 @@ class TestBatch:
 # and BPTT its per-step concatenations. The kernels in ``net`` must give the
 # same values bit for bit (``np.array_equal``, so the sign of a zero may
 # differ: GRU's step-0 r-gate gradient is +0.0 where the reference has
-# drh * h0 * ..., a zero with drh's sign).
-def reference_unroll(params, tokens: np.ndarray, mask: np.ndarray):
+# drh * h0 * ..., a zero with drh's sign). They take the workspace that
+# ``net`` passes its kernels and ignore it: every array here is new.
+def reference_unroll(params, tokens: np.ndarray, mask: np.ndarray, workspace=None):
     """Run the cell over a token batch; return the final (B, H) hidden state and per-step caches.
 
     The input projections of every step come from one GEMM. A masked step
@@ -256,7 +258,7 @@ def reference_unroll(params, tokens: np.ndarray, mask: np.ndarray):
     return h, steps
 
 
-def reference_bptt(params, tokens: np.ndarray, steps, dh: np.ndarray) -> dict[str, np.ndarray]:
+def reference_bptt(params, tokens: np.ndarray, steps, dh: np.ndarray, workspace=None) -> dict[str, np.ndarray]:
     """Backpropagate dL/dh_T (B, H) through the unrolled steps into the embedding and cell weights.
 
     A masked step has zero pre-activation gradient and passes dh (and dc)
@@ -366,6 +368,90 @@ class TestExactness:
         actions = rng.integers(1, 17, size=32).tolist()
         targets = rng.normal(size=32).tolist()
         assert_same_bits_as_reference(params, states, actions, targets)
+
+
+@st.composite
+def workspace_calls(draw, cell, head):
+    """Two parameter sets of one config, and forward and backward calls whose T and B grow and shrink."""
+    n = draw(st.integers(1, 7))
+    cfg = NetworkConfig.for_features(n, draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 5, 8, 17])), cell, head)
+    thetas = [net.init(cfg, draw(st.integers(0, 2**31 - 1))) for _ in range(2)]
+    subsets = st.lists(st.integers(1, n), unique=True, max_size=min(n, 6)).map(lambda s: tuple(sorted(s)))
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        states = draw(st.lists(subsets, min_size=1, max_size=12))
+        actions = draw(st.lists(st.integers(1, n), min_size=len(states), max_size=len(states)))
+        targets = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(states), max_size=len(states)))
+        calls.append((draw(st.sampled_from(["forward", "backward"])), draw(st.integers(0, 1)), states, actions, targets))
+    return thetas, calls
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("cell, head", CELL_HEADS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_workspace_serves_a_call_sequence(self, cell, head, data):
+        # stale contents must never leak: h and r * h entering step 0, masked
+        # rows, and views of a buffer that a larger call has replaced
+        thetas, calls = data.draw(workspace_calls(cell, head))
+        workspace = net.Workspace()
+        for kind, which, states, actions, targets in calls:
+            params = thetas[which]
+            if kind == "forward":
+                got = net.forward_batch(params, states, workspace)
+                with reference_kernels():
+                    assert np.array_equal(got, net.forward_batch(params, states))
+                continue
+            got = net.backward(params, states, actions, targets, workspace)
+            with reference_kernels():
+                want = net.backward(params, states, actions, targets)
+            assert list(got) == list(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_gradients_live_in_the_workspace(self):
+        params = net.init(NetworkConfig.for_features(6, 3, 5, "gru"), 4)
+        batch = ([(1, 3), (), (2,)], [2, 4, 6], [0.2, 0.7, -0.1])
+        workspace = net.Workspace()
+        first = net.backward(params, *batch, workspace)
+        second = net.backward(params, *batch, workspace)
+        for name in params.tensors:
+            assert np.shares_memory(first[name], second[name]), name
+        # forward_batch's scores are new arrays, so both DDQN target forwards can share one workspace
+        assert not np.shares_memory(net.forward_batch(params, batch[0], workspace), net.forward_batch(params, batch[0], workspace))
+
+    def test_gradients_without_a_workspace_do_not_alias(self):
+        params = net.init(NetworkConfig.for_features(6, 3, 5, "lstm"), 4)
+        first = net.backward(params, [(1, 3), ()], [2, 4], [0.2, 0.7])
+        second = net.backward(params, [(2,), (1, 5, 6)], [1, 2], [0.5, -0.3])
+        arrays = list(first.values()) + list(second.values())
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+
+def reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+class TestSigmoid:
+    # At least 8 elements: numpy may take exp of a shorter array by another
+    # routine, depending on where its output lies.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_one_exp_formula(self, data):
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(8, 40))
+        values = st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300]))
+        wide = np.array(data.draw(st.lists(values, min_size=3 * rows * cols, max_size=3 * rows * cols))).reshape(rows, 3 * cols)
+        x = wide[:, cols : 2 * cols]  # a column slice, as the LSTM gates are
+        want = reference_sigmoid(x)
+        assert np.array_equal(net._sigmoid(x), want)
+        scratch, out = np.empty(x.shape), np.empty(x.shape)
+        assert net._sigmoid(x, out, scratch) is out
+        assert np.array_equal(out, want)
+        inplace = np.ascontiguousarray(x)
+        net._sigmoid(inplace, inplace, scratch)
+        assert np.array_equal(inplace, want)
 
 
 class TestStep:
