@@ -204,6 +204,14 @@ class AgentConfig:
     def schedule(self) -> EpsilonSchedule:
         return EpsilonSchedule(self.total_episodes, self.p)
 
+    def sync_due(self, episode: int) -> bool:
+        """Whether the target network is synced after training episode ``episode`` (1-based)."""
+        return episode % self.sync_frequency == 0
+
+    def train_steps_due(self, episode: int) -> int:
+        """Train steps due after training episode ``episode``: one if learning is due, one more before a sync."""
+        return (episode % self.learn_frequency == 0) + self.sync_due(episode)
+
 
 def train_step(
     memory: ReplayMemory,

@@ -301,16 +301,22 @@ class SplitKind:
     k: int = 0
     fraction: float = 0.0
 
+    def __post_init__(self):
+        if self.method == "kfold":
+            if self.k < 2:
+                raise ValueError(f"kfold needs k >= 2, got {self.k}")
+        elif self.method == "holdout":
+            if not 0.0 < self.fraction < 1.0:
+                raise ValueError(f"holdout fraction must be in (0, 1), got {self.fraction}")
+        else:
+            raise ValueError(f"unknown split method {self.method!r}")
+
     @classmethod
     def kfold(cls, k: int) -> "SplitKind":
-        if k < 2:
-            raise ValueError("kfold needs k >= 2")
         return cls("kfold", k=k)
 
     @classmethod
     def holdout(cls, fraction: float) -> "SplitKind":
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("holdout fraction must be in (0, 1)")
         return cls("holdout", fraction=fraction)
 
 
@@ -357,14 +363,12 @@ def stratified_split(matrix: SampleMatrix, kind: SplitKind, seed: int) -> SplitP
                 )
             rng.shuffle(idx)
             assignments[idx] = np.arange(idx.size) % kind.k
-    elif kind.method == "holdout":
+    else:  # holdout
         for cls in (0, 1):
             idx = np.flatnonzero(matrix.y == cls)
             rng.shuffle(idx)
             n_test = int(round(idx.size * kind.fraction))
             assignments[idx[:n_test]] = 1
-    else:
-        raise ValueError(f"unknown split method {kind.method!r}")
     return SplitPlan(kind, assignments, seed)
 
 

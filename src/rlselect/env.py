@@ -14,15 +14,10 @@ from __future__ import annotations
 
 import time
 
-from . import classifiers
+from . import classifiers, net
 from .agent import State
 from .classifiers import ClassifierKind
 from .dataset import SampleMatrix, SplitKind, stratified_split
-
-
-def reset() -> State:
-    """The empty selection."""
-    return ()
 
 
 def insert_sorted(state: State, action: int) -> State:
@@ -45,7 +40,8 @@ class RewardOracle:
     unseen patterns. Each reward is then returned from the memo through
     ``__call__``; the counts are one fit per distinct miss and a hit per
     repeat, as one call per subset would give. ``miss_seconds`` sums the
-    wall time of the batched passes.
+    wall time of the batched passes. An oracle whose fit part lacks a class,
+    or whose score part is empty, is a ``ValueError`` when it is built.
     """
 
     def __init__(
@@ -73,6 +69,17 @@ class RewardOracle:
             raise ValueError(
                 f"fit part has {fit_part.n_features} features, score part {score_part.n_features}"
             )
+        benign, malware = fit_part.class_counts()
+        if not (benign and malware):
+            raise ValueError(
+                f"the reward oracle's fit part has {benign} benign and {malware} malware rows; "
+                "both classes are required"
+            )
+        if score_part.n_samples == 0:
+            raise ValueError(
+                f"the reward oracle's score part is empty (all {fit_part.n_samples} rows are in its fit part); "
+                "it needs at least one row"
+            )
         self.kind = kind
         self.fit_part = fit_part
         self.score_part = score_part
@@ -87,12 +94,7 @@ class RewardOracle:
     def _key(self, subset) -> State:
         if len(subset) == 0:
             raise ValueError("cannot score an empty subset")
-        key = tuple(subset)
-        if any(b <= a for a, b in zip(key, key[1:])):
-            raise ValueError(f"subset must be sorted strictly ascending, got {key}")
-        if key[0] < 1 or key[-1] > self.n_features:
-            raise ValueError(f"subset features must be in 1..{self.n_features}, got {key}")
-        return key
+        return net.validate_state(subset, self.n_features)
 
     def _fit(self, keys: list[State]) -> list[float]:
         start = time.perf_counter()
@@ -114,11 +116,10 @@ class RewardOracle:
         return [self(key) for key in keys]
 
     def __call__(self, subset: State) -> float:
-        key = tuple(subset)
-        if key in self._cache:  # only checked subsets are memoized
+        key = self._key(subset)
+        if key in self._cache:
             self.hit_count += 1
             return self._cache[key]
-        key = self._key(key)
         self._cache[key] = reward = self._fit([key])[0]
         self.fit_count += 1
         return reward
@@ -140,13 +141,12 @@ class FeatureEnv:
         self.subset_size = subset_size
 
     def reset(self) -> State:
-        return reset()
+        """The empty selection."""
+        return ()
 
     def step(self, state: State, action: int) -> tuple[State, bool]:
-        """(new_state, done); errors on duplicate actions or full states."""
+        """(new_state, done); errors on duplicate or invalid actions and on full states."""
         if len(state) >= self.subset_size:
             raise ValueError("episode already complete")
-        if not 1 <= action <= self.n_features:
-            raise ValueError(f"action {action} outside 1..{self.n_features}")
-        new_state = insert_sorted(state, action)
+        new_state = net.validate_state(insert_sorted(state, action), self.n_features)
         return new_state, len(new_state) == self.subset_size

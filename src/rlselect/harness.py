@@ -56,6 +56,14 @@ class ConfigError(ValueError):
     """Unusable run configuration (bad file, bad field, inconsistent values)."""
 
 
+def _with_config_path(prefix: str, build):
+    """``build()``, with a ``ValueError`` it raises made a ``ConfigError`` led by the config path ``prefix``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def sub_seed(root_seed: int, name: str) -> int:
     """Stable named sub-stream seed derived from the root seed."""
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
@@ -188,10 +196,7 @@ class RunConfig:
             ("replay_", lambda: ReplayMemory(self.replay_capacity)),
         )
         for prefix, build in checks:
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"{prefix}{exc}") from exc
+            _with_config_path(prefix, build)
 
     def agent_config(self) -> AgentConfig:
         return AgentConfig(**{f.name: getattr(self, f.name) for f in fields(AgentConfig)})
@@ -204,12 +209,9 @@ class RunConfig:
     def optimizer_state(self) -> OptimizerState:
         total = self.total_steps
         if total is None:
-            # Learn events per run, doubled so the rate only halves by the end.
-            events = (
-                self.total_episodes // self.learn_frequency
-                + self.total_episodes // self.sync_frequency
-            )
-            total = max(1, 2 * events)
+            # Train steps per run, doubled so the rate only halves by the end.
+            agent = self.agent_config()
+            total = max(1, 2 * sum(map(agent.train_steps_due, range(1, self.total_episodes + 1))))
         return OptimizerState(total_steps=total, base_rate=self.base_rate, clip_norm=self.clip_norm)
 
     def paper_scale(self) -> "RunConfig":
@@ -283,8 +285,9 @@ class TrainingRun:
     episode, then ``finish()``, the final greedy selection.
 
     All run state is held in fields, readable at any episode boundary. The
-    constructor loads and checks the data: an oracle fit part that lacks a
-    class, or an empty oracle score part, is a ``ConfigError`` before any fit.
+    constructor loads the data and builds the environment and the oracle,
+    each of which checks what it is given. Their ``ValueError`` becomes a
+    ``ConfigError`` that names the config path, before any fit.
     """
 
     def __init__(self, config: RunConfig, matrix: SampleMatrix | None = None):
@@ -293,25 +296,10 @@ class TrainingRun:
             matrix = load_matrix(config)
         n = matrix.n_features
         self.config, self.matrix, self.agent = config, matrix, config.agent_config()
-        if self.agent.subset_size > n:
-            raise ConfigError(f"subset_size {self.agent.subset_size} exceeds feature count {n}")
-
-        self.oracle = RewardOracle(
-            config.classifier, matrix, sub_seed(config.seed, "oracle"),
-            fit_fraction=config.oracle_fit_fraction,
-        )
-        benign, malware = self.oracle.fit_part.class_counts()
-        if not (benign and malware):
-            raise ConfigError(
-                f"dataset: the reward oracle's fit part has {benign} benign and {malware} malware rows; "
-                "both classes are required"
-            )
-        if self.oracle.score_part.n_samples == 0:
-            raise ConfigError(
-                f"dataset: the reward oracle's score part is empty ({matrix.n_samples} rows, "
-                f"oracle_fit_fraction {config.oracle_fit_fraction}); it needs at least one row"
-            )
-        self.env = FeatureEnv(n, self.agent.subset_size)
+        self.env = _with_config_path("agent.", lambda: FeatureEnv(n, self.agent.subset_size))
+        self.oracle = _with_config_path("dataset: ", lambda: RewardOracle(
+            config.classifier, matrix, sub_seed(config.seed, "oracle"), fit_fraction=config.oracle_fit_fraction,
+        ))
         self.theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
         self.theta2 = self.theta1.copy()
         self.optimizer = config.optimizer_state()
@@ -360,15 +348,14 @@ class TrainingRun:
         eps = self.schedule.epsilon(number - 1)
         try:
             _, rewards = self.rollout(eps, self.replay)
-            # one step when learning is due, one more before each target sync
-            due = (number % agent.learn_frequency == 0) + (number % agent.sync_frequency == 0)
+            due = agent.train_steps_due(number)
             if due and len(self.replay) >= agent.batch_size:
                 t_step = time.perf_counter()
                 for _ in range(due):
                     train_step(self.replay, self.theta1, self.theta2, self.optimizer, agent, self.rng, self.workspace)
                 self.train_step_s += time.perf_counter() - t_step
                 self.train_steps += due
-            if number % agent.sync_frequency == 0:
+            if agent.sync_due(number):
                 net.sync(self.theta1, self.theta2)
         except Exception as exc:
             raise RuntimeError(f"training failed at episode {number}: {exc}") from exc
@@ -641,11 +628,10 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
     outer = stratified_split(matrix, SplitKind.holdout(0.2), sub_seed(config.seed, "curves-split"))
     train_idx, test_idx = outer.train_test()
     train_part = matrix.rows(train_idx)
-    test_oracle = RewardOracle.from_parts(
+    run = TrainingRun(config, train_part)  # checks the data before the test oracle is built
+    test_oracle = _with_config_path("dataset: ", lambda: RewardOracle.from_parts(
         config.classifier, train_part, matrix.rows(test_idx), sub_seed(config.seed, "test-oracle")
-    )
-
-    run = TrainingRun(config, train_part)
+    ))
     run.warm_up()
     rows = []
     for _ in range(config.total_episodes):

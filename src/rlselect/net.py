@@ -158,19 +158,28 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _validate_state(state, n_features: int) -> list[int]:
-    s = [int(i) for i in state]
-    for i in s:
-        if not 1 <= i <= n_features:
-            raise ValueError(f"state index {i} outside 1..{n_features}")
-    if any(b <= a for a, b in zip(s, s[1:])):
-        raise ValueError(f"state must be sorted strictly ascending, got {s}")
+def validate_state(state, n_features: int) -> tuple[int, ...]:
+    """``state`` as a tuple of ints, checked to hold integers in 1..n_features, sorted strictly ascending.
+
+    The one selection rule of the network, the reward oracle and ``FeatureEnv.step``.
+    """
+    s = tuple(state)  # a tuple of ints is returned as it is, so callers can keep sharing it
+    if any(type(i) is not int for i in s):  # numpy integers become ints; anything else is refused
+        for i in s:
+            if not isinstance(i, (int, np.integer)):
+                raise ValueError(f"state index {i!r} is not an integer")
+        s = tuple(map(int, s))
+    for a, b in zip(s, s[1:]):
+        if b <= a:
+            raise ValueError(f"state must be sorted strictly ascending, got {s}")
+    if s and not (1 <= s[0] and s[-1] <= n_features):
+        raise ValueError(f"state index {s[0] if s[0] < 1 else s[-1]} outside 1..{n_features}")
     return s
 
 
 def _tokens(config: NetworkConfig, states) -> tuple[np.ndarray, np.ndarray]:
     """(B, T) tokens, each row BOS then its state's indices, zero-padded; and the (B, T) length mask."""
-    rows = [_validate_state(s, config.n_features) for s in states]
+    rows = [validate_state(s, config.n_features) for s in states]
     if not rows:
         raise ValueError("a batch needs at least one state")
     lengths = np.array([len(r) + 1 for r in rows])
@@ -397,9 +406,9 @@ def forward_batch(params: NetworkParams, states, workspace: Workspace | None = N
     return scores
 
 
-def forward(params: NetworkParams, state, workspace: Workspace | None = None) -> np.ndarray:
+def forward(params: NetworkParams, state) -> np.ndarray:
     """Score every feature given the sorted selection ``state`` (may be empty)."""
-    return forward_batch(params, [state], workspace)[0]
+    return forward_batch(params, [state])[0]
 
 
 def backward(params: NetworkParams, state, action, target, workspace: Workspace | None = None) -> dict[str, np.ndarray]:
@@ -472,25 +481,17 @@ class OptimizerState:
         return self.base_rate * max(0.0, 1.0 - self.step_count / self.total_steps)
 
 
-def global_norm(grads: dict[str, np.ndarray], workspace: Workspace | None = None) -> float:
-    """The L2 norm of every gradient together; each g * g is written into ``workspace``."""
-    ws = Workspace() if workspace is None else workspace
-    return float(np.sqrt(sum(float(np.square(g, out=ws.array("update", g.shape)).sum()) for g in grads.values())))
-
-
 def step(
     params: NetworkParams, grads: dict[str, np.ndarray], opt: OptimizerState, workspace: Workspace | None = None,
 ) -> NetworkParams:
-    """One clipped SGD update in place; advances the optimizer's step counter.
+    """One SGD update in place, clipped to the global gradient norm; advances the optimizer's step counter.
 
     The squares for the norm and each scaled gradient are written into one
     array of ``workspace``, so ``grads`` must not be views of that array.
     """
     ws = Workspace() if workspace is None else workspace
-    scale = 1.0
-    norm = global_norm(grads, ws)
-    if norm > opt.clip_norm:
-        scale = opt.clip_norm / norm
+    norm = math.sqrt(sum(float(np.square(g, out=ws.array("update", g.shape)).sum()) for g in grads.values()))
+    scale = opt.clip_norm / norm if norm > opt.clip_norm else 1.0
     rate = opt.rate()
     for name, tensor in params.tensors.items():
         g = grads[name]

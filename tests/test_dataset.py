@@ -262,6 +262,31 @@ class TestStratifiedSplit:
         with pytest.raises(SplitError):
             stratified_split(m, SplitKind.kfold(10), seed=0)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"k": 0}, {"k": 1}], ids=["default-k", "k0", "k1"])
+    def test_kfold_below_two_folds_rejected_when_built(self, kwargs):
+        # unchecked, k = 0 divides by zero in the split and gives a plan with no folds
+        with pytest.raises(ValueError, match="k >= 2"):
+            SplitKind("kfold", **kwargs)
+        if "k" in kwargs:
+            with pytest.raises(ValueError, match="k >= 2"):
+                SplitKind.kfold(kwargs["k"])
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+    def test_holdout_fraction_outside_zero_one_rejected_when_built(self, fraction):
+        # unchecked, a fraction of 1.5 holds every row out and leaves an empty fit part
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            SplitKind("holdout", fraction=fraction)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            SplitKind.holdout(fraction)
+
+    def test_unknown_method_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unknown split method"):
+            SplitKind("loo")
+
+    def test_factories_build_the_checked_kinds(self):
+        assert SplitKind.kfold(2) == SplitKind("kfold", k=2)
+        assert SplitKind.holdout(0.25) == SplitKind("holdout", fraction=0.25)
+
 
 class TestProject:
     def test_identity(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rlselect import classifiers
 from rlselect.classifiers import ClassifierKind
 from rlselect.dataset import SyntheticSpec, generate_synthetic, project
-from rlselect.env import FeatureEnv, RewardOracle, insert_sorted, reset
+from rlselect.env import FeatureEnv, RewardOracle, insert_sorted
 
 from conftest import matrix_from_rows
 
@@ -47,8 +47,9 @@ def batches(draw, n_features=80):
 
 class TestEpisodeState:
     def test_reset_is_empty(self):
-        assert reset() == ()
-        assert reset() == reset()
+        env = FeatureEnv(8, 3)
+        assert env.reset() == ()
+        assert env.reset() == env.reset()
 
     def test_insert_keeps_sorted(self):
         assert insert_sorted((5, 9), 3) == (3, 5, 9)
@@ -97,6 +98,26 @@ class TestFeatureEnv:
             states.append(state)
         assert len(set(states)) == 1
         assert len(set(oracle.score(states))) == 1
+
+    @pytest.mark.parametrize("action", [2.7, np.float64(2.0)])
+    def test_float_action_rejected(self, action):
+        env, _ = self._env(3)
+        state, _ = env.step(env.reset(), 5)
+        with pytest.raises(ValueError, match="not an integer"):
+            env.step(state, action)
+        with pytest.raises(ValueError, match="not an integer"):
+            env.step(env.reset(), action)
+
+    def test_numpy_integer_action_gives_a_state_of_ints(self):
+        env, _ = self._env(3)
+        state, _ = env.step(env.reset(), np.int64(4))
+        assert state == (4,) and type(state[0]) is int
+
+    @pytest.mark.parametrize("action", [0, 9])
+    def test_action_outside_features_rejected(self, action):
+        env, _ = self._env(3)
+        with pytest.raises(ValueError, match="1..8"):
+            env.step(env.reset(), action)
 
     def test_transition_count_and_prefix_length(self):
         env, _ = self._env(4)
@@ -170,6 +191,30 @@ class TestRewardOracle:
             columns = [i - 1 for i in subset]
             clf = classifiers.fit(oracle.kind, project(oracle.fit_part, columns), oracle.seed)
             assert oracle(subset) == classifiers.accuracy(clf, project(oracle.score_part, columns))
+
+    @pytest.mark.parametrize("subset", [(2.7,), (1, 2.7), (np.float64(2.0),), (1, np.float64(2.0))])
+    def test_float_index_rejected_without_a_fit_or_hit(self, subset):
+        oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=6)
+        oracle.score([(1,), (2,), (1, 2)])  # a float equal to a memoized index must not hit it either
+        counts = (oracle.fit_count, oracle.hit_count)
+        with mock.patch.object(classifiers, "holdout_accuracies", wraps=classifiers.holdout_accuracies) as spy:
+            with pytest.raises(ValueError, match="not an integer"):
+                oracle(subset)
+            with pytest.raises(ValueError, match="not an integer"):
+                oracle.score([(3,), subset])
+        assert spy.call_count == 0
+        assert (oracle.fit_count, oracle.hit_count) == counts
+
+    @pytest.mark.parametrize("parts", [
+        lambda m: (m.rows(np.flatnonzero(m.y == 0)), m),  # the fit part holds one class
+        lambda m: (m, m.rows(np.array([], dtype=np.intp))),  # nothing to score
+    ], ids=["one-class-fit-part", "empty-score-part"])
+    def test_unusable_parts_rejected_before_any_fit(self, parts):
+        fit_part, score_part = parts(planted_matrix())
+        with mock.patch.object(classifiers, "holdout_accuracies") as spy:
+            with pytest.raises(ValueError, match="reward oracle's"):
+                RewardOracle.from_parts(ClassifierKind.decision_tree(), fit_part, score_part, seed=1)
+        assert spy.call_count == 0
 
     def test_rewards_identical_within_run(self):
         oracle = RewardOracle(ClassifierKind.knn(k=3), planted_matrix(q=0.8), seed=7)

@@ -218,6 +218,14 @@ class TestTrainingRun:
         assert run.train_steps > 0
         assert run.workspace is None
 
+    @pytest.mark.parametrize("learn, sync, episodes", [(2, 3, 4), (1, 100, 5), (3, 2, 9), (4, 4, 8), (5, 1, 6)])
+    def test_train_steps_are_the_cadence_summed_over_the_run(self, tmp_path, learn, sync, episodes):
+        cfg = tiny_config(tmp_path, learn_frequency=learn, sync_frequency=sync, total_episodes=episodes)
+        due = sum(map(cfg.agent_config().train_steps_due, range(1, episodes + 1)))
+        assert due == episodes // learn + episodes // sync  # one per learn event, one more per target sync
+        assert harness.run_training(cfg).train_steps == due
+        assert cfg.optimizer_state().total_steps == 2 * due
+
 
 class TestCmdEvaluate:
     def test_perfect_feature_full_set(self, tmp_path):
@@ -461,6 +469,38 @@ class TestCli:
         assert main([command, "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert "config error: dataset:" in captured.err and "score part is empty" in captured.err
+        assert fits == [] and not (tmp_path / "out").exists()
+
+    def test_curves_without_test_rows_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # 2 rows per class: the 20% test part rounds to no row, and a 0.3 fit fraction leaves the oracle rows to score
+        m = generate_synthetic(SyntheticSpec(4, 3, (0,), q=0.9, seed=3))
+        csv_path = tmp_path / "four.csv"
+        save_csv(SampleMatrix(m.dictionary, m.X, np.array([0, 1] * 2, dtype=np.uint8)), csv_path)
+        cfg = RunConfig(csv_path=str(csv_path), synthetic=None, subset_size=2,
+                        oracle_fit_fraction=0.3, out_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        fits = []
+        for name in ("holdout_accuracy", "holdout_accuracies"):
+            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
+        assert main(["curves", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: dataset:" in captured.err and "score part is empty" in captured.err
+        assert fits == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "curves"])
+    def test_subset_size_above_width_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        csv_path = tmp_path / "four.csv"
+        save_csv(generate_synthetic(SyntheticSpec(60, 4, (0,), q=0.9, seed=3)), csv_path)
+        cfg = RunConfig(csv_path=str(csv_path), synthetic=None, subset_size=5, out_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        fits = []
+        for name in ("holdout_accuracy", "holdout_accuracies"):
+            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: agent.subset_size" in captured.err and "1..4" in captured.err
         assert fits == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])

@@ -100,6 +100,20 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(params, (0, 2))
 
+    @pytest.mark.parametrize("state", [(2.7,), (1, 2.7), (np.float64(2.0),), (1, np.float64(2.0)), (np.int64(1), 2.7)])
+    def test_float_index_rejected(self, state):
+        params = net.init(NetworkConfig.for_features(6, 3, 4, "rnn"), 4)
+        with pytest.raises(ValueError, match="not an integer"):
+            net.forward(params, state)
+        with pytest.raises(ValueError, match="not an integer"):
+            net.backward(params, state, 3, 0.5)
+        with pytest.raises(ValueError, match="not an integer"):
+            net.backward(params, [(1,), state], [3, 4], [0.5, 0.5])
+
+    def test_numpy_integer_indices_score_like_ints(self):
+        params = net.init(NetworkConfig.for_features(6, 3, 4, "rnn"), 4)
+        assert np.array_equal(net.forward(params, (np.int64(2), np.int32(5))), net.forward(params, (2, 5)))
+
 
 class TestBackward:
     @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
