@@ -54,6 +54,7 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
+        net.validate_index(self.action, "action")
         expected = tuple(sorted(self.prev_state + (self.action,)))
         if self.next_state != expected:
             raise ValueError(

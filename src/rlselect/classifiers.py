@@ -12,9 +12,14 @@ Four deterministic learners over binary feature matrices:
 All fits are pure functions of (kind, matrix, seed); no global RNG is touched.
 Trees operate internally on deduplicated row patterns with per-label weights,
 which is equivalent to row-level CART and much faster on low-width projections.
-``_unique_rows`` dedupes rows by sorting one code per row: up to 64 features
-the packed row read as one big-endian integer, above that its packed bytes
-compared as one ``np.void``; both orders are the rows' lexicographic order.
+``_unique_rows`` dedupes rows on one code per row whose order is the rows'
+lexicographic order. Up to 53 features the code is the row read as a binary
+number, first feature most significant: a float64 product with powers of two
+(``_codes``), exact because every sum is an integer below 2**53. Such codes
+are deduped densely when there are no more possible codes than rows (mark each
+code in a boolean array; its running count is the inverse), else by one sort
+(``_dedupe``), and the patterns are decoded from the distinct codes. Wider
+rows are packed into bytes and sorted as one ``np.void`` each.
 
 One level-wise grower, ``_grow_levels``, builds every tree. Its entries are
 (pattern, integer label counts, tree root) triples, so one level can hold the
@@ -54,10 +59,13 @@ accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
 * For the unseen patterns it runs the same grower with only those patterns
   as queries, so only the nodes on their paths are grown (a lazy decision
   tree), and every split choice is the one ``fit`` makes.
-* The sets read one table of the fit rows stacked on the score rows. Their
-  rows are deduped in one sort, with the set as a group key, and their lazy
-  trees grow in one level-wise pass, one root per set. A narrower set is
-  padded with an all-zero column, which never separates a node.
+* The sets read one table of the fit rows stacked on the score rows. Each
+  (row, set) entry gets one code, the set's bits with the set index above
+  them, from one small GEMM of the columns the sets use with one column of
+  powers of two per set; all the codes are deduped at once, and the lazy
+  trees of the sets grow in one level-wise pass, one root per set. A
+  narrower set ends in zero bits, as if padded with an all-zero column,
+  which never separates a node.
 """
 
 from __future__ import annotations
@@ -292,35 +300,76 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
         tree = tree[code // 2]
 
 
+_CODE_BITS = 53  # a float64 sum of distinct powers of two below 2**53 is an exact integer
+
+
+def _codes(bits: np.ndarray, weight: np.ndarray, high, width: int) -> np.ndarray:
+    """One int64 code per (row, column of ``weight``): ``bits @ weight``, plus ``high`` above the low ``width`` bits.
+
+    Each column of ``weight`` holds distinct powers of two below ``2**width``
+    (and zeros), so every sum is an integer below ``2**width``: exact in
+    float64 while ``width <= _CODE_BITS``.
+    """
+    return (bits.astype(np.float64) @ weight).astype(np.int64) + (high << width)
+
+
+def _dedupe(codes: np.ndarray, n_codes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct codes in ascending order, inverse) of 1-D ``codes``.
+
+    Codes in ``0..n_codes-1`` with ``n_codes`` no larger than their number
+    are marked in a boolean array, whose running count is the inverse.
+    Otherwise (or with no ``n_codes``) they are sorted once, and a code unlike
+    the one before it starts a new distinct code.
+    """
+    if n_codes is not None and n_codes <= codes.size:
+        present = np.zeros(n_codes, dtype=bool)
+        present[codes] = True
+        rank = np.cumsum(present, dtype=np.intp) - 1
+        return np.flatnonzero(present), rank[codes]
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    first[1:] = codes[1:] != codes[:-1]
+    inverse = np.empty(codes.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return codes[first], inverse
+
+
+def _decode(codes: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each code as a 0/1 row, most significant first."""
+    return ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def _unique_rows(X: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(patterns, inverse) of ``np.unique(X, axis=0, return_inverse=True)`` for a 0/1 matrix.
 
-    Each row is packed into bytes and becomes one code whose order is the
-    lexicographic order of the rows: up to 64 bits, the bytes zero-padded to
-    8 and read as one big-endian ``uint64``; above, the bytes as one opaque
-    ``np.void``. ``group`` (a nonnegative integer per row) puts the group's
-    big-endian bytes in front of the row's, so equal rows of two groups are
-    two patterns, and the patterns come in group order, then row order. The
-    codes are sorted once, and a code unlike the one before it starts a
-    pattern (any row of a pattern is that pattern).
+    ``group`` (a nonnegative integer per row) goes in front of the row, so
+    equal rows of two groups are two patterns, and the patterns come in group
+    order, then row order. Up to ``_CODE_BITS`` bits in all, a row's code is
+    its bits as a binary number, first feature most significant (``_codes``),
+    with the group above them; ``_dedupe`` dedupes the codes, and the
+    patterns are decoded from them. Wider rows are packed into bytes behind
+    the group's big-endian bytes and sorted as one ``np.void`` each; any row
+    of a pattern is that pattern.
     """
+    n, width = X.shape
+    high = 0 if group is None else group.astype(np.int64)
+    top = int(np.max(high, initial=0))  # the largest group
+    if top.bit_length() + width <= _CODE_BITS:
+        codes = _codes(X, 2.0 ** np.arange(width - 1, -1, -1), high, width)
+        distinct, inverse = _dedupe(codes, (top + 1) << width)
+        return _decode(distinct, width), inverse
     packed = np.packbits(X, axis=1)
-    n = packed.shape[0]
-    key = 0 if group is None else (int(group.max(initial=0)).bit_length() + 7) // 8
-    width = key + packed.shape[1]
-    word = np.zeros((n, max(width, 8)), dtype=np.uint8)  # zero-width rows are all one pattern
+    key = (top.bit_length() + 7) // 8
+    word = np.empty((n, key + packed.shape[1]), dtype=np.uint8)
     if key:
-        word[:, :key] = group.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - key:]
-    word[:, key:width] = packed
-    codes = word.view(">u8" if word.shape[1] == 8 else np.dtype((np.void, width))).ravel()
-    order = np.argsort(codes)
-    codes = codes[order]
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    first[1:] = codes[1:] != codes[:-1]
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return X[order[first]], inverse
+        word[:, :key] = high.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - key:]
+    word[:, key:] = packed
+    distinct, inverse = _dedupe(word.view(np.dtype((np.void, word.shape[1]))).ravel())
+    rows = np.empty(distinct.size, dtype=np.intp)
+    rows[inverse] = np.arange(n)
+    return X[rows], inverse
 
 
 def stack_parts(kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray | None:
@@ -341,30 +390,48 @@ def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.
     """Labels the unbounded CART tree of each column set gives the score rows: (sets, score rows).
 
     ``table`` is ``stack_parts`` of a fit part with labels ``fit_y`` and a
-    score part. A set narrower than the widest is padded with the table's
+    score part. Each row of each set becomes one pattern code: the set's
+    columns read as a binary number, first column most significant, with the
+    set index above them, so the codes sort by set, then by row. While they
+    fit in ``_CODE_BITS``, one small GEMM of the columns the sets use with a
+    matrix of powers of two (one column per set) gives every code at once;
+    ``_dedupe`` dedupes them, densely when there are no more possible codes
+    than entries, and the patterns are decoded from the distinct codes. A set
+    narrower than the widest ends in zero bits, as if padded with the table's
     all-zero column: it never separates a node, and it comes after the real
-    columns, so it never wins a tie. The rows of every set are deduped in one
-    sort, with the set as the group. A pattern of a set's fit rows ends in a
-    pure leaf or a leaf of its own, so it gets its majority label; the trees
-    of all the sets grow in one level-wise pass, only along the paths of the
-    score patterns their fit rows lack.
+    columns, so it never wins a tie. Wider sets take the padded rows through
+    ``_unique_rows``, with the set as the group.
+
+    A pattern of a set's fit rows ends in a pure leaf or a leaf of its own, so
+    it gets its majority label; the trees of all the sets grow in one
+    level-wise pass, only along the paths of the score patterns their fit
+    rows lack.
     """
     n_rows, n_fit, n_sets = table.shape[0], fit_y.size, len(column_sets)
-    width = max(map(len, column_sets))
-    cols = np.full((n_sets, width), table.shape[1] - 1, dtype=np.intp)
+    width, pad = max(map(len, column_sets)), table.shape[1] - 1
+    cols = np.full((n_sets, width), pad, dtype=np.intp)
     for s, c in enumerate(column_sets):
         cols[s, : len(c)] = c
     # row r of set s is entry r * n_sets + s
-    group = np.tile(np.arange(n_sets), n_rows)
-    patterns, inverse = _unique_rows(table[:, cols].reshape(n_rows * n_sets, width), group)
+    if (n_sets - 1).bit_length() + width <= _CODE_BITS:
+        sets, at = np.nonzero(cols != pad)
+        used, where = np.unique(cols[sets, at], return_inverse=True)
+        weight = np.zeros((used.size, n_sets))
+        weight[where, sets] = 2.0 ** (width - 1 - at)
+        codes = _codes(table[:, used], weight, np.arange(n_sets), width).ravel()
+        distinct, inverse = _dedupe(codes, n_sets << width)
+        patterns, pattern_set = _decode(distinct, width), distinct >> width
+    else:
+        group = np.tile(np.arange(n_sets), n_rows)
+        patterns, inverse = _unique_rows(table[:, cols].reshape(n_rows * n_sets, width), group)
+        pattern_set = np.empty(patterns.shape[0], dtype=np.intp)
+        pattern_set[inverse] = group
     n_patterns = patterns.shape[0]
     code = np.repeat(fit_y.astype(np.intp), n_sets) * n_patterns + inverse[: n_fit * n_sets]
     w0, w1 = np.bincount(code, minlength=2 * n_patterns).reshape(2, -1)
     labels = (w1 > w0).astype(np.uint8)
     seen = (w0 + w1) > 0
     if not seen.all():
-        pattern_set = np.empty(n_patterns, dtype=np.intp)
-        pattern_set[inverse] = group
         grow = np.zeros(n_sets, dtype=bool)
         grow[pattern_set[~seen]] = True
         root = np.cumsum(grow) - 1  # tree t is the t-th set that has an unseen pattern

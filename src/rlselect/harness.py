@@ -183,10 +183,11 @@ class RunConfig:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("dataset: config needs exactly one of csv or synthetic")
-        if not 0.0 < self.oracle_fit_fraction < 1.0:
-            raise ConfigError(
-                f"oracle_fit_fraction must be in (0, 1), got {self.oracle_fit_fraction}"
-            )
+        # the oracle scores the rows its fit part leaves, so SplitKind owns the range rule
+        _with_config_path(
+            f"oracle_fit_fraction: {self.oracle_fit_fraction!r} leaves a score part whose ",
+            lambda: SplitKind.holdout(1.0 - self.oracle_fit_fraction),
+        )
         # Each component's validator leads its message with the name of the
         # field it rejects; the prefix turns that name into the config path.
         checks = (

@@ -158,17 +158,24 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def validate_index(i, what: str) -> int:
+    """``i`` as an int: numpy integers become ints; anything else is refused with a message led by ``what``.
+
+    The one integer rule of a feature index, for states and replayed actions.
+    """
+    if not isinstance(i, (int, np.integer)):
+        raise ValueError(f"{what} {i!r} is not an integer")
+    return int(i)
+
+
 def validate_state(state, n_features: int) -> tuple[int, ...]:
     """``state`` as a tuple of ints, checked to hold integers in 1..n_features, sorted strictly ascending.
 
     The one selection rule of the network, the reward oracle and ``FeatureEnv.step``.
     """
     s = tuple(state)  # a tuple of ints is returned as it is, so callers can keep sharing it
-    if any(type(i) is not int for i in s):  # numpy integers become ints; anything else is refused
-        for i in s:
-            if not isinstance(i, (int, np.integer)):
-                raise ValueError(f"state index {i!r} is not an integer")
-        s = tuple(map(int, s))
+    if any(type(i) is not int for i in s):
+        s = tuple(validate_index(i, "state index") for i in s)
     for a, b in zip(s, s[1:]):
         if b <= a:
             raise ValueError(f"state must be sorted strictly ascending, got {s}")

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,15 @@ class TestTransition:
     def test_reward_range(self):
         with pytest.raises(ValueError):
             Transition((), 1, 1.5, (1,), True)
+
+    @pytest.mark.parametrize("action, state", [(2.0, (2,)), (np.float64(3.0), (3,))], ids=["float", "numpy-float"])
+    def test_non_integer_action_rejected_naming_it(self, action, state):
+        with pytest.raises(ValueError, match=rf"^action {re.escape(repr(action))} is not an integer$"):
+            Transition((), action, 0.5, state, True)
+
+    def test_numpy_integer_action_accepted(self):
+        t = Transition((1, 5), np.int64(3), 0.5, (1, 3, 5), False)
+        assert t.next_state == (1, 3, 5)
 
 
 def _mk_transition(i):

@@ -18,6 +18,7 @@ from rlselect.classifiers import (
     FitError,
     _child_impurity,
     _grow_levels,
+    _lazy_tree_predict,
     _tree_rng,
     _unique_rows,
     _vec_gini,
@@ -26,8 +27,9 @@ from rlselect.classifiers import (
     fit,
     holdout_accuracy,
     predict,
+    stack_parts,
 )
-from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, stratified_split
+from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, project, stratified_split
 
 from conftest import matrix_from_rows
 
@@ -607,10 +609,12 @@ class TestHoldoutAccuracy:
         self.check_unique_rows(X)
 
     @pytest.mark.parametrize("shape", [
-        *[(12, width) for width in (0, 1, 8, 9, 63, 64, 65, 72)], (0, 0), (0, 10), (0, 72),
+        *[(12, width) for width in (0, 1, 8, 9, 52, 53, 54, 63, 64, 65, 72)], (300, 8), (0, 0), (0, 10), (0, 72),
     ], ids=lambda shape: "x".join(map(str, shape)))
     def test_packed_unique_rows_at_the_word_boundary(self, shape):
-        # up to 64 features a row is one 64-bit code, above that its packed bytes
+        # up to 53 features a row is one float64-built code, deduped densely when
+        # 2**width is at most the rows (widths 0 and 1, and 8 over 300 rows),
+        # else sorted; above 53 its packed bytes
         X = np.random.default_rng(shape[1]).integers(0, 2, size=shape, dtype=np.uint8)
         if shape[0] and shape[1]:
             X[1:4] = X[0]
@@ -618,10 +622,11 @@ class TestHoldoutAccuracy:
             X[2, 0] ^= 1  # in the first only; row 3 repeats row 0
         self.check_unique_rows(X)
 
-    @pytest.mark.parametrize("width", [0, 1, 8, 48, 49, 56, 57, 63, 64, 65, 72])
+    @pytest.mark.parametrize("width", [0, 1, 8, 44, 45, 48, 49, 51, 52, 53, 54, 56, 57, 63, 64, 65, 72])
     @pytest.mark.parametrize("n_groups", [1, 3, 300])
     def test_grouped_unique_rows_equal_numpy_unique_with_the_group_first(self, width, n_groups):
-        # one or two key bytes in front of the row's bytes, in one 64-bit code or past it
+        # the group's bits above the row's in one code up to 53 bits in all (0, 2 or
+        # 9 group bits here), else one or two key bytes in front of the packed row
         rng = np.random.default_rng(width)
         X = rng.integers(0, 2, size=(40, width), dtype=np.uint8)
         X[20:] = X[:20]
@@ -638,6 +643,46 @@ class TestHoldoutAccuracy:
             packed_patterns, packed_inverse = _unique_rows(rows)
             assert np.array_equal(packed_patterns, patterns)
             assert np.array_equal(packed_inverse, inverse.ravel())
+
+    @pytest.mark.parametrize("widths, n_rows, branch", [
+        ((3, 1, 5), 60, "dense"),  # 3 sets x 2**5 codes for 3 x 60 entries
+        ((0,), 8, "dense"),
+        ((12, 4), 60, "sort"),
+        ((52, 30), 40, "sort"),  # 1 set bit + 52 = 53 bits
+        ((53,), 40, "sort"),
+        ((53, 20), 40, "void"),  # 1 set bit + 53 = 54 bits
+        ((52, 9, 3), 40, "void"),  # 2 set bits + 52
+        ((70, 2), 40, "void"),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_each_dedupe_branch_equals_eager(self, widths, n_rows, branch):
+        rng = np.random.default_rng(sum(widths) + n_rows)
+        pool = rng.integers(0, 2, size=(12, 80), dtype=np.uint8)
+        pool[6:, :40] = pool[:6, :40]  # patterns that agree on many columns
+        fit_part, score_part = (
+            matrix_from_rows(pool[rng.integers(0, 12, size=n)], np.arange(n) % 2) for n in (n_rows, n_rows // 2)
+        )
+        sets = [np.sort(rng.choice(80, size=w, replace=False)).tolist() for w in widths]
+        with mock.patch.object(classifiers, "_dedupe", wraps=classifiers._dedupe) as spy:
+            got = classifiers.holdout_accuracies(self.dt, fit_part, score_part, sets, 0)
+        codes, *n_codes = spy.call_args.args
+        taken = "void" if not n_codes else "dense" if n_codes[0] <= codes.size else "sort"
+        assert taken == branch
+        assert got == [eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets]
+
+    def test_code_path_reads_no_pad_column(self):
+        # a narrower set's missing bits are zero whatever the pad column holds
+        rng = np.random.default_rng(8)
+        fit_part = matrix_from_rows(rng.integers(0, 2, size=(200, 9)), rng.integers(0, 2, size=200))
+        score_part = matrix_from_rows(rng.integers(0, 2, size=(100, 9)), rng.integers(0, 2, size=100))
+        table = stack_parts(self.dt, fit_part, score_part)
+        dirty = table.copy()
+        dirty[:, -1] = rng.integers(0, 2, size=table.shape[0])
+        sets = [[1], [0, 4], [2, 3, 5, 8], [6, 7, 8]]
+        expected = _lazy_tree_predict(table, fit_part.y, sets)
+        assert np.array_equal(_lazy_tree_predict(dirty, fit_part.y, sets), expected)
+        assert [float(a) for a in np.mean(expected == score_part.y, axis=1)] == [
+            eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets
+        ]
 
     @pytest.mark.parametrize("seen", ["all", "none"])
     def test_scored_patterns_all_or_none_seen(self, seen):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,8 +36,13 @@ KINDS = (
 
 @st.composite
 def batches(draw, n_features=80):
-    """A batch of subsets of mixed widths in 1..80 (63, 64 and 65 drawn often), some repeated."""
-    width = st.one_of(st.integers(1, n_features), st.sampled_from([63, 64, 65]))
+    """A batch of subsets of mixed widths in 1..80, some repeated.
+
+    Drawn often: widths up to 7, whose codes the DT pass dedupes densely over
+    the 150 rows; 51 to 54, either side of the 53-bit code with up to two set
+    bits; and 63 to 65. Other widths up to 53 sort their codes.
+    """
+    width = st.one_of(st.integers(1, n_features), st.sampled_from([1, 2, 3, 7, 51, 52, 53, 54, 63, 64, 65]))
     subset = width.flatmap(
         lambda w: st.lists(st.integers(1, n_features), min_size=w, max_size=w, unique=True).map(sorted).map(tuple)
     )
@@ -276,3 +282,34 @@ class TestRewardOracleScore:
         # the memo is unchanged: the batch's good subsets score as if it had never been seen
         assert oracle.score(good) == twin.score(good)
         assert (oracle.fit_count, oracle.hit_count) == (twin.fit_count, twin.hit_count)
+
+
+def traced(call):
+    """``call()``'s result, then the bytes its allocations still hold and their peak."""
+    tracemalloc.start()
+    try:
+        return (call(), *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+class TestPassMemory:
+    """A batched DT pass allocates about its entries' codes, never a float table or a dense code space past them."""
+
+    dt = ClassifierKind.decision_tree()
+
+    def test_select_dt_shape(self):
+        # 2000 x 100, one episode's ten nested states; the table as float64 alone is 1.5 MiB
+        matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
+        order = np.random.default_rng(2).permutation(np.arange(1, 101))[:10]
+        oracle, kept, _ = traced(lambda: RewardOracle(self.dt, matrix, seed=1))
+        assert kept < 2**20  # the fit and score parts and their uint8 table, no float copy
+        peak = traced(lambda: oracle.score([tuple(sorted(order[:k].tolist())) for k in range(1, 11)]))[2]
+        assert peak < 1.25 * 2**20
+        assert oracle.fit_count == 10
+
+    @pytest.mark.parametrize("width", [24, 30])
+    def test_one_wide_set_sorts_its_codes(self, width):
+        # 2000 rows hold 2**width possible codes; marking them densely would take 2**width bytes and more
+        oracle = RewardOracle(self.dt, planted_matrix(seed=6, n=2000, features=width, q=0.8), seed=1)
+        assert traced(lambda: oracle.score([tuple(range(1, width + 1))]))[2] < 4 * 2**20

@@ -51,6 +51,7 @@ BAD_CONFIG_VALUES = [
     ("agent.total_episodes", 2.5),
     ("seed", "abc"),
     ("oracle_fit_fraction", 1.5),
+    ("oracle_fit_fraction", 1e-17),  # in (0, 1), but leaves a score fraction of 1.0
     ("network.embed_dim", 0),
     ("agent.p", True),
     ("classifier.tress", 500),
