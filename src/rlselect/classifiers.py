@@ -12,14 +12,19 @@ Four deterministic learners over binary feature matrices:
 All fits are pure functions of (kind, matrix, seed); no global RNG is touched.
 Trees operate internally on deduplicated row patterns with per-label weights,
 which is equivalent to row-level CART and much faster on low-width projections.
-``_unique_rows`` dedupes rows on one code per row whose order is the rows'
-lexicographic order. Up to 53 features the code is the row read as a binary
-number, first feature most significant: a float64 product with powers of two
-(``_codes``), exact because every sum is an integer below 2**53. Such codes
-are deduped densely when there are no more possible codes than rows (mark each
-code in a boolean array; its running count is the inverse), else by one sort
-(``_dedupe``), and the patterns are decoded from the distinct codes. Wider
-rows are packed into bytes and sorted as one ``np.void`` each.
+One encoder, ``_set_patterns``, turns rows into pattern codes for fits,
+predictions and the batched reward alike: it reads a table's rows through one
+or many column sets, and each (row, set) entry gets one code that sorts by
+set, then by the row's bits. Up to 53 bits in all the code is the set index
+above the row read as a binary number, first column most significant: a
+float64 product with powers of two (``_codes``), exact because every sum is
+an integer below 2**53. Such codes are deduped densely when there are no more
+possible codes than entries (mark each code in a boolean array; its running
+count is the inverse), else by one sort (``_dedupe``, the one dedupe, which
+also numbers the lazy grower's child nodes), and the patterns are decoded
+from the distinct codes. Wider entries are packed into bytes behind the set's
+big-endian bytes and sorted as one ``np.void`` each. ``_unique_rows`` is the
+case of one set of every column.
 
 One level-wise grower, ``_grow_levels``, builds every tree. Its entries are
 (pattern, integer label counts, tree root) triples, so one level can hold the
@@ -59,13 +64,11 @@ accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
 * For the unseen patterns it runs the same grower with only those patterns
   as queries, so only the nodes on their paths are grown (a lazy decision
   tree), and every split choice is the one ``fit`` makes.
-* The sets read one table of the fit rows stacked on the score rows. Each
-  (row, set) entry gets one code, the set's bits with the set index above
-  them, from one small GEMM of the columns the sets use with one column of
-  powers of two per set; all the codes are deduped at once, and the lazy
-  trees of the sets grow in one level-wise pass, one root per set. A
-  narrower set ends in zero bits, as if padded with an all-zero column,
-  which never separates a node.
+* The sets read one table, the fit rows stacked on the score rows, through
+  ``_set_patterns``: one small GEMM of the columns the sets use gives every
+  (row, set) code, all the codes are deduped at once, and the lazy trees of
+  the sets grow in one level-wise pass, one root per set. A narrower set ends
+  in zero bits, which never separate a node.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SampleMatrix, SplitPlan, project
+from .dataset import SampleMatrix, SplitPlan, check_subset, project
 
 
 class FitError(ValueError):
@@ -292,7 +295,7 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
             if q_ids.size == 0:
                 return out, levels
             q_child = 2 * q_node + queries[q_ids, feature[q_node]]
-            code, q_node = np.unique(q_child, return_inverse=True)
+            code, q_node = _dedupe(q_child, 2 * feature.size)
         f_child = 2 * node + patterns[pid, feature[node]]
         pos = np.minimum(np.searchsorted(code, f_child), code.size - 1)
         keep = code[pos] == f_child
@@ -341,91 +344,77 @@ def _decode(codes: np.ndarray, width: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def _unique_rows(X: np.ndarray, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(patterns, inverse) of ``np.unique(X, axis=0, return_inverse=True)`` for a 0/1 matrix.
+def _set_patterns(table: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(patterns, inverse, pattern set) of the rows of ``table`` read through each column set.
 
-    ``group`` (a nonnegative integer per row) goes in front of the row, so
-    equal rows of two groups are two patterns, and the patterns come in group
-    order, then row order. Up to ``_CODE_BITS`` bits in all, a row's code is
-    its bits as a binary number, first feature most significant (``_codes``),
-    with the group above them; ``_dedupe`` dedupes the codes, and the
-    patterns are decoded from them. Wider rows are packed into bytes behind
-    the group's big-endian bytes and sorted as one ``np.void`` each; any row
-    of a pattern is that pattern.
+    ``cols`` is an (S, W) matrix, one set per row: its strictly increasing
+    column indices, then -1 past the end of a set narrower than W, read as
+    zero bits. Entry ``r * S + s`` is row r read through set s; its code is
+    the set index above the entry's bits, first column most significant, so
+    the patterns come in set order, then row order. Up to ``_CODE_BITS`` bits
+    in all, one small GEMM of the columns the sets use with one column of
+    powers of two per set gives every code (``_codes``); ``_dedupe`` dedupes
+    them, and the patterns are decoded from the distinct codes. Wider entries
+    are packed into bytes behind the set's big-endian bytes and sorted as one
+    ``np.void`` each; any entry of a pattern is that pattern.
     """
-    n, width = X.shape
-    high = 0 if group is None else group.astype(np.int64)
-    top = int(np.max(high, initial=0))  # the largest group
-    if top.bit_length() + width <= _CODE_BITS:
-        codes = _codes(X, 2.0 ** np.arange(width - 1, -1, -1), high, width)
-        distinct, inverse = _dedupe(codes, (top + 1) << width)
-        return _decode(distinct, width), inverse
-    packed = np.packbits(X, axis=1)
-    key = (top.bit_length() + 7) // 8
-    word = np.empty((n, key + packed.shape[1]), dtype=np.uint8)
-    if key:
-        word[:, :key] = high.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - key:]
-    word[:, key:] = packed
+    n_sets, width = cols.shape
+    if (n_sets - 1).bit_length() + width <= _CODE_BITS:
+        sets, at = np.nonzero(cols >= 0)
+        used, where = np.unique(cols[sets, at], return_inverse=True)
+        weight = np.zeros((used.size, n_sets))
+        weight[where, sets] = 2.0 ** (width - 1 - at)
+        bits = table if used.size == table.shape[1] else table[:, used]  # every column: no gather
+        codes = _codes(bits, weight, np.arange(n_sets), width).ravel()
+        distinct, inverse = _dedupe(codes, n_sets << width)
+        return _decode(distinct, width), inverse, distinct >> width
+    # row r read through set s is rows[r * S + s]; one set of every column is the table itself
+    rows = table if cols.shape == (1, table.shape[1]) else np.where(cols >= 0, np.take(table, cols, axis=1), 0)
+    rows = rows.reshape(table.shape[0] * n_sets, width)
+    key = ((n_sets - 1).bit_length() + 7) // 8
+    set_bytes = np.arange(n_sets, dtype=">u8").view(np.uint8).reshape(n_sets, 8)[:, 8 - key:]
+    word = np.hstack([np.tile(set_bytes, (table.shape[0], 1)), np.packbits(rows, axis=1)])
     distinct, inverse = _dedupe(word.view(np.dtype((np.void, word.shape[1]))).ravel())
-    rows = np.empty(distinct.size, dtype=np.intp)
-    rows[inverse] = np.arange(n)
-    return X[rows], inverse
+    first = np.empty(distinct.size, dtype=np.intp)
+    first[inverse] = np.arange(inverse.size)
+    return rows[first], inverse, first % n_sets
+
+
+def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns, inverse) of ``np.unique(X, axis=0, return_inverse=True)`` for a 0/1 matrix: ``_set_patterns`` of one set."""
+    return _set_patterns(X, np.arange(X.shape[1])[None])[:2]
 
 
 def stack_parts(kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray | None:
-    """The table ``holdout_accuracies`` reads for ``kind``: the fit rows, then the score rows, then one all-zero column.
+    """The table ``holdout_accuracies`` reads for ``kind``: the fit rows stacked on the score rows.
 
     None for a kind that fits once per set and reads no table.
     """
     if kind.name != "dt":
         return None
-    width = fit_part.n_features
-    table = np.zeros((fit_part.n_samples + score_part.n_samples, width + 1), dtype=np.uint8)
-    table[: fit_part.n_samples, :width] = fit_part.X
-    table[fit_part.n_samples:, :width] = score_part.X
-    return table
+    return np.concatenate([fit_part.X, score_part.X])
 
 
 def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.ndarray:
     """Labels the unbounded CART tree of each column set gives the score rows: (sets, score rows).
 
     ``table`` is ``stack_parts`` of a fit part with labels ``fit_y`` and a
-    score part. Each row of each set becomes one pattern code: the set's
-    columns read as a binary number, first column most significant, with the
-    set index above them, so the codes sort by set, then by row. While they
-    fit in ``_CODE_BITS``, one small GEMM of the columns the sets use with a
-    matrix of powers of two (one column per set) gives every code at once;
-    ``_dedupe`` dedupes them, densely when there are no more possible codes
-    than entries, and the patterns are decoded from the distinct codes. A set
-    narrower than the widest ends in zero bits, as if padded with the table's
-    all-zero column: it never separates a node, and it comes after the real
-    columns, so it never wins a tie. Wider sets take the padded rows through
-    ``_unique_rows``, with the set as the group.
+    score part, and each set holds valid column indices. ``_set_patterns``
+    gives every (row, set) entry its pattern, the sets padded with -1 to the
+    widest. A narrower set's patterns end in zero bits: they never separate a
+    node, and they come after the real columns, so they never win a tie.
 
     A pattern of a set's fit rows ends in a pure leaf or a leaf of its own, so
     it gets its majority label; the trees of all the sets grow in one
     level-wise pass, only along the paths of the score patterns their fit
     rows lack.
     """
-    n_rows, n_fit, n_sets = table.shape[0], fit_y.size, len(column_sets)
-    width, pad = max(map(len, column_sets)), table.shape[1] - 1
-    cols = np.full((n_sets, width), pad, dtype=np.intp)
+    n_fit, n_sets = fit_y.size, len(column_sets)
+    cols = np.full((n_sets, max(map(len, column_sets))), -1, dtype=np.intp)
     for s, c in enumerate(column_sets):
         cols[s, : len(c)] = c
     # row r of set s is entry r * n_sets + s
-    if (n_sets - 1).bit_length() + width <= _CODE_BITS:
-        sets, at = np.nonzero(cols != pad)
-        used, where = np.unique(cols[sets, at], return_inverse=True)
-        weight = np.zeros((used.size, n_sets))
-        weight[where, sets] = 2.0 ** (width - 1 - at)
-        codes = _codes(table[:, used], weight, np.arange(n_sets), width).ravel()
-        distinct, inverse = _dedupe(codes, n_sets << width)
-        patterns, pattern_set = _decode(distinct, width), distinct >> width
-    else:
-        group = np.tile(np.arange(n_sets), n_rows)
-        patterns, inverse = _unique_rows(table[:, cols].reshape(n_rows * n_sets, width), group)
-        pattern_set = np.empty(patterns.shape[0], dtype=np.intp)
-        pattern_set[inverse] = group
+    patterns, inverse, pattern_set = _set_patterns(table, cols)
     n_patterns = patterns.shape[0]
     code = np.repeat(fit_y.astype(np.intp), n_sets) * n_patterns + inverse[: n_fit * n_sets]
     w0, w1 = np.bincount(code, minlength=2 * n_patterns).reshape(2, -1)
@@ -599,12 +588,14 @@ def holdout_accuracies(
 ) -> list[float]:
     """Accuracy on ``score_part`` of the classifier trained on ``fit_part``, for each column set.
 
-    A column set holds 0-based, strictly increasing feature indices. Each
-    result equals ``accuracy(fit(kind, project(fit_part, c), seed),
-    project(score_part, c))``, errors included. The decision tree builds no
-    tree, and all the sets are scored in one pass over ``table``, which is
-    ``stack_parts(kind, fit_part, score_part)``, stacked here unless given (see the
-    module docstring). Other kinds fit once per set.
+    A column set holds 0-based, strictly increasing feature indices; every
+    set is checked with ``project``'s rule (``check_subset``) before any fit,
+    and no sets give ``[]``. Each result equals ``accuracy(fit(kind,
+    project(fit_part, c), seed), project(score_part, c))``, errors included.
+    The decision tree builds no tree, and all the sets are scored in one pass
+    over ``table``, which is ``stack_parts(kind, fit_part, score_part)``,
+    stacked here unless given (see the module docstring). Other kinds fit
+    once per set.
     """
     _check_trainable(fit_part)
     if score_part.n_samples == 0:
@@ -613,6 +604,9 @@ def holdout_accuracies(
         raise ValueError(
             f"rows have width {score_part.n_features}, classifier was trained on {fit_part.n_features}"
         )
+    column_sets = [check_subset(c, fit_part.n_features) for c in column_sets]
+    if not column_sets:
+        return []
     if kind.name == "dt":
         if table is None:
             table = stack_parts(kind, fit_part, score_part)

@@ -372,16 +372,22 @@ def stratified_split(matrix: SampleMatrix, kind: SplitKind, seed: int) -> SplitP
     return SplitPlan(kind, assignments, seed)
 
 
-def project(matrix: SampleMatrix, subset) -> SampleMatrix:
-    """Restrict the matrix to the given strictly-increasing 0-based column subset."""
+def check_subset(subset, n_features: int) -> list:
+    """``subset`` as a list, checked to hold strictly increasing integer column indices in 0..n_features-1."""
     sub = list(subset)
     if any(not isinstance(i, (int, np.integer)) for i in sub):
         raise ValueError("subset indices must be integers")
     if any(b <= a for a, b in zip(sub, sub[1:])):
         raise ValueError(f"subset must be strictly increasing, got {sub}")
     for i in sub:
-        if not 0 <= i < matrix.n_features:
-            raise ValueError(f"subset index {i} out of range 0..{matrix.n_features - 1}")
+        if not 0 <= i < n_features:
+            raise ValueError(f"subset index {i} out of range 0..{n_features - 1}")
+    return sub
+
+
+def project(matrix: SampleMatrix, subset) -> SampleMatrix:
+    """Restrict the matrix to the given strictly-increasing 0-based column subset (``check_subset``)."""
+    sub = check_subset(subset, matrix.n_features)
     names = tuple(matrix.dictionary.names[i] for i in sub)
     cats = tuple(matrix.dictionary.categories[i] for i in sub)
     new_dict = FeatureDictionary(names, cats)

@@ -19,6 +19,7 @@ from rlselect.classifiers import (
     _child_impurity,
     _grow_levels,
     _lazy_tree_predict,
+    _set_patterns,
     _tree_rng,
     _unique_rows,
     _vec_gini,
@@ -623,18 +624,25 @@ class TestHoldoutAccuracy:
         self.check_unique_rows(X)
 
     @pytest.mark.parametrize("width", [0, 1, 8, 44, 45, 48, 49, 51, 52, 53, 54, 56, 57, 63, 64, 65, 72])
-    @pytest.mark.parametrize("n_groups", [1, 3, 300])
-    def test_grouped_unique_rows_equal_numpy_unique_with_the_group_first(self, width, n_groups):
-        # the group's bits above the row's in one code up to 53 bits in all (0, 2 or
-        # 9 group bits here), else one or two key bytes in front of the packed row
+    @pytest.mark.parametrize("n_sets", [1, 3, 300])
+    def test_set_patterns_equal_numpy_unique_with_the_set_first(self, width, n_sets):
+        # the set's bits above the row's in one code up to 53 bits in all (0, 2 or
+        # 9 set bits here), else one or two key bytes in front of the packed row;
+        # a narrower set is padded with -1, read as zero bits
         rng = np.random.default_rng(width)
-        X = rng.integers(0, 2, size=(40, width), dtype=np.uint8)
-        X[20:] = X[:20]
-        group = rng.integers(0, n_groups, size=40)
-        patterns, inverse = np.unique(np.column_stack([group, X]), axis=0, return_inverse=True)
-        grouped_patterns, grouped_inverse = _unique_rows(X, group)
-        assert np.array_equal(grouped_patterns, patterns[:, 1:])
-        assert np.array_equal(grouped_inverse, inverse.ravel())
+        table = rng.integers(0, 2, size=(40, width + 3), dtype=np.uint8)
+        table[20:] = table[:20]
+        cols = np.full((n_sets, width), -1, dtype=np.intp)
+        for s in range(n_sets):
+            n = width if s == 0 else int(rng.integers(0, width + 1))
+            cols[s, :n] = np.sort(rng.choice(width + 3, size=n, replace=False))
+        padded = np.where(cols >= 0, table[:, cols], 0).reshape(table.shape[0] * n_sets, width)
+        entry_set = np.tile(np.arange(n_sets), table.shape[0])
+        patterns, inverse = np.unique(np.column_stack([entry_set, padded]), axis=0, return_inverse=True)
+        got_patterns, got_inverse, got_set = _set_patterns(table, cols)
+        assert np.array_equal(got_patterns, patterns[:, 1:])
+        assert np.array_equal(got_inverse, inverse.ravel())
+        assert np.array_equal(got_set, patterns[:, 0])
 
     @staticmethod
     def check_unique_rows(X):
@@ -664,25 +672,38 @@ class TestHoldoutAccuracy:
         sets = [np.sort(rng.choice(80, size=w, replace=False)).tolist() for w in widths]
         with mock.patch.object(classifiers, "_dedupe", wraps=classifiers._dedupe) as spy:
             got = classifiers.holdout_accuracies(self.dt, fit_part, score_part, sets, 0)
-        codes, *n_codes = spy.call_args.args
+        codes, *n_codes = spy.call_args_list[0].args  # the encoder's; the grower's follow
         taken = "void" if not n_codes else "dense" if n_codes[0] <= codes.size else "sort"
         assert taken == branch
         assert got == [eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets]
 
-    def test_code_path_reads_no_pad_column(self):
-        # a narrower set's missing bits are zero whatever the pad column holds
+    def test_table_is_the_parts_stacked(self):
         rng = np.random.default_rng(8)
         fit_part = matrix_from_rows(rng.integers(0, 2, size=(200, 9)), rng.integers(0, 2, size=200))
         score_part = matrix_from_rows(rng.integers(0, 2, size=(100, 9)), rng.integers(0, 2, size=100))
         table = stack_parts(self.dt, fit_part, score_part)
-        dirty = table.copy()
-        dirty[:, -1] = rng.integers(0, 2, size=table.shape[0])
+        assert table.shape == (300, fit_part.n_features)
+        assert np.array_equal(table, np.vstack([fit_part.X, score_part.X]))
         sets = [[1], [0, 4], [2, 3, 5, 8], [6, 7, 8]]
         expected = _lazy_tree_predict(table, fit_part.y, sets)
-        assert np.array_equal(_lazy_tree_predict(dirty, fit_part.y, sets), expected)
         assert [float(a) for a in np.mean(expected == score_part.y, axis=1)] == [
             eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets
         ]
+
+    def test_grower_dedupe_takes_both_branches_on_a_select_dt_pass(self):
+        # 2000 x 100 planted matrix, one episode's ten nested sets: the first levels hold
+        # fewer child codes than live queries (dense), the deep ones more (sort)
+        matrix = generate_synthetic(SyntheticSpec(2000, 100, tuple(range(10)), 0.8, 5))
+        fit_part, score_part = map(matrix.rows, stratified_split(matrix, SplitKind.holdout(0.2), 1).train_test())
+        order = np.random.default_rng(2).permutation(100)[:10]
+        sets = [sorted(order[:k].tolist()) for k in range(1, 11)]
+        with mock.patch.object(classifiers, "_dedupe", wraps=classifiers._dedupe) as spy:
+            got = _lazy_tree_predict(stack_parts(self.dt, fit_part, score_part), fit_part.y, sets)
+        grower = [call.args for call in spy.call_args_list[1:]]  # the first call is the encoder's
+        assert {"dense" if n_codes <= codes.size else "sort" for codes, n_codes in grower} == {"dense", "sort"}
+        for s, c in enumerate(sets):
+            clf = fit(self.dt, project(fit_part, c), 0)
+            assert np.array_equal(got[s], predict(clf, project(score_part, c).X))
 
     @pytest.mark.parametrize("seen", ["all", "none"])
     def test_scored_patterns_all_or_none_seen(self, seen):
@@ -703,6 +724,27 @@ class TestHoldoutAccuracy:
         fit_part = matrix_from_rows([[1, 0, 1]] * 5, [0, 1, 1, 0, 1])
         score_part = matrix_from_rows([[1, 0, 1], [0, 0, 0], [1, 1, 1]], [1, 0, 1])
         assert holdout_accuracy(self.dt, fit_part, score_part, 0) == eager_holdout(self.dt, fit_part, score_part)
+
+    @pytest.mark.parametrize("bad", [[3, 1], [1, 1], [2.0], [6], [-1], [0, 7], None], ids=str)
+    @pytest.mark.parametrize("kind", [
+        ClassifierKind.decision_tree(), ClassifierKind.random_forest(trees=3),
+        ClassifierKind.knn(k=3), ClassifierKind.linear_svm(epochs=2),
+    ], ids=lambda kind: kind.name)
+    def test_every_kind_checks_its_sets_before_any_fit(self, kind, bad):
+        # ``project``'s rule for every set, before the valid set in front of it is scored; no sets give []
+        rng = np.random.default_rng(3)
+        fit_part = matrix_from_rows(rng.integers(0, 2, size=(20, 6)), np.arange(20) % 2)
+        score_part = matrix_from_rows(rng.integers(0, 2, size=(8, 6)), np.arange(8) % 2)
+        with mock.patch.object(classifiers, "fit", side_effect=AssertionError), \
+                mock.patch.object(classifiers, "_lazy_tree_predict", side_effect=AssertionError):
+            if bad is None:
+                assert classifiers.holdout_accuracies(kind, fit_part, score_part, [], 0) == []
+                return
+            with pytest.raises(ValueError) as expected:
+                project(fit_part, bad)
+            with pytest.raises(ValueError) as info:
+                classifiers.holdout_accuracies(kind, fit_part, score_part, [[0, 1], bad], 0)
+        assert type(info.value) is type(expected.value) and str(info.value) == str(expected.value)
 
     @pytest.mark.parametrize("rows, labels", [
         ([[0, 1], [1, 0]], [1, 1]),
