@@ -25,7 +25,6 @@ config = RunConfig(
     gamma=0.0,
     base_rate=0.1,
     seed=5,
-    out_dir="runs/demo-train",
 )
 
 result = run_training(config)

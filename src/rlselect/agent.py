@@ -102,9 +102,16 @@ def masked_argmax(scores: np.ndarray, state: State) -> int:
 
 
 def select_action(
-    state: State, eps: float, params: net.NetworkParams, rng: np.random.Generator
+    state: State,
+    eps: float,
+    params: net.NetworkParams,
+    rng: np.random.Generator,
+    workspace: net.Workspace | None = None,
 ) -> int:
-    """Epsilon-greedy pick over unselected features; greedy uses masked argmax under params."""
+    """Epsilon-greedy pick over unselected features; greedy uses masked argmax under params.
+
+    A greedy pick's forward unrolls in ``workspace`` when one is given.
+    """
     n = params.config.n_features
     if len(state) >= n:
         raise ValueError("state already contains every feature")
@@ -112,7 +119,7 @@ def select_action(
         selected = set(state)
         choices = [i for i in range(1, n + 1) if i not in selected]
         return int(choices[rng.integers(0, len(choices))])
-    return masked_argmax(net.forward(params, state), state)
+    return masked_argmax(net.forward(params, state, workspace), state)
 
 
 def ddqn_target(

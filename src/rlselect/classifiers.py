@@ -68,7 +68,9 @@ accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
   ``_set_patterns``: one small GEMM of the columns the sets use gives every
   (row, set) code, all the codes are deduped at once, and the lazy trees of
   the sets grow in one level-wise pass, one root per set. A narrower set ends
-  in zero bits, which never separate a node.
+  in zero bits, which never separate a node. A pass holds at most
+  ``_PASS_ENTRIES`` (row, set) entries, so a long list of sets is scored in
+  several passes of consecutive sets, each with bounded memory.
 """
 
 from __future__ import annotations
@@ -304,16 +306,23 @@ def _grow_levels(patterns, pid, w0, w1, node, queries=None, draw=None):
 
 
 _CODE_BITS = 53  # a float64 sum of distinct powers of two below 2**53 is an exact integer
+# (row, set) entries of one lazy-tree pass: a select-dt warm-up of 70 states over 2000 rows
+# (140k) is one pass, and a paper-scale warm-up is many passes of this size, never one
+_PASS_ENTRIES = 1 << 18
 
 
 def _codes(bits: np.ndarray, weight: np.ndarray, high, width: int) -> np.ndarray:
     """One int64 code per (row, column of ``weight``): ``bits @ weight``, plus ``high`` above the low ``width`` bits.
 
     Each column of ``weight`` holds distinct powers of two below ``2**width``
-    (and zeros), so every sum is an integer below ``2**width``: exact in
-    float64 while ``width <= _CODE_BITS``.
+    (and zeros), so every sum is an integer below ``2**width``, and adding
+    ``high`` there keeps it an integer: exact in float64 while the code stays
+    below ``2**_CODE_BITS``. ``high`` is added in place in the product, which
+    is cast once, so the codes take two arrays of their size at a time.
     """
-    return (bits.astype(np.float64) @ weight).astype(np.int64) + (high << width)
+    codes = bits.astype(np.float64) @ weight
+    codes += high * 2.0**width
+    return codes.astype(np.int64)
 
 
 def _dedupe(codes: np.ndarray, n_codes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +425,9 @@ def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.
     # row r of set s is entry r * n_sets + s
     patterns, inverse, pattern_set = _set_patterns(table, cols)
     n_patterns = patterns.shape[0]
-    code = np.repeat(fit_y.astype(np.intp), n_sets) * n_patterns + inverse[: n_fit * n_sets]
+    code = np.repeat(fit_y.astype(np.intp), n_sets)
+    code *= n_patterns
+    code += inverse[: n_fit * n_sets]
     w0, w1 = np.bincount(code, minlength=2 * n_patterns).reshape(2, -1)
     labels = (w1 > w0).astype(np.uint8)
     seen = (w0 + w1) > 0
@@ -578,6 +589,15 @@ def accuracy(clf: TrainedClassifier, matrix: SampleMatrix) -> float:
     return float(np.mean(predict(clf, matrix.X) == matrix.y))
 
 
+def sets_per_pass(kind: ClassifierKind, n_rows: int) -> int:
+    """Column sets ``holdout_accuracies`` scores in one pass over ``n_rows`` fit and score rows.
+
+    A decision-tree pass holds at most ``_PASS_ENTRIES`` (row, set) entries,
+    and at least one set; the other kinds fit once per set.
+    """
+    return max(1, _PASS_ENTRIES // n_rows) if kind.name == "dt" else 1
+
+
 def holdout_accuracies(
     kind: ClassifierKind,
     fit_part: SampleMatrix,
@@ -592,10 +612,12 @@ def holdout_accuracies(
     set is checked with ``project``'s rule (``check_subset``) before any fit,
     and no sets give ``[]``. Each result equals ``accuracy(fit(kind,
     project(fit_part, c), seed), project(score_part, c))``, errors included.
-    The decision tree builds no tree, and all the sets are scored in one pass
-    over ``table``, which is ``stack_parts(kind, fit_part, score_part)``,
-    stacked here unless given (see the module docstring). Other kinds fit
-    once per set.
+    The decision tree builds no tree: the sets are scored in passes over
+    ``table``, which is ``stack_parts(kind, fit_part, score_part)``, stacked
+    here unless given (see the module docstring). Each pass takes the next
+    ``sets_per_pass`` sets in order, so its memory is bounded whatever the
+    number of sets, and a set's accuracy does not depend on the sets that
+    share its pass. Other kinds fit once per set.
     """
     _check_trainable(fit_part)
     if score_part.n_samples == 0:
@@ -610,8 +632,12 @@ def holdout_accuracies(
     if kind.name == "dt":
         if table is None:
             table = stack_parts(kind, fit_part, score_part)
-        predictions = _lazy_tree_predict(table, fit_part.y, column_sets)
-        return [float(a) for a in np.mean(predictions == score_part.y, axis=1)]
+        step = sets_per_pass(kind, table.shape[0])
+        accuracies = []
+        for start in range(0, len(column_sets), step):
+            predictions = _lazy_tree_predict(table, fit_part.y, column_sets[start : start + step])
+            accuracies += [float(a) for a in np.mean(predictions == score_part.y, axis=1)]
+        return accuracies
 
     def columns(part, c):  # a set of every column is the part itself
         return part if len(c) == part.n_features else project(part, c)

@@ -7,7 +7,10 @@ classifier accuracies: the oracle fits on one stratified partition of its
 matrix, scores on the other, and memoizes by subset so identical subsets are
 never refit within a run. An episode's actions never depend on its rewards,
 so a training run picks them all first and scores the episode's states in
-one ``RewardOracle.score`` call.
+one ``RewardOracle.score`` call; a warm-up picks all of its episodes first
+and scores them all in one call. Such a call makes as many bounded passes
+as its misses need (``classifiers.sets_per_pass``), so its memory stays
+bounded however long the warm-up.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ class RewardOracle:
     unseen patterns. Each reward is then returned from the memo through
     ``__call__``; the counts are one fit per distinct miss and a hit per
     repeat, as one call per subset would give. ``miss_seconds`` sums the
-    wall time of the batched passes. An oracle whose fit part lacks a class,
-    or whose score part is empty, is a ``ValueError`` when it is built.
+    wall time of the batched passes and ``pass_count`` counts them: a
+    decision-tree pass holds at most ``classifiers.sets_per_pass`` misses,
+    and the other kinds make one fit per miss. An oracle whose fit part
+    lacks a class, or whose score part is empty, is a ``ValueError`` when it
+    is built.
     """
 
     def __init__(
@@ -90,6 +96,7 @@ class RewardOracle:
         self.fit_count = 0
         self.hit_count = 0
         self.miss_seconds = 0.0
+        self.pass_count = 0
 
     def _key(self, subset) -> State:
         if len(subset) == 0:
@@ -102,6 +109,8 @@ class RewardOracle:
             self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed, self._table
         )
         self.miss_seconds += time.perf_counter() - start
+        per_pass = classifiers.sets_per_pass(self.kind, self.fit_part.n_samples + self.score_part.n_samples)
+        self.pass_count += -(-len(keys) // per_pass)
         return rewards
 
     def score(self, subsets) -> list[float]:

@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, baselines, classifiers, net
-from .agent import AgentConfig, ReplayMemory, Transition, select_action, train_step
+from .agent import AgentConfig, ReplayMemory, State, Transition, select_action, train_step
 from .classifiers import ClassifierKind
 from .dataset import (
     SampleMatrix,
@@ -321,25 +321,51 @@ class TrainingRun:
         depend only on ``theta1`` and the generator, never on a reward, so
         they are all picked first and the episode's states are scored in one
         ``RewardOracle.score`` call. A greedy rollout (``eps == 0``) draws
-        nothing from the run's generator.
+        nothing from the run's generator; its forwards unroll in the run's
+        workspace while it has one.
         """
+        episode = self._pick(eps)
+        (rewards,) = self._score([episode], memory)
+        return episode[1], rewards
+
+    def _pick(self, eps: float) -> tuple[list[State], list[int]]:
+        """One episode's picks under ``theta1``: (states from empty to full, actions in pick order)."""
         states, order = [self.env.reset()], []
         done = False
         while not done:
-            action = select_action(states[-1], eps, self.theta1, self.rng)
+            action = select_action(states[-1], eps, self.theta1, self.rng, self.workspace)
             state, done = self.env.step(states[-1], action)
             states.append(state)
             order.append(action)
-        rewards = self.oracle.score(states[1:])
-        if memory is not None:
-            for t, action in enumerate(order):
-                memory.push(Transition(states[t], action, rewards[t], states[t + 1], t == len(order) - 1))
-        return order, rewards
+        return states, order
+
+    def _score(self, episodes, memory: ReplayMemory | None) -> list[list[float]]:
+        """Each picked episode's step rewards, from one ``RewardOracle.score`` call over all their states.
+
+        Each transition goes to ``memory`` if given, in episode and step order.
+        """
+        rewards = self.oracle.score([state for states, _ in episodes for state in states[1:]])
+        out, at = [], 0
+        for states, order in episodes:
+            steps, at = rewards[at : at + len(order)], at + len(order)
+            if memory is not None:
+                for t, action in enumerate(order):
+                    memory.push(Transition(states[t], action, steps[t], states[t + 1], t == len(order) - 1))
+            out.append(steps)
+        return out
 
     def warm_up(self) -> None:
-        """Uniform-random episodes until the replay holds ``warmup_steps`` transitions."""
-        while self.replay.inserted < self.agent.warmup_steps:
-            self.rollout(1.0, self.replay)
+        """Uniform-random episodes until the replay holds ``warmup_steps`` transitions.
+
+        A warm-up pick is an epsilon = 1 draw from the generator: it runs no
+        forward and reads no reward. So every episode is picked first, and
+        all their states are scored in one ``RewardOracle.score`` call, which
+        splits its misses into bounded passes (``classifiers.sets_per_pass``).
+        The replay, the generator and the oracle's counts end as one
+        ``rollout`` per episode would leave them.
+        """
+        n_episodes = -(-(self.agent.warmup_steps - self.replay.inserted) // self.agent.subset_size)
+        self._score([self._pick(1.0) for _ in range(n_episodes)], self.replay)
         self.warmup_transitions = self.replay.inserted
         self.warmed = time.perf_counter()
 
@@ -392,6 +418,7 @@ class TrainingRun:
                 "eval_s": t_end - t_train,
                 "total_s": t_end - self.started,
                 "oracle_s": self.oracle.miss_seconds,  # the batched scoring passes
+                "oracle_passes": self.oracle.pass_count,
                 "train_step_s": self.train_step_s,
                 "train_steps": self.train_steps,
             },

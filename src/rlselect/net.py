@@ -413,9 +413,9 @@ def forward_batch(params: NetworkParams, states, workspace: Workspace | None = N
     return scores
 
 
-def forward(params: NetworkParams, state) -> np.ndarray:
-    """Score every feature given the sorted selection ``state`` (may be empty)."""
-    return forward_batch(params, [state])[0]
+def forward(params: NetworkParams, state, workspace: Workspace | None = None) -> np.ndarray:
+    """Score every feature given the sorted selection ``state`` (may be empty); the unroll writes into ``workspace`` if given."""
+    return forward_batch(params, [state], workspace)[0]
 
 
 def backward(params: NetworkParams, state, action, target, workspace: Workspace | None = None) -> dict[str, np.ndarray]:

@@ -120,6 +120,16 @@ class TestSelectAction:
         expected = int(np.argmax(scores)) + 1
         assert select_action((), 0.0, params, rng) == expected
 
+    @pytest.mark.parametrize("cell", net.CELLS)
+    def test_greedy_pick_in_a_workspace_equals_one_without(self, cell):
+        params = net.init(NetworkConfig.for_features(16, 8, 32, cell), 2)
+        workspace = net.Workspace()
+        net.forward_batch(params, [(1, 2, 3, 4, 5), (6,), ()], workspace)  # larger buffers, stale contents
+        for state in [(), (3,), (1, 5, 9), (2, 4, 6, 8, 10, 12), (3,)]:
+            assert np.array_equal(net.forward(params, state, workspace), net.forward(params, state))
+            rng = np.random.default_rng(1)
+            assert select_action(state, 0.0, params, rng, workspace) == select_action(state, 0.0, params, rng)
+
     def test_greedy_falls_back_to_second_highest(self):
         scores = np.array([0.2, 0.9, 0.5])
         assert masked_argmax(scores, ()) == 2

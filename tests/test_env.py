@@ -261,6 +261,18 @@ class TestRewardOracleScore:
         assert (oracle.fit_count, oracle.hit_count) == (2, 3)
         assert oracle.score([]) == [] and (oracle.fit_count, oracle.hit_count) == (2, 3)
 
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_pass_count_is_bounded_passes_of_misses(self, kind, monkeypatch):
+        matrix = planted_matrix()  # 400 rows: passes of three sets
+        monkeypatch.setattr(classifiers, "_PASS_ENTRIES", 3 * matrix.n_samples + 2)
+        oracle = RewardOracle(kind, matrix, seed=3)
+        with mock.patch.object(classifiers, "_lazy_tree_predict", wraps=classifiers._lazy_tree_predict) as lazy:
+            oracle.score([(1,), (2,), (1,), (3,), (4,), (5,), (6,), (2, 7)])  # seven misses
+            assert oracle.pass_count == (3 if kind.name == "dt" else 7)
+            oracle.score([(1,), (2, 7)])
+            assert oracle.pass_count == (3 if kind.name == "dt" else 7)
+        assert lazy.call_count == (3 if kind.name == "dt" else 0)
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), bad=st.sampled_from([(), (4, 2), (3, 3), (0, 3), (2, 81)]))
     def test_bad_subset_anywhere_raises_before_any_fit(self, data, bad):
@@ -307,6 +319,24 @@ class TestPassMemory:
         peak = traced(lambda: oracle.score([tuple(sorted(order[:k].tolist())) for k in range(1, 11)]))[2]
         assert peak < 1.25 * 2**20
         assert oracle.fit_count == 10
+
+    def test_a_long_score_call_peaks_at_one_pass(self):
+        # four passes' worth of distinct sets of ten: each pass holds at most _PASS_ENTRIES (row, set) entries
+        matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
+        per_pass = classifiers.sets_per_pass(self.dt, matrix.n_samples)
+        rng = np.random.default_rng(4)
+        subsets = [tuple(sorted((rng.choice(100, size=10, replace=False) + 1).tolist())) for _ in range(4 * per_pass)]
+        assert len(set(subsets)) == len(subsets)
+        one, four = RewardOracle(self.dt, matrix, seed=1), RewardOracle(self.dt, matrix, seed=1)
+        one_peak = traced(lambda: one.score(subsets[:per_pass]))[2]
+        rewards, _, four_peak = traced(lambda: four.score(subsets))
+        assert (one.pass_count, four.pass_count) == (1, 4)
+        assert four_peak < 1.25 * one_peak
+        for subset, reward in zip(subsets, rewards):
+            cols = [i - 1 for i in subset]
+            assert reward == classifiers.holdout_accuracy(
+                self.dt, project(four.fit_part, cols), project(four.score_part, cols), four.seed
+            )
 
     @pytest.mark.parametrize("width", [24, 30])
     def test_one_wide_set_sorts_its_codes(self, width):

@@ -1,6 +1,7 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestCmdTrain:
         assert "timings" not in report.to_dict()
         assert "timings" not in json.loads((tmp_path / "report.json").read_text())
 
+    def test_timings_count_the_oracle_passes_outside_the_report(self, tmp_path, monkeypatch):
+        passes = []
+        lazy = classifiers._lazy_tree_predict
+        monkeypatch.setattr(classifiers, "_lazy_tree_predict", lambda *args: passes.append(1) or lazy(*args))
+        report = cmd_train(tiny_config(tmp_path))
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings["oracle_passes"] == report.timings["oracle_passes"] == len(passes) > 1
+        assert "oracle_passes" not in (tmp_path / "report.json").read_text()
+
     def test_timings_report_train_steps_outside_the_report(self, tmp_path):
         # 4 episodes, learn every 2, sync every 3: steps after episodes 2, 3 and 4
         cmd_train(tiny_config(tmp_path))
@@ -211,6 +221,31 @@ class TestTrainingRun:
         )
         assert stepped_calls == reference_calls + cfg.total_episodes * cfg.subset_size
         assert stepped == reference
+
+    @pytest.mark.parametrize("overrides, sets_per_pass", [
+        ({"warmup_steps": 13}, None),  # not a multiple of subset_size 3: five episodes, 15 transitions
+        ({"warmup_steps": 30, "replay_capacity": 7}, None),  # the replay keeps the last 7
+        ({"warmup_steps": 60}, 4),  # 240 rows, so passes of at most 4 sets
+    ])
+    def test_warm_up_equals_one_rollout_per_episode(self, tmp_path, monkeypatch, overrides, sets_per_pass):
+        cfg = tiny_config(tmp_path, **overrides)
+        matrix = harness.load_matrix(cfg)
+        reference = harness.TrainingRun(cfg, matrix)
+        while reference.replay.inserted < cfg.warmup_steps:
+            reference.rollout(1.0, reference.replay)
+        if sets_per_pass:
+            monkeypatch.setattr(classifiers, "_PASS_ENTRIES", sets_per_pass * matrix.n_samples)
+        run = harness.TrainingRun(cfg, matrix)
+        with mock.patch.object(run.oracle, "score", wraps=run.oracle.score) as score:
+            run.warm_up()
+        assert score.call_count == 1
+        assert run.replay.contents() == reference.replay.contents()
+        assert run.warmup_transitions == run.replay.inserted == reference.replay.inserted
+        assert run.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert (run.oracle.fit_count, run.oracle.hit_count) == (reference.oracle.fit_count, reference.oracle.hit_count)
+        per_pass = sets_per_pass or classifiers.sets_per_pass(cfg.classifier, matrix.n_samples)
+        assert run.oracle.pass_count == -(-run.oracle.fit_count // per_pass)
+        assert run.oracle.pass_count > 1 if sets_per_pass else run.oracle.pass_count == 1
 
     def test_finished_run_holds_no_workspace(self, tmp_path):
         # callers keep finished runs (a benchmark cycle keeps all of its runs), so
