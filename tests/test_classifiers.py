@@ -30,11 +30,13 @@ from rlselect.classifiers import (
     predict,
     stack_parts,
 )
-from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, project, stratified_split
+from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, load_csv, project, stratified_split
 
 from conftest import matrix_from_rows
 
-PINNED_FOREST = Path(__file__).parent / "pinned" / "forest.json"
+PINNED = Path(__file__).parent / "pinned"
+PINNED_FOREST = PINNED / "forest.json"
+PINNED_SVM = PINNED / "svm.json"
 
 
 def all_depth2_trees():
@@ -183,6 +185,21 @@ def forest_pin() -> dict:
         "matrix": f"generate_synthetic({spec!r})",
         "fit": "random_forest(trees=25), seed 7; cv: kfold(5) split seed 3, cv seed 7",
         "tree_preorder_sha256": [hashlib.sha256(preorder(t).encode()).hexdigest() for t in trees],
+        "cv_accuracy_per_fold": [repr(a) for a in per_fold],
+    }
+
+
+def svm_pin() -> dict:
+    """What ``tests/pinned/svm.json`` holds: the exact weights of an SVM fit of the pinned corpus and its CV folds."""
+    m = load_csv(PINNED / "corpus.csv")
+    svm = ClassifierKind.linear_svm()
+    model = fit(svm, m, seed=7).model
+    _, per_fold = cv_accuracy(svm, m, stratified_split(m, SplitKind.kfold(4), seed=3), seed=7)
+    return {
+        "matrix": "load_csv(tests/pinned/corpus.csv)",
+        "fit": "linear_svm(), seed 7; cv: kfold(4) split seed 3, cv seed 7",
+        "w_hex": [float(v).hex() for v in model.w],
+        "b_hex": float(model.b).hex(),
         "cv_accuracy_per_fold": [repr(a) for a in per_fold],
     }
 
@@ -475,6 +492,9 @@ class TestLinearSvm:
         b = fit(ClassifierKind.linear_svm(), m, seed=7)
         assert np.array_equal(a.model.w, b.model.w)
         assert a.model.b == b.model.b
+
+    def test_pinned_weights_and_cv_folds(self):
+        assert svm_pin() == json.loads(PINNED_SVM.read_text())
 
 
 class TestPredict:
@@ -784,5 +804,6 @@ class TestKindValidation:
 
 
 if __name__ == "__main__":
-    # Rewrites the forest pin; run with the package on PYTHONPATH.
+    # Rewrites the forest and SVM pins; run with the package on PYTHONPATH.
     PINNED_FOREST.write_text(json.dumps(forest_pin(), indent=1) + "\n")
+    PINNED_SVM.write_text(json.dumps(svm_pin(), indent=1) + "\n")
