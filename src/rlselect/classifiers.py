@@ -161,18 +161,24 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
     ``ceil(sqrt(N))`` features of smallest key. A pure node draws nothing.
     """
     n_samples, width = X.shape
-    mtry = math.ceil(math.sqrt(width))
     rngs = [_tree_rng(seed, t) for t in range(n_trees)]
     boots = [rng.integers(0, n_samples, size=n_samples) for rng in rngs]
+    return _grow_trees(X, y, boots, lambda trees: _draw_candidates(rngs, trees, width))
 
-    def draw(trees):
-        # the impure nodes of a level come grouped by tree; each tree draws for its own
-        return np.concatenate([
-            np.sort(np.argpartition(rngs[t].random((k, width)), mtry - 1, axis=1)[:, :mtry], axis=1)
-            for t, k in enumerate(np.bincount(trees, minlength=n_trees).tolist()) if k
-        ])
 
-    return _grow_trees(X, y, boots, draw)
+def _draw_candidates(rngs: list, trees: np.ndarray, width: int) -> np.ndarray:
+    """The sorted ``ceil(sqrt(width))`` candidates of each impure node of a level, one row per node.
+
+    ``trees`` holds the tree of each node, grouped by tree in tree order. Tree
+    t draws the keys of its k nodes as ``rngs[t].random((k, width))``, in tree
+    order; a row's candidates depend on its own keys alone, so one row-wise
+    partition and one sort of the stacked keys serve every tree.
+    """
+    mtry = math.ceil(math.sqrt(width))
+    keys = np.concatenate([
+        rngs[t].random((k, width)) for t, k in enumerate(np.bincount(trees, minlength=len(rngs)).tolist()) if k
+    ])
+    return np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1)
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, samples: list, draw=None):
@@ -349,8 +355,15 @@ def _dedupe(codes: np.ndarray, n_codes: int | None = None) -> tuple[np.ndarray, 
 
 
 def _decode(codes: np.ndarray, width: int) -> np.ndarray:
-    """The low ``width`` bits of each code as a 0/1 row, most significant first."""
-    return ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    """The low ``width`` bits of each code as a 0/1 row, most significant first.
+
+    The codes are shifted so those bits lead their low ``ceil(width / 8)``
+    big-endian bytes, which are unpacked, ``width`` bits a row, without a
+    (codes x width) int64 temporary.
+    """
+    n_bytes = (width + 7) // 8
+    low = (codes << (8 * n_bytes - width)).astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - n_bytes:]
+    return np.unpackbits(low, axis=1, count=width)
 
 
 def _set_patterns(table: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -546,22 +559,32 @@ def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassif
 
 
 def _fit_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, seed: int) -> _SvmModel:
+    """A linear SVM by Pegasos-style subgradient steps on the hinge loss, over a fresh row permutation per epoch.
+
+    Step t on row i, with ``eta = 1 / (lam * t)``, takes the margin
+    ``y_i * (x_i @ w + b)``, shrinks ``w`` by ``1 - eta * lam``, and on a
+    margin below 1 adds ``eta * y_i`` times ``x_i`` to ``w`` and
+    ``eta * y_i`` to ``b``. The rows are a list of float64 views and the
+    labels and bias Python floats, so a step indexes no array; the float64
+    operations and their order are those of the step written on arrays.
+    """
     rng = np.random.default_rng(seed)
-    Xf = X.astype(np.float64)
-    ypm = (2.0 * y - 1.0).astype(np.float64)
-    n = Xf.shape[0]
-    w = np.zeros(Xf.shape[1])
+    rows = list(X.astype(np.float64))
+    labels = (2.0 * y - 1.0).tolist()
+    w = np.zeros(X.shape[1])
     b = 0.0
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(len(rows)).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = ypm[i] * (Xf[i] @ w + b)
+            row, label = rows[i], labels[i]
+            margin = label * (float(row @ w) + b)
             w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * ypm[i] * Xf[i]
-                b += eta * ypm[i]
+                step = eta * label
+                w += step * row
+                b += step
     return _SvmModel(w, b)
 
 

@@ -167,7 +167,7 @@ def load_csv(path) -> SampleMatrix:
     again, record by record, by ``csv.reader``, which alone decides whether
     it is accepted and which error it raises.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -185,7 +185,7 @@ def load_csv(path) -> SampleMatrix:
             cells = None
 
     if cells is None:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             next(reader)
             cells = _checked_cells(reader, header, path)

@@ -14,6 +14,14 @@ order is lexicographic gram order. The codes are exact up to
 ``MAX_NGRAM_N`` = 22 (7**22 < 2**63 < 7**23); a larger n is rejected. The
 output is the same as counting string slices.
 
+A vocabulary turns a sample's codes into ranks in one of two ways. For
+n <= 6 the whole code space (7**n <= ``_DENSE_CODES`` = 2**17 codes) fits
+a dense int32 table of each code's rank, -1 outside the vocabulary, so a
+sample's ranks are one gather; the bound keeps that table at most 512 KiB,
+since 7**7 codes would take 3.3 MB and 7**22 could not be held at all. For
+larger n the ranks come from a binary search of the vocabulary's sorted
+codes.
+
 ``cmd_featurize`` is the driver: it reads a directory of disassembled
 samples and writes the matrix CSV, with permission columns first, then
 intents, then n-grams.
@@ -31,6 +39,7 @@ from .dataset import FeatureDictionary, SampleMatrix, save_csv
 
 ALPHABET = "MRGITPV"
 MAX_NGRAM_N = 22  # the largest n whose base-7 window codes fit in int64
+_DENSE_CODES = 1 << 17  # the largest code space held as a dense rank table: 7**n for n <= 6
 
 # byte -> digit of its letter in sorted order; 255 marks a byte outside the alphabet
 _SORTED_LETTERS = "".join(sorted(ALPHABET))
@@ -155,9 +164,11 @@ class NGramVocabulary:
 
     n: int
     grams: tuple[str, ...]
-    # gram codes in ascending order, and the rank of each: the lookup table of vectorize_ngrams
-    _sorted_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    # the lookup of vectorize_ngrams: the rank of every code (-1 outside the vocabulary) when
+    # the code space is at most _DENSE_CODES, else the gram codes in ascending order and their ranks
+    _rank_of: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _sorted_codes: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _ranks: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_n(self.n)
@@ -167,8 +178,15 @@ class NGramVocabulary:
             if len(g) != self.n or any(ch not in ALPHABET for ch in g):
                 raise ValueError(f"gram {g!r} is not a length-{self.n} string over {ALPHABET}")
         codes = _gram_codes("".join(self.grams), self.n)[:: self.n]
-        ranks = np.argsort(codes)
-        object.__setattr__(self, "_sorted_codes", codes[ranks])
+        rank_of = sorted_codes = ranks = None
+        if 7**self.n <= _DENSE_CODES:
+            rank_of = np.full(7**self.n, -1, dtype=np.int32)
+            rank_of[codes] = np.arange(codes.size, dtype=np.int32)
+        else:
+            ranks = np.argsort(codes)
+            sorted_codes = codes[ranks]
+        object.__setattr__(self, "_rank_of", rank_of)
+        object.__setattr__(self, "_sorted_codes", sorted_codes)
         object.__setattr__(self, "_ranks", ranks)
 
     @property
@@ -196,12 +214,16 @@ def build_vocabulary(corpora, n: int, k: int) -> NGramVocabulary:
 def vectorize_ngrams(letters: str, vocab: NGramVocabulary) -> np.ndarray:
     """Presence bit per vocabulary gram (containment, not count)."""
     codes = _gram_codes(letters, vocab.n)
+    bits = np.zeros(vocab.k, dtype=np.uint8)
+    if vocab._rank_of is not None:
+        ranks = vocab._rank_of[codes]
+        bits[ranks[ranks >= 0]] = 1
+        return bits
     table = vocab._sorted_codes
     slots = np.searchsorted(table, codes)
     inside = slots < table.size
     slots = slots[inside]
     hits = slots[table[slots] == codes[inside]]
-    bits = np.zeros(vocab.k, dtype=np.uint8)
     bits[vocab._ranks[hits]] = 1
     return bits
 
@@ -253,9 +275,9 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     declared = []
     for _, opc, names_file in samples:
         # one strip per line; a blank line strips to "", which maps to no letter
-        mnemonics = map(str.strip, opc.read_text().splitlines())
+        mnemonics = map(str.strip, opc.read_text(encoding="utf-8").splitlines())
         letters.append(map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP))
-        declared.append([ln.strip() for ln in names_file.read_text().splitlines() if ln.strip()])
+        declared.append([ln.strip() for ln in names_file.read_text(encoding="utf-8").splitlines() if ln.strip()])
 
     malware_letters = [s for s, (label, _, _) in zip(letters, samples) if label == 1]
     if not malware_letters:

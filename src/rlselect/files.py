@@ -9,7 +9,7 @@ from pathlib import Path
 
 @contextmanager
 def replace_atomically(path):
-    """Open a text file beside ``path`` for writing; on a clean exit it replaces ``path``.
+    """Open a UTF-8 text file beside ``path`` for writing; on a clean exit it replaces ``path``.
 
     Line ends pass untranslated, as csv needs. If the block raises, the
     temporary file is removed and ``path`` keeps its earlier contents.
@@ -17,7 +17,7 @@ def replace_atomically(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -531,7 +531,7 @@ def save_checkpoint(path, params: NetworkParams, opt: OptimizerState) -> None:
 
 def load_checkpoint(path) -> tuple[NetworkParams, OptimizerState]:
     """Read a checkpoint; every tensor must be present with the shape ``init`` gives its config."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     config = NetworkConfig(**payload["config"])
     stored = payload["tensors"]

@@ -17,6 +17,9 @@ from rlselect.classifiers import (
     ClassifierKind,
     FitError,
     _child_impurity,
+    _decode,
+    _draw_candidates,
+    _fit_svm,
     _grow_levels,
     _lazy_tree_predict,
     _set_patterns,
@@ -361,6 +364,77 @@ class TestForestEqualsPerTreeReference:
         six = table_trees(fit(ClassifierKind.random_forest(trees=6), m, seed).model)
         three = table_trees(fit(ClassifierKind.random_forest(trees=3), m, seed).model)
         assert six[:3] == three
+
+
+class TestStackedCandidateDraw:
+    """One partition of every tree's stacked keys draws what one partition per tree draws."""
+
+    @staticmethod
+    def per_tree(rngs, counts, width):
+        mtry = math.ceil(math.sqrt(width))
+        return np.concatenate([
+            np.sort(np.argpartition(rng.random((k, width)), mtry - 1, axis=1)[:, :mtry], axis=1)
+            for rng, k in zip(rngs, counts) if k
+        ])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any), st.integers(1, 60),
+           st.integers(0, 2**32 - 1))
+    def test_equals_one_draw_per_tree(self, counts, width, seed):
+        trees = np.repeat(np.arange(len(counts)), counts)
+        stacked = [_tree_rng(seed, t) for t in range(len(counts))]
+        alone = [_tree_rng(seed, t) for t in range(len(counts))]
+        got = _draw_candidates(stacked, trees, width)
+        assert np.array_equal(got, self.per_tree(alone, counts, width))
+        # every generator is left where its own draws leave it
+        assert [r.bit_generator.state for r in stacked] == [r.bit_generator.state for r in alone]
+
+
+def reference_fit_svm(X, y, lam, epochs, seed):
+    """The SVM's subgradient loop written on arrays: each step indexes the float64 rows and labels."""
+    rng = np.random.default_rng(seed)
+    Xf = X.astype(np.float64)
+    ypm = (2.0 * y - 1.0).astype(np.float64)
+    n = Xf.shape[0]
+    w = np.zeros(Xf.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = ypm[i] * (Xf[i] @ w + b)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += eta * ypm[i] * Xf[i]
+                b += eta * ypm[i]
+    return w, b
+
+
+class TestSvmEqualsReference:
+    @settings(max_examples=150, deadline=None)
+    @given(forest_matrices(), st.sampled_from([1e-4, 1e-3, 0.05, 1.0]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_weights_and_bias_bit_for_bit(self, m, lam, epochs, seed):
+        model = _fit_svm(m.X, m.y, lam, epochs, seed)
+        w, b = reference_fit_svm(m.X, m.y, lam, epochs, seed)
+        assert model.w.tobytes() == w.tobytes()
+        assert float(model.b).hex() == float(b).hex()
+
+
+class TestDecode:
+    def test_equals_the_shift_form(self):
+        rng = np.random.default_rng(3)
+        for width in range(1, 54):
+            # codes with bits above the width too, as the set index sits there
+            codes = np.concatenate([[0, 2**width - 1], rng.integers(0, 2**53, size=200)]).astype(np.int64)
+            expected = ((codes[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+            got = _decode(codes, width)
+            assert np.array_equal(got, expected), width
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+
+    def test_no_codes_or_no_width(self):
+        assert _decode(np.zeros(0, dtype=np.int64), 10).shape == (0, 10)
+        assert _decode(np.arange(3, dtype=np.int64), 0).shape == (3, 0)
 
 
 class TestTreeEqualsDfsReference:

@@ -1,3 +1,7 @@
+import codecs
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from rlselect.featurize import (
 )
 
 PINNED_CORPUS = Path(__file__).parent / "pinned" / "corpus"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # String-slice reference implementations: the definitions the int64-code
@@ -295,6 +300,11 @@ class TestNgramCodesEqualStringReference:
         vocab = NGramVocabulary(n, tuple(grams))
         assert vectorize_ngrams(sample, vocab).tolist() == ref_vectorize_ngrams(sample, vocab.grams, n)
 
+    def test_dense_rank_table_up_to_n6(self):
+        # test_vectorize_ngrams draws n from 1..22, so it checks the table and the sorted lookup
+        assert NGramVocabulary(6, ("M" * 6,))._rank_of.size == 7**6
+        assert NGramVocabulary(7, ("M" * 7,))._rank_of is None
+
     def test_string_shorter_than_n(self):
         vocab = NGramVocabulary(3, ("MMR",))
         assert extract_ngrams("MM", 3) == {}
@@ -359,3 +369,43 @@ class TestCmdFeaturizeCallPattern:
         assert matrix.n_samples == samples
         assert calls == {"map_dalvik_to_letters": samples, "build_vocabulary": 1, "vectorize_ngrams": samples}
         assert load_csv(tmp_path / "f.csv").dictionary == matrix.dictionary
+
+
+_FEATURIZE_AND_LOAD = """
+import locale, sys
+from rlselect.dataset import load_csv
+from rlselect.featurize import cmd_featurize
+matrix = cmd_featurize(sys.argv[1], 2, 3, sys.argv[2])
+assert load_csv(sys.argv[2]).dictionary == matrix.dictionary
+print(locale.getpreferredencoding(False))
+"""
+
+
+class TestUtf8Files:
+    """Inputs and the CSV are UTF-8 whatever the locale's encoding."""
+
+    NAME = "com.ex\u00e4mple.permission.X"
+
+    def featurize(self, corpus, out, **env):
+        """Featurize ``corpus`` to ``out`` and load it back in a fresh process; its locale encoding and the CSV bytes."""
+        result = subprocess.run(
+            [sys.executable, "-c", _FEATURIZE_AND_LOAD, str(corpus), str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC), **env), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip(), out.read_bytes()
+
+    def test_featurize_and_load_under_an_ascii_locale(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        for label, stem in (("malware", "m0"), ("malware", "m1"), ("benign", "b0")):
+            (corpus / label).mkdir(parents=True, exist_ok=True)
+            (corpus / label / f"{stem}.opcodes").write_text("move\ninvoke-direct\nreturn\nmove\ngoto\n", encoding="utf-8")
+            (corpus / label / f"{stem}.names").write_text(f"{self.NAME}\nandroid.intent.action.MAIN\n", encoding="utf-8")
+        encoding, written = self.featurize(
+            corpus, tmp_path / "c.csv", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C"
+        )
+        if codecs.lookup(encoding).name == "utf-8":
+            pytest.skip("the C locale is UTF-8 here")
+        _, utf8_written = self.featurize(corpus, tmp_path / "utf8.csv", PYTHONUTF8="1")
+        assert written == utf8_written
+        assert f"perm:{self.NAME}".encode("utf-8") in written

@@ -88,6 +88,15 @@ class TestRunConfig:
         path.write_text(json.dumps(cfg.to_dict()))
         assert RunConfig.from_file(path) == cfg
 
+    def test_json_file_is_utf8(self, tmp_path):
+        cfg = tiny_config(tmp_path / "ex\u00e4mple")
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(cfg.to_dict(), ensure_ascii=False).encode("utf-8"))
+        assert RunConfig.from_file(path) == cfg
+        path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ConfigError, match="is not UTF-8"):
+            RunConfig.from_file(path)
+
     def test_paper_scale_restores_published_point(self):
         cfg = tiny_config("/tmp/x").paper_scale()
         assert cfg.warmup_steps == PAPER_SCALE["warmup_steps"]
