@@ -64,13 +64,15 @@ accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
 * For the unseen patterns it runs the same grower with only those patterns
   as queries, so only the nodes on their paths are grown (a lazy decision
   tree), and every split choice is the one ``fit`` makes.
-* The sets read one table, the fit rows stacked on the score rows, through
-  ``_set_patterns``: one small GEMM of the columns the sets use gives every
-  (row, set) code, all the codes are deduped at once, and the lazy trees of
-  the sets grow in one level-wise pass, one root per set. A narrower set ends
-  in zero bits, which never separate a node. A pass holds at most
-  ``_PASS_ENTRIES`` (row, set) entries, so a long list of sets is scored in
-  several passes of consecutive sets, each with bounded memory.
+* A pass gathers from the fit and score parts only the columns its sets
+  use, the fit rows stacked on the score rows, and renumbers the sets onto
+  them; nothing else keeps a copy of the parts. ``_set_patterns`` reads that
+  table: one small GEMM gives every (row, set) code, all the codes are
+  deduped at once, and the lazy trees of the sets grow in one level-wise
+  pass, one root per set. A narrower set ends in zero bits, which never
+  separate a node. A pass holds at most ``_PASS_ENTRIES`` (row, set)
+  entries, so a long list of sets is scored in several passes of
+  consecutive sets, each with bounded memory.
 """
 
 from __future__ import annotations
@@ -374,20 +376,19 @@ def _set_patterns(table: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.n
     zero bits. Entry ``r * S + s`` is row r read through set s; its code is
     the set index above the entry's bits, first column most significant, so
     the patterns come in set order, then row order. Up to ``_CODE_BITS`` bits
-    in all, one small GEMM of the columns the sets use with one column of
-    powers of two per set gives every code (``_codes``); ``_dedupe`` dedupes
-    them, and the patterns are decoded from the distinct codes. Wider entries
+    in all, one small GEMM of the table with one column of powers of two per
+    set gives every code (``_codes``; a column no set reads weighs 0, so
+    callers pass only the columns their sets use); ``_dedupe`` dedupes them,
+    and the patterns are decoded from the distinct codes. Wider entries
     are packed into bytes behind the set's big-endian bytes and sorted as one
     ``np.void`` each; any entry of a pattern is that pattern.
     """
     n_sets, width = cols.shape
     if (n_sets - 1).bit_length() + width <= _CODE_BITS:
         sets, at = np.nonzero(cols >= 0)
-        used, where = np.unique(cols[sets, at], return_inverse=True)
-        weight = np.zeros((used.size, n_sets))
-        weight[where, sets] = 2.0 ** (width - 1 - at)
-        bits = table if used.size == table.shape[1] else table[:, used]  # every column: no gather
-        codes = _codes(bits, weight, np.arange(n_sets), width).ravel()
+        weight = np.zeros((table.shape[1], n_sets))
+        weight[cols[sets, at], sets] = 2.0 ** (width - 1 - at)
+        codes = _codes(table, weight, np.arange(n_sets), width).ravel()
         distinct, inverse = _dedupe(codes, n_sets << width)
         return _decode(distinct, width), inverse, distinct >> width
     # row r read through set s is rows[r * S + s]; one set of every column is the table itself
@@ -407,24 +408,16 @@ def _unique_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _set_patterns(X, np.arange(X.shape[1])[None])[:2]
 
 
-def stack_parts(kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix) -> np.ndarray | None:
-    """The table ``holdout_accuracies`` reads for ``kind``: the fit rows stacked on the score rows.
-
-    None for a kind that fits once per set and reads no table.
-    """
-    if kind.name != "dt":
-        return None
-    return np.concatenate([fit_part.X, score_part.X])
-
-
-def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.ndarray:
+def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray, column_sets) -> np.ndarray:
     """Labels the unbounded CART tree of each column set gives the score rows: (sets, score rows).
 
-    ``table`` is ``stack_parts`` of a fit part with labels ``fit_y`` and a
-    score part, and each set holds valid column indices. ``_set_patterns``
-    gives every (row, set) entry its pattern, the sets padded with -1 to the
-    widest. A narrower set's patterns end in zero bits: they never separate a
-    node, and they come after the real columns, so they never win a tie.
+    ``fit_X`` with labels ``fit_y`` is the fit part, ``score_X`` the score
+    part, and each set holds valid column indices. Only the columns the sets
+    use are read from each part, the fit rows stacked on the score rows, and
+    the sets are renumbered onto them. ``_set_patterns`` then gives every
+    (row, set) entry its pattern, the sets padded with -1 to the widest. A
+    narrower set's patterns end in zero bits: they never separate a node, and
+    they come after the real columns, so they never win a tie.
 
     A pattern of a set's fit rows ends in a pure leaf or a leaf of its own, so
     it gets its majority label; the trees of all the sets grow in one
@@ -435,6 +428,9 @@ def _lazy_tree_predict(table: np.ndarray, fit_y: np.ndarray, column_sets) -> np.
     cols = np.full((n_sets, max(map(len, column_sets))), -1, dtype=np.intp)
     for s, c in enumerate(column_sets):
         cols[s, : len(c)] = c
+    live = cols >= 0
+    used, cols[live] = np.unique(cols[live], return_inverse=True)  # the sets renumbered onto the columns they use
+    table = np.concatenate([fit_X[:, used], score_X[:, used]])
     # row r of set s is entry r * n_sets + s
     patterns, inverse, pattern_set = _set_patterns(table, cols)
     n_patterns = patterns.shape[0]
@@ -627,7 +623,6 @@ def holdout_accuracies(
     score_part: SampleMatrix,
     column_sets,
     seed: int,
-    table: np.ndarray | None = None,
 ) -> list[float]:
     """Accuracy on ``score_part`` of the classifier trained on ``fit_part``, for each column set.
 
@@ -635,12 +630,12 @@ def holdout_accuracies(
     set is checked with ``project``'s rule (``check_subset``) before any fit,
     and no sets give ``[]``. Each result equals ``accuracy(fit(kind,
     project(fit_part, c), seed), project(score_part, c))``, errors included.
-    The decision tree builds no tree: the sets are scored in passes over
-    ``table``, which is ``stack_parts(kind, fit_part, score_part)``, stacked
-    here unless given (see the module docstring). Each pass takes the next
-    ``sets_per_pass`` sets in order, so its memory is bounded whatever the
-    number of sets, and a set's accuracy does not depend on the sets that
-    share its pass. Other kinds fit once per set.
+    The decision tree builds no tree: the sets are scored in passes, each of
+    which reads from both parts only the columns its sets use (see the module
+    docstring). Each pass takes the next ``sets_per_pass`` sets in order, so
+    its memory is bounded whatever the number of sets, and a set's accuracy
+    does not depend on the sets that share its pass. Other kinds fit once per
+    set.
     """
     _check_trainable(fit_part)
     if score_part.n_samples == 0:
@@ -653,12 +648,10 @@ def holdout_accuracies(
     if not column_sets:
         return []
     if kind.name == "dt":
-        if table is None:
-            table = stack_parts(kind, fit_part, score_part)
-        step = sets_per_pass(kind, table.shape[0])
+        step = sets_per_pass(kind, fit_part.n_samples + score_part.n_samples)
         accuracies = []
         for start in range(0, len(column_sets), step):
-            predictions = _lazy_tree_predict(table, fit_part.y, column_sets[start : start + step])
+            predictions = _lazy_tree_predict(fit_part.X, fit_part.y, score_part.X, column_sets[start : start + step])
             accuracies += [float(a) for a in np.mean(predictions == score_part.y, axis=1)]
         return accuracies
 

@@ -165,9 +165,10 @@ def load_csv(path) -> SampleMatrix:
     A body in the plain layout :func:`save_csv` writes (0/1 cells, commas,
     CRLF or LF line ends) is read in one numpy pass. Any other body is read
     again, record by record, by ``csv.reader``, which alone decides whether
-    it is accepted and which error it raises.
+    it is accepted and which error it raises. A UTF-8 byte-order mark before
+    the header is skipped, not read as part of the first column's name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -185,7 +186,7 @@ def load_csv(path) -> SampleMatrix:
             cells = None
 
     if cells is None:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             next(reader)
             cells = _checked_cells(reader, header, path)

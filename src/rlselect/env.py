@@ -5,12 +5,14 @@ until ``subset_size`` features are held; the state stays sorted at all times,
 so any pick order of the same features lands in the same state. Rewards are
 classifier accuracies: the oracle fits on one stratified partition of its
 matrix, scores on the other, and memoizes by subset so identical subsets are
-never refit within a run. An episode's actions never depend on its rewards,
-so a training run picks them all first and scores the episode's states in
-one ``RewardOracle.score`` call; a warm-up picks all of its episodes first
-and scores them all in one call. Such a call makes as many bounded passes
-as its misses need (``classifiers.sets_per_pass``), so its memory stays
-bounded however long the warm-up.
+never refit within a run. The memo never evicts, so it is also the oracle's
+count: one fit per memoized subset, every other request a hit. An episode's
+actions never depend on its rewards, so a training run picks them all first
+and scores the episode's states in one ``RewardOracle.score`` call; a
+warm-up picks all of its episodes first and scores them all in one call.
+Such a call makes as many bounded passes as its misses need
+(``classifiers.sets_per_pass``), so its memory stays bounded however long
+the warm-up.
 """
 
 from __future__ import annotations
@@ -36,18 +38,20 @@ class RewardOracle:
     are scored. Subsets are 1-based feature indices as the agent sees them.
     ``score(subsets)`` checks every subset, then scores every distinct miss
     in one ``classifiers.holdout_accuracies`` call. A decision-tree reward
-    is exact but grows no tree: it reads the fit rows stacked on the score
-    rows, a table built once per oracle; scored rows whose pattern occurs in
-    the fit part get its majority label, and the trees of all the misses are
-    grown lazily, together, level by level, only along the paths of the
-    unseen patterns. Each reward is then returned from the memo through
-    ``__call__``; the counts are one fit per distinct miss and a hit per
-    repeat, as one call per subset would give. ``miss_seconds`` sums the
-    wall time of the batched passes and ``pass_count`` counts them: a
-    decision-tree pass holds at most ``classifiers.sets_per_pass`` misses,
-    and the other kinds make one fit per miss. An oracle whose fit part
-    lacks a class, or whose score part is empty, is a ``ValueError`` when it
-    is built.
+    is exact but grows no tree: each pass reads from the fit and score parts
+    only the columns its misses use, so the oracle holds its matrix once, as
+    those two parts. Scored rows whose pattern occurs in the fit part get its
+    majority label, and the trees of all the misses are grown lazily,
+    together, level by level, only along the paths of the unseen patterns.
+    Each reward is then returned from the memo through ``__call__``, which
+    reads both counts off the memo after every request: ``fit_count`` is the
+    number of memoized subsets (the memo never evicts) and ``hit_count`` the
+    requests beyond them, as one call per subset would give.
+    ``miss_seconds`` sums the wall time of the batched passes and
+    ``pass_count`` counts them: a decision-tree pass holds at most
+    ``classifiers.sets_per_pass`` misses, and the other kinds make one fit
+    per miss. An oracle whose fit part lacks a class, or whose score part is
+    empty, is a ``ValueError`` when it is built.
     """
 
     def __init__(
@@ -91,8 +95,8 @@ class RewardOracle:
         self.score_part = score_part
         self.seed = seed
         self.n_features = fit_part.n_features
-        self._table = classifiers.stack_parts(kind, fit_part, score_part)
         self._cache: dict[State, float] = {}
+        self._requests = 0
         self.fit_count = 0
         self.hit_count = 0
         self.miss_seconds = 0.0
@@ -106,7 +110,7 @@ class RewardOracle:
     def _fit(self, keys: list[State]) -> list[float]:
         start = time.perf_counter()
         rewards = classifiers.holdout_accuracies(
-            self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed, self._table
+            self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed
         )
         self.miss_seconds += time.perf_counter() - start
         per_pass = classifiers.sets_per_pass(self.kind, self.fit_part.n_samples + self.score_part.n_samples)
@@ -119,19 +123,16 @@ class RewardOracle:
         misses = [key for key in dict.fromkeys(keys) if key not in self._cache]
         if misses:
             self._cache.update(zip(misses, self._fit(misses)))
-            # the first ``__call__`` of each miss below is served from the memo: count it as the fit it was
-            self.fit_count += len(misses)
-            self.hit_count -= len(misses)
         return [self(key) for key in keys]
 
     def __call__(self, subset: State) -> float:
         key = self._key(subset)
-        if key in self._cache:
-            self.hit_count += 1
-            return self._cache[key]
-        self._cache[key] = reward = self._fit([key])[0]
-        self.fit_count += 1
-        return reward
+        if key not in self._cache:
+            self._cache[key] = self._fit([key])[0]
+        self._requests += 1
+        self.fit_count = len(self._cache)
+        self.hit_count = self._requests - self.fit_count
+        return self._cache[key]
 
 
 class FeatureEnv:

@@ -253,7 +253,8 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     each with a sibling ``<sample>.names`` file. Opcode files hold one Dalvik
     mnemonic per line; names files hold one declared permission or intent
     string per line (intents are recognized by an ``.intent.`` substring).
-    The n-gram vocabulary is built from the malware samples only.
+    The n-gram vocabulary is built from the malware samples only. Both kinds
+    of file are UTF-8; a byte-order mark at the start of one is skipped.
     """
     _check_n(ngram_n)
     root = Path(inputs_dir)
@@ -275,9 +276,9 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     declared = []
     for _, opc, names_file in samples:
         # one strip per line; a blank line strips to "", which maps to no letter
-        mnemonics = map(str.strip, opc.read_text(encoding="utf-8").splitlines())
+        mnemonics = map(str.strip, opc.read_text(encoding="utf-8-sig").splitlines())
         letters.append(map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP))
-        declared.append([ln.strip() for ln in names_file.read_text(encoding="utf-8").splitlines() if ln.strip()])
+        declared.append([ln.strip() for ln in names_file.read_text(encoding="utf-8-sig").splitlines() if ln.strip()])
 
     malware_letters = [s for s, (label, _, _) in zip(letters, samples) if label == 1]
     if not malware_letters:

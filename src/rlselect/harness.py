@@ -198,6 +198,10 @@ class RunConfig:
         )
         for prefix, build in checks:
             _with_config_path(prefix, build)
+        if self.replay_capacity < self.batch_size:  # no batch could ever be sampled, so nothing would train
+            raise ConfigError(
+                f"replay_capacity must be >= agent.batch_size {self.batch_size}, got {self.replay_capacity}"
+            )
 
     def agent_config(self) -> AgentConfig:
         return AgentConfig(**{f.name: getattr(self, f.name) for f in fields(AgentConfig)})
@@ -238,7 +242,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 return cls.from_dict(json.load(fh))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -31,7 +31,6 @@ from rlselect.classifiers import (
     fit,
     holdout_accuracy,
     predict,
-    stack_parts,
 )
 from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, load_csv, project, stratified_split
 
@@ -771,19 +770,6 @@ class TestHoldoutAccuracy:
         assert taken == branch
         assert got == [eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets]
 
-    def test_table_is_the_parts_stacked(self):
-        rng = np.random.default_rng(8)
-        fit_part = matrix_from_rows(rng.integers(0, 2, size=(200, 9)), rng.integers(0, 2, size=200))
-        score_part = matrix_from_rows(rng.integers(0, 2, size=(100, 9)), rng.integers(0, 2, size=100))
-        table = stack_parts(self.dt, fit_part, score_part)
-        assert table.shape == (300, fit_part.n_features)
-        assert np.array_equal(table, np.vstack([fit_part.X, score_part.X]))
-        sets = [[1], [0, 4], [2, 3, 5, 8], [6, 7, 8]]
-        expected = _lazy_tree_predict(table, fit_part.y, sets)
-        assert [float(a) for a in np.mean(expected == score_part.y, axis=1)] == [
-            eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets
-        ]
-
     def test_grower_dedupe_takes_both_branches_on_a_select_dt_pass(self):
         # 2000 x 100 planted matrix, one episode's ten nested sets: the first levels hold
         # fewer child codes than live queries (dense), the deep ones more (sort)
@@ -792,7 +778,7 @@ class TestHoldoutAccuracy:
         order = np.random.default_rng(2).permutation(100)[:10]
         sets = [sorted(order[:k].tolist()) for k in range(1, 11)]
         with mock.patch.object(classifiers, "_dedupe", wraps=classifiers._dedupe) as spy:
-            got = _lazy_tree_predict(stack_parts(self.dt, fit_part, score_part), fit_part.y, sets)
+            got = _lazy_tree_predict(fit_part.X, fit_part.y, score_part.X, sets)
         grower = [call.args for call in spy.call_args_list[1:]]  # the first call is the encoder's
         assert {"dense" if n_codes <= codes.size else "sort" for codes, n_codes in grower} == {"dense", "sort"}
         for s, c in enumerate(sets):

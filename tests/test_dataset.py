@@ -1,3 +1,4 @@
+import codecs
 import csv
 
 import numpy as np
@@ -35,6 +36,24 @@ class TestLoadCsv:
         assert m.n_samples == 1
         assert m.X.tolist() == [[1, 0]]
         assert m.y.tolist() == [1]
+
+    @pytest.mark.parametrize("header, body", [
+        ("perm:android.permission.SEND_SMS,ngram:ab,label", "1,0,1\r\n0,1,0\r\n"),
+        # a quoted cell sends the body through the record loop, which reads the header again:
+        # a quoted first name spanning two lines is one header record only once the BOM is skipped
+        ('"perm:android.permission.SEND_SMS\r\nX",ngram:ab,label', '1,0,1\r\n"0",1,0\r\n'),
+    ], ids=["plain", "record-loop"])
+    def test_byte_order_mark_is_not_read_as_data(self, tmp_path, header, body):
+        text = (header + "\r\n" + body).encode("utf-8")
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "marked.csv").write_bytes(codecs.BOM_UTF8 + text)
+        plain, marked = load_csv(tmp_path / "plain.csv"), load_csv(tmp_path / "marked.csv")
+        assert marked.dictionary == plain.dictionary
+        assert marked.dictionary.categories[0] == "permission"
+        assert np.array_equal(marked.X, plain.X) and np.array_equal(marked.y, plain.y)
+        for name, matrix in (("plain", plain), ("marked", marked)):
+            save_csv(matrix, tmp_path / f"{name}.out.csv")
+        assert (tmp_path / "marked.out.csv").read_bytes() == (tmp_path / "plain.out.csv").read_bytes()
 
     def test_empty_body_is_valid(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -254,6 +254,25 @@ class TestRewardOracleScore:
             assert rewards == [sequential(subset) for subset in batch]
             assert (batched.fit_count, batched.hit_count) == (sequential.fit_count, sequential.hit_count)
 
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_scores_and_calls_equal_one_call_per_subset(self, kind, data):
+        # a small pool, so batches repeat subsets and reach ones an earlier step memoized
+        subset = st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True).map(sorted).map(tuple)
+        pick = st.sampled_from(data.draw(st.lists(subset, min_size=1, max_size=5, unique=True)))
+        steps = data.draw(st.lists(st.one_of(pick, st.lists(pick, max_size=6)), min_size=1, max_size=8))
+        matrix = planted_matrix(seed=2, n=200, q=0.8, informative=(0, 3))
+        mixed, fresh = RewardOracle(kind, matrix, seed=5), RewardOracle(kind, matrix, seed=5)
+        requested = []
+        for step in steps:  # a list is one ``score`` batch, a tuple one ``__call__``
+            batch = step if isinstance(step, list) else [step]
+            got = mixed.score(batch) if isinstance(step, list) else [mixed(step)]
+            assert got == [fresh(subset) for subset in batch]
+            assert (mixed.fit_count, mixed.hit_count) == (fresh.fit_count, fresh.hit_count)
+            requested += batch
+        assert (mixed.fit_count, mixed.hit_count) == (len(set(requested)), len(requested) - len(set(requested)))
+
     def test_repeats_in_a_batch_count_one_fit_then_hits(self):
         oracle = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(), seed=3)
         rewards = oracle.score([(2, 4), (1,), (2, 4), (2, 4), (1,)])
@@ -315,7 +334,7 @@ class TestPassMemory:
         matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
         order = np.random.default_rng(2).permutation(np.arange(1, 101))[:10]
         oracle, kept, _ = traced(lambda: RewardOracle(self.dt, matrix, seed=1))
-        assert kept < 2**20  # the fit and score parts and their uint8 table, no float copy
+        assert kept < 2**18  # the fit and score parts once: no stacked copy, no float copy
         peak = traced(lambda: oracle.score([tuple(sorted(order[:k].tolist())) for k in range(1, 11)]))[2]
         assert peak < 1.25 * 2**20
         assert oracle.fit_count == 10

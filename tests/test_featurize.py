@@ -395,6 +395,25 @@ class TestUtf8Files:
         assert result.returncode == 0, result.stderr
         return result.stdout.strip(), out.read_bytes()
 
+    @pytest.mark.parametrize("marked", [".opcodes", ".names"])
+    def test_byte_order_mark_is_not_read_as_data(self, tmp_path, marked):
+        # two mnemonics a file, so a lost first mnemonic loses the file's one bigram;
+        # a BOM read as data would also make a second SEND_SMS permission
+        matrices = []
+        for name, bom in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            for label, stem, opcodes in (("malware", "m0", "move\ngoto\n"), ("malware", "m1", "goto\nreturn\n"),
+                                         ("benign", "b0", "return\nmove\n")):
+                sample = tmp_path / name / label / stem
+                sample.parent.mkdir(parents=True, exist_ok=True)
+                texts = {".opcodes": opcodes, ".names": "android.permission.SEND_SMS\nandroid.intent.action.MAIN\n"}
+                for suffix, text in texts.items():
+                    sample.with_suffix(suffix).write_bytes((bom if suffix == marked else b"") + text.encode("utf-8"))
+            matrices.append(cmd_featurize(tmp_path / name, 2, 2, tmp_path / f"{name}.csv"))
+        plain, marked = matrices
+        assert marked.dictionary == plain.dictionary
+        assert np.array_equal(marked.X, plain.X) and np.array_equal(marked.y, plain.y)
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_featurize_and_load_under_an_ascii_locale(self, tmp_path):
         corpus = tmp_path / "corpus"
         for label, stem in (("malware", "m0"), ("malware", "m1"), ("benign", "b0")):

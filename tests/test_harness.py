@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 from pathlib import Path
@@ -56,6 +57,7 @@ BAD_CONFIG_VALUES = [
     ("network.embed_dim", 0),
     ("agent.p", True),
     ("classifier.tress", 500),
+    ("replay_capacity", 2),  # below the batch of 4: no batch could be sampled
 ]
 
 
@@ -82,10 +84,11 @@ class TestRunConfig:
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
-    def test_json_file_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "byte-order-mark"])
+    def test_json_file_round_trip(self, tmp_path, bom):
         cfg = tiny_config(tmp_path / "out")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_bytes(bom + json.dumps(cfg.to_dict()).encode("utf-8"))
         assert RunConfig.from_file(path) == cfg
 
     def test_json_file_is_utf8(self, tmp_path):

@@ -13,10 +13,13 @@ repository. Pair i runs ``bench/run.py`` in the base copy first when i is
 even and in the change copy first when it is odd; a run's result is the
 JSON object on the last line of its standard output.
 
-Per end-to-end metric, the report gives each side's median and quartiles,
-the change's median over the base's, and the share of pairs the change won
-(ties count for neither side), with the better direction read from the
-base's ``BENCHMARK.json``. Only the standard library is used.
+The report first gives, per side, the operations that failed out of those
+attempted, summed over its runs, and the number of its runs whose output
+check failed (``correct`` false); a side with either is broken, whatever
+its timings. Then, per end-to-end metric, it gives each side's median and
+quartiles, the change's median over the base's, and the share of pairs the
+change won (ties count for neither side), with the better direction read
+from the base's ``BENCHMARK.json``. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -59,10 +62,17 @@ def run_once(checkout: Path, args) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"ab_bench: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        print(f"ab_bench: {checkout.name}: the benchmark's output check failed", file=sys.stderr)
-    return result
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def outcomes(runs: dict[str, list[dict]]) -> list[str]:
+    """Per side: operations failed out of those attempted over its runs, and its runs that were not ``correct``."""
+    lines = []
+    for side, results in runs.items():
+        failed, attempted = (sum(r[key] for r in results) for key in ("failed", "attempted"))
+        incorrect = sum(not r["correct"] for r in results)
+        lines.append(f"{side}: {failed}/{attempted} operations failed; {incorrect}/{len(results)} runs not correct")
+    return lines
 
 
 def report(runs: dict[str, list[dict]], lower_is_better: dict[str, bool]) -> list[str]:
@@ -111,7 +121,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): run_s base {pair['base']} change {pair['change']}",
               file=sys.stderr, flush=True)
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
-    print("\n".join(report(runs, lower_is_better)))
+    print("\n".join(outcomes(runs) + report(runs, lower_is_better)))
     return 0
 
 
