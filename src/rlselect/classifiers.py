@@ -107,8 +107,8 @@ class ClassifierKind:
         if self.name == "knn" and (self.k < 1 or self.k % 2 == 0):
             raise ValueError(f"k must be odd and >= 1 for kNN, got {self.k}")
         if self.name == "svm":
-            if self.lam <= 0:
-                raise ValueError(f"lam must be > 0 for the SVM, got {self.lam}")
+            if not (math.isfinite(self.lam) and self.lam > 0):
+                raise ValueError(f"lam must be finite and > 0 for the SVM, got {self.lam}")
             if self.epochs < 1:
                 raise ValueError(f"epochs must be >= 1 for the SVM, got {self.epochs}")
 

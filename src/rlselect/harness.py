@@ -295,6 +295,11 @@ class TrainingRun:
     constructor loads the data and builds the environment and the oracle,
     each of which checks what it is given. Their ``ValueError`` becomes a
     ``ConfigError`` that names the config path, before any fit.
+
+    ``finish()`` drops what only train steps read, the network workspace and
+    the target network ``theta2``: a finished run holds ``theta1``, the
+    oracle and the report, beside its replay and episode records, and takes
+    no more episodes.
     """
 
     def __init__(self, config: RunConfig, matrix: SampleMatrix | None = None):
@@ -308,7 +313,7 @@ class TrainingRun:
             config.classifier, matrix, sub_seed(config.seed, "oracle"), fit_fraction=config.oracle_fit_fraction,
         ))
         self.theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
-        self.theta2 = self.theta1.copy()
+        self.theta2: net.NetworkParams | None = self.theta1.copy()  # the DDQN target network; dropped by finish()
         self.optimizer = config.optimizer_state()
         self.replay = ReplayMemory(config.replay_capacity)
         self.workspace: net.Workspace | None = net.Workspace()  # the train steps' arrays; dropped by finish()
@@ -376,7 +381,12 @@ class TrainingRun:
         self.warmed = time.perf_counter()
 
     def episode(self) -> dict:
-        """The next training episode, its due train steps and target sync; returns its record."""
+        """The next training episode, its due train steps and target sync; returns its record.
+
+        A finished run (``report`` set) takes no more episodes: it holds no target network.
+        """
+        if self.report is not None:
+            raise RuntimeError(f"the run is finished after {len(self.episodes)} episodes; it takes no more")
         agent, number = self.agent, len(self.episodes) + 1
         eps = self.schedule.epsilon(number - 1)
         try:
@@ -402,8 +412,13 @@ class TrainingRun:
         return record
 
     def finish(self) -> RunReport:
-        """The final greedy selection; sets and returns ``report`` and drops ``workspace``."""
-        self.workspace = None  # a finished run trains no more, so it holds no train-step arrays
+        """The final greedy selection; sets and returns ``report``.
+
+        A finished run trains no more, so it holds no train-step arrays and no
+        target network: ``workspace`` and ``theta2`` become ``None``. The
+        greedy rollout, the report and a checkpoint read ``theta1`` only.
+        """
+        self.workspace = self.theta2 = None
         t_train = time.perf_counter()
         order, _ = self.rollout(0.0)
         subset = tuple(sorted(order))

@@ -479,9 +479,9 @@ class OptimizerState:
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.base_rate < 0:
-            raise ValueError(f"base_rate must be >= 0, got {self.base_rate}")
-        if self.clip_norm <= 0:
+        if not (math.isfinite(self.base_rate) and self.base_rate >= 0):
+            raise ValueError(f"base_rate must be finite and >= 0, got {self.base_rate}")
+        if not self.clip_norm > 0:  # refuses NaN; +inf never clips
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
 
     def rate(self) -> float:

@@ -1,4 +1,6 @@
-"""Shared test helpers: the finite-difference gradient oracle and matrix builders."""
+"""Shared test helpers: the finite-difference gradient oracle, matrix builders and an allocation tracer."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -55,3 +57,12 @@ def matrix_from_rows(rows, labels, categories="synthetic"):
     rows = np.asarray(rows, dtype=np.uint8)
     names = tuple(f"f{i}" for i in range(rows.shape[1]))
     return SampleMatrix(FeatureDictionary.from_names(names, categories), rows, np.asarray(labels, dtype=np.uint8))
+
+
+def traced(call):
+    """``call()``'s result, then the bytes its allocations still hold and their peak."""
+    tracemalloc.start()
+    try:
+        return (call(), *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()

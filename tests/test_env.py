@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,7 @@ from rlselect.classifiers import ClassifierKind
 from rlselect.dataset import SyntheticSpec, generate_synthetic, project
 from rlselect.env import FeatureEnv, RewardOracle, insert_sorted
 
-from conftest import matrix_from_rows
+from conftest import matrix_from_rows, traced
 
 
 def planted_matrix(seed=0, n=400, features=8, informative=(0,), q=1.0):
@@ -313,15 +312,6 @@ class TestRewardOracleScore:
         # the memo is unchanged: the batch's good subsets score as if it had never been seen
         assert oracle.score(good) == twin.score(good)
         assert (oracle.fit_count, oracle.hit_count) == (twin.fit_count, twin.hit_count)
-
-
-def traced(call):
-    """``call()``'s result, then the bytes its allocations still hold and their peak."""
-    tracemalloc.start()
-    try:
-        return (call(), *tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
 
 
 class TestPassMemory:

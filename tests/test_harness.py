@@ -26,6 +26,8 @@ from rlselect.harness import (
 )
 from rlselect.net import load_checkpoint
 
+from conftest import traced
+
 
 def tiny_config(out_dir, **overrides) -> RunConfig:
     base = dict(
@@ -58,11 +60,18 @@ BAD_CONFIG_VALUES = [
     ("agent.p", True),
     ("classifier.tress", 500),
     ("replay_capacity", 2),  # below the batch of 4: no batch could be sampled
+    ("optimizer.base_rate", float("nan")),  # NaN passes every comparison check
+    ("optimizer.base_rate", float("inf")),
+    ("optimizer.clip_norm", float("nan")),  # +inf stays valid: it never clips
 ]
 
+# the SVM's own fields are checked only when the classifier is the SVM
+SVM = {"classifier": ClassifierKind.linear_svm()}
+BAD_SVM_VALUES = [("classifier.lam", float("nan")), ("classifier.lam", float("inf")), ("classifier.lam", 0.0)]
 
-def config_dict_with(out_dir, path: str, value) -> dict:
-    d = tiny_config(out_dir).to_dict()
+
+def config_dict_with(out_dir, path: str, value, **overrides) -> dict:
+    d = tiny_config(out_dir, **overrides).to_dict()
     *sections, key = path.split(".")
     target = d
     for section in sections:
@@ -125,6 +134,15 @@ class TestRunConfig:
     def test_bad_value_rejected_with_its_path(self, path, value):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
             RunConfig.from_dict(config_dict_with("/tmp/x", path, value))
+
+    @pytest.mark.parametrize("path, value", BAD_SVM_VALUES)
+    def test_bad_svm_value_rejected_with_its_path(self, path, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\b"):
+            RunConfig.from_dict(config_dict_with("/tmp/x", path, value, **SVM))
+
+    def test_an_infinite_clip_norm_loads(self):
+        cfg = RunConfig.from_dict(config_dict_with("/tmp/x", "optimizer.clip_norm", float("inf")))
+        assert cfg.optimizer_state().clip_norm == float("inf")
 
     def test_readme_example_is_the_default_config(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -261,10 +279,26 @@ class TestTrainingRun:
 
     def test_finished_run_holds_no_workspace(self, tmp_path):
         # callers keep finished runs (a benchmark cycle keeps all of its runs), so
-        # a run drops its train-step arrays when it finishes
+        # a run drops its train-step arrays and its target network when it finishes
         run = harness.run_training(tiny_config(tmp_path, gamma=0.5))
         assert run.train_steps > 0
         assert run.workspace is None
+        assert run.theta2 is None
+
+    def test_finished_run_takes_no_more_episodes(self, tmp_path):
+        run = harness.run_training(tiny_config(tmp_path, gamma=0.5))
+        with pytest.raises(RuntimeError, match="run is finished after 4 episodes"):
+            run.episode()
+        assert len(run.episodes) == 4
+
+    def test_finished_run_keeps_one_network(self):
+        # the select-dt shape: 2000 x 100, RNN H = 256, subset 10. theta1 alone is
+        # 0.75 MiB and the oracle's parts 0.2 MiB; a second network would add 0.75 MiB
+        cfg = RunConfig(total_episodes=2, warmup_steps=40, batch_size=8, seed=3)
+        matrix = harness.load_matrix(cfg)
+        run, kept, _ = traced(lambda: harness.run_training(cfg, matrix))
+        assert run.train_steps > 0
+        assert kept < 1.25 * 2**20
 
     @pytest.mark.parametrize("learn, sync, episodes", [(2, 3, 4), (1, 100, 5), (3, 2, 9), (4, 4, 8), (5, 1, 6)])
     def test_train_steps_are_the_cadence_summed_over_the_run(self, tmp_path, learn, sync, episodes):
@@ -469,13 +503,23 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["train", "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES)
-    def test_bad_config_value_exits_one_before_any_output(self, tmp_path, capsys, path, value):
+    @staticmethod
+    def assert_train_exits_one_before_any_output(tmp_path, capsys, path, config: dict):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config_dict_with(tmp_path / "out", path, value)))
+        cfg_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", BAD_CONFIG_VALUES)
+    def test_bad_config_value_exits_one_before_any_output(self, tmp_path, capsys, path, value):
+        config = config_dict_with(tmp_path / "out", path, value)
+        self.assert_train_exits_one_before_any_output(tmp_path, capsys, path, config)
+
+    @pytest.mark.parametrize("path, value", BAD_SVM_VALUES)
+    def test_bad_svm_value_exits_one_before_any_output(self, tmp_path, capsys, path, value):
+        config = config_dict_with(tmp_path / "out", path, value, **SVM)
+        self.assert_train_exits_one_before_any_output(tmp_path, capsys, path, config)
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         cfg = RunConfig(csv_path=str(tmp_path / "missing.csv"), synthetic=None,

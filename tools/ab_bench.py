@@ -1,7 +1,7 @@
-"""Paired runs of one benchmark workload on two checkouts, alternating which runs first.
+"""Paired runs of benchmark workloads on two checkouts, alternating which runs first.
 
-    python3 tools/ab_bench.py BASE CHANGE --workload ingest-eval --seed 11 \\
-        --seconds 20 --pairs 10 --work /tmp/ab
+    python3 tools/ab_bench.py BASE CHANGE --workload select-dt,select-net,ingest-eval \\
+        --seed 11 --seconds 20 --pairs 10 --work /tmp/ab
 
 BASE and CHANGE are each a git revision of this repository or a directory
 holding a checkout. Each side is copied into its own directory under
@@ -9,17 +9,20 @@ holding a checkout. Each side is copied into its own directory under
 bytecode and run caches), and both copies have their sources compiled to
 bytecode by this interpreter before any run. So neither side's ``setup_s``
 pays for compiling while the other's does not, and neither runs inside the
-repository. Pair i runs ``bench/run.py`` in the base copy first when i is
-even and in the change copy first when it is odd; a run's result is the
-JSON object on the last line of its standard output.
+repository. ``--workload`` is one workload or a comma-separated list; each
+gets its ``--pairs`` pairs in turn, so one invocation can cover every
+workload of ``BENCHMARK.json``. Pair i runs ``bench/run.py`` in the base copy
+first when i is even and in the change copy first when it is odd; a run's
+result is the JSON object on the last line of its standard output.
 
-The report first gives, per side, the operations that failed out of those
-attempted, summed over its runs, and the number of its runs whose output
-check failed (``correct`` false); a side with either is broken, whatever
-its timings. Then, per end-to-end metric, it gives each side's median and
-quartiles, the change's median over the base's, and the share of pairs the
-change won (ties count for neither side), with the better direction read
-from the base's ``BENCHMARK.json``. Only the standard library is used.
+Each workload's report first gives, per side, the operations that failed
+out of those attempted, summed over its runs, and the number of its runs
+whose output check failed (``correct`` false); a side with either is
+broken, whatever its timings. Then, per end-to-end metric, it gives each
+side's median and quartiles, the change's median over the base's, and the
+share of pairs the change won (ties count for neither side), with the
+better direction read from the base's ``BENCHMARK.json``. Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def materialize(side: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(checkout: Path, args) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; its JSON result."""
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+def run_once(checkout: Path, workload: str, args) -> dict:
+    """One ``bench/run.py`` run of ``workload`` in ``checkout``; its JSON result."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -75,7 +78,16 @@ def outcomes(runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
-def report(runs: dict[str, list[dict]], lower_is_better: dict[str, bool]) -> list[str]:
+def lower_is_better(spec: dict) -> dict[str, bool]:
+    """Per end-to-end metric of a parsed ``BENCHMARK.json``: whether a lower value is better."""
+    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+
+
+def report(runs: dict[str, list[dict]], directions: dict[str, bool]) -> list[str]:
+    """Per metric of the runs: each side's quartiles, the change's median over the base's and its pair wins.
+
+    ``directions`` says per metric whether lower is better (``lower_is_better``).
+    """
     names = list(runs["base"][0]["metrics"])
     col = max(map(len, names)) + 2
     lines = [f"{'metric':<{col}}{'side':<8}{'q1':>12}{'median':>12}{'q3':>12}"]
@@ -84,7 +96,7 @@ def report(runs: dict[str, list[dict]], lower_is_better: dict[str, bool]) -> lis
         for side, v in values.items():
             q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
             lines.append(f"{name:<{col}}{side:<8}{q1:>12.6g}{q2:>12.6g}{q3:>12.6g}")
-        lower = lower_is_better[name]
+        lower = directions[name]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"]))
         base_median = statistics.median(values["base"])
         ratio = statistics.median(values["change"]) / base_median if base_median else float("nan")
@@ -98,7 +110,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", help="git revision or checkout directory of the base side")
     parser.add_argument("change", help="git revision or checkout directory of the changed side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload, or a comma-separated list of them")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--pairs", type=int, default=10)
@@ -109,19 +121,24 @@ def main(argv=None) -> int:
     if args.work.exists() and any(args.work.iterdir()):
         parser.error(f"--work {args.work} is not empty")
 
+    workloads = args.workload.split(",")
     sides = {side: materialize(getattr(args, side), args.work / side) for side in ("base", "change")}
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[side].append(run_once(sides[side], args))
-        pair = {side: runs[side][-1]["metrics"]["run_s"]["value"] for side in runs}
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): run_s base {pair['base']} change {pair['change']}",
-              file=sys.stderr, flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
-    print("\n".join(outcomes(runs) + report(runs, lower_is_better)))
+    unknown = sorted(set(workloads) - {w["name"] for w in spec["workloads"]})
+    if unknown:
+        parser.error(f"--workload: {', '.join(unknown)} not in the base's BENCHMARK.json")
+    directions = lower_is_better(spec)
+    for workload in workloads:
+        runs: dict[str, list[dict]] = {"base": [], "change": []}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(sides[side], workload, args))
+            pair = {side: runs[side][-1]["metrics"]["run_s"]["value"] for side in runs}
+            print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): run_s base {pair['base']}"
+                  f" change {pair['change']}", file=sys.stderr, flush=True)
+        print(f"{workload} seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
+        print("\n".join(outcomes(runs) + report(runs, directions)), flush=True)
     return 0
 
 
