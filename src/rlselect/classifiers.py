@@ -52,11 +52,19 @@ whole (trees x rows) node matrix down one level per pass, with
 ``node = child[node] + bit``, until every entry sits on a leaf; then the trees
 vote and the votes are scattered back to the rows.
 
+``cv_accuracy`` of the decision tree grows the trees of all its folds in one
+``_grow_trees`` call, fold f's fit rows as sample f, so fold f's tree is rooted
+at row f of one node table; each fold's rows walk down from its own root
+(``_leaves``, the walk prediction uses). A tree depends only on its sample's
+distinct patterns and integer counts, so it is the tree ``fit`` grows on that
+fold alone. The other kinds fit once per fold.
+
 ``holdout_accuracies`` fits on one part and scores another, for many column
 sets of the two parts at once. The reward oracle scores its batches of
-subsets with it, and ``holdout_accuracy`` (every cross-validation fold) is
-its one-set case. For the decision tree it never builds a tree, and each
-accuracy is exactly that of ``fit`` + ``accuracy`` on the set's columns:
+subsets with it, and ``holdout_accuracy`` (a cross-validation fold of every
+kind but the decision tree) is its one-set case. For the decision tree it
+never builds a tree, and each accuracy is exactly that of ``fit`` +
+``accuracy`` on the set's columns:
 
 * In unbounded CART on binary patterns every leaf is pure or holds a single
   pattern, so a scored row whose pattern occurs in the fit part gets that
@@ -452,6 +460,18 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     return labels[inverse[n_fit * n_sets:]].reshape(-1, n_sets).T
 
 
+def _leaves(feature: np.ndarray, child: np.ndarray, node: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The leaf of a node table that row j of ``rows`` reaches from each start ``node[..., j]``, one level per pass."""
+    cols = np.arange(rows.shape[0])
+    while True:
+        split = feature[node]
+        inner = split >= 0
+        if not inner.any():
+            return node
+        # a leaf's feature -1 reads some column, but the leaf keeps its node
+        node = np.where(inner, child[node] + rows[cols, split], node)
+
+
 class _ForestModel:
     """Majority vote of CART trees held in one node table; a decision tree is a forest of one.
 
@@ -464,17 +484,9 @@ class _ForestModel:
         self.feature, self.label, self.child, self.roots = feature, label, child, roots
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        # every distinct row goes down every tree, one level per pass
+        # every distinct row goes down every tree: node[t, p] starts at root t
         patterns, inverse = _unique_rows(rows)
-        node = np.repeat(self.roots[:, None], patterns.shape[0], axis=1)  # node[t, p]
-        cols = np.arange(patterns.shape[0])
-        while True:
-            feature = self.feature[node]
-            inner = feature >= 0
-            if not inner.any():
-                break
-            # a leaf's feature -1 reads some column, but the leaf keeps its node
-            node = np.where(inner, self.child[node] + patterns[cols, feature], node)
+        node = _leaves(self.feature, self.child, np.repeat(self.roots[:, None], patterns.shape[0], axis=1), patterns)
         votes = self.label[node].sum(axis=0, dtype=np.int64)
         # Exact vote tie (even forests) goes to benign.
         return (2 * votes > self.roots.size).astype(np.uint8)[inverse]
@@ -526,17 +538,17 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def _check_trainable(matrix: SampleMatrix) -> None:
-    if matrix.n_samples == 0:
+def _check_trainable(y: np.ndarray) -> None:
+    """Raise ``FitError`` unless the labels ``y`` of a fit part hold both classes."""
+    if y.size == 0:
         raise FitError("cannot fit on an empty matrix")
-    c0, c1 = matrix.class_counts()
-    if c0 == 0 or c1 == 0:
+    if np.count_nonzero(y) in (0, y.size):
         raise FitError("matrix contains a single class; both labels are required")
 
 
 def fit(kind: ClassifierKind, matrix: SampleMatrix, seed: int) -> TrainedClassifier:
     """Train a classifier; deterministic given (kind, matrix, seed)."""
-    _check_trainable(matrix)
+    _check_trainable(matrix.y)
     X, y = matrix.X, matrix.y
     n_features = matrix.n_features
 
@@ -637,7 +649,7 @@ def holdout_accuracies(
     does not depend on the sets that share its pass. Other kinds fit once per
     set.
     """
-    _check_trainable(fit_part)
+    _check_trainable(fit_part.y)
     if score_part.n_samples == 0:
         raise ValueError("accuracy of an empty matrix is undefined")
     if score_part.n_features != fit_part.n_features:
@@ -675,15 +687,35 @@ def holdout_accuracy(
 def cv_accuracy(
     kind: ClassifierKind, matrix: SampleMatrix, plan: SplitPlan, seed: int
 ) -> tuple[float, list[float]]:
-    """k-fold cross-validated accuracy: fit on out-fold rows, score the in-fold rows."""
+    """k-fold cross-validated accuracy: fit on out-fold rows, score the in-fold rows.
+
+    Fold f's accuracy is ``holdout_accuracy(kind, matrix.rows(fit),
+    matrix.rows(eval), seed + f)``, errors included (a ``FitError`` names its
+    fold); every fold's checks run before any fit. The decision trees of all
+    folds grow in one ``_grow_trees`` call, fold f's from root f, and each
+    fold's rows are scored from its own root. Other kinds fit once per fold.
+    """
     if plan.kind.method != "kfold":
         raise ValueError("cv_accuracy requires a kfold split plan")
     if plan.assignments.shape[0] != matrix.n_samples:
         raise ValueError("split plan does not cover this matrix")
-    per_fold = []
-    for fold, (fit_idx, eval_idx) in enumerate(plan.folds()):
+    folds = list(plan.folds())
+    for fold, (fit_idx, eval_idx) in enumerate(folds):
         try:
-            per_fold.append(holdout_accuracy(kind, matrix.rows(fit_idx), matrix.rows(eval_idx), seed + fold))
+            _check_trainable(matrix.y[fit_idx])
         except FitError as exc:
             raise FitError(f"fold {fold}: {exc}") from exc
+        if eval_idx.size == 0:
+            raise ValueError("accuracy of an empty matrix is undefined")
+    if kind.name == "dt":
+        feature, label, child, roots = _grow_trees(matrix.X, matrix.y, [fit_idx for fit_idx, _ in folds])
+        sizes = [eval_idx.size for _, eval_idx in folds]
+        rows = np.concatenate([eval_idx for _, eval_idx in folds])  # in fold order, each from its fold's root
+        right = label[_leaves(feature, child, np.repeat(roots, sizes), matrix.X[rows])] == matrix.y[rows]
+        per_fold = [float(np.mean(part)) for part in np.split(right, np.cumsum(sizes)[:-1])]
+    else:
+        per_fold = [
+            holdout_accuracy(kind, matrix.rows(fit_idx), matrix.rows(eval_idx), seed + fold)
+            for fold, (fit_idx, eval_idx) in enumerate(folds)
+        ]
     return float(np.mean(per_fold)), per_fold

@@ -64,20 +64,6 @@ class FeatureDictionary:
     def entries(self) -> list[tuple[int, str, str]]:
         return [(i, n, c) for i, (n, c) in enumerate(zip(self.names, self.categories))]
 
-    def category_indices(self, category: str) -> list[int]:
-        """Indices of this category's entries, in dictionary order."""
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown feature category {category!r}")
-        return list(self._category_positions.get(category, ()))
-
-    @cached_property
-    def _category_positions(self) -> dict[str, tuple[int, ...]]:
-        # one scan per dictionary; not a field, so equality and hashing ignore it
-        positions: dict[str, list[int]] = {}
-        for i, c in enumerate(self.categories):
-            positions.setdefault(c, []).append(i)
-        return {c: tuple(idx) for c, idx in positions.items()}
-
     def category_slots(self, category: str) -> Mapping[str, int]:
         """Read-only map from each name of this category to its position among the category's entries."""
         if category not in CATEGORIES:
@@ -86,11 +72,12 @@ class FeatureDictionary:
 
     @cached_property
     def _category_slots(self) -> dict[str, Mapping[str, int]]:
-        # built once per dictionary, like _category_positions
-        return {
-            c: MappingProxyType({self.names[i]: slot for slot, i in enumerate(idx)})
-            for c, idx in self._category_positions.items()
-        }
+        # one scan per dictionary; not a field, so equality and hashing ignore it
+        slots: dict[str, dict[str, int]] = {}
+        for name, c in zip(self.names, self.categories):
+            of = slots.setdefault(c, {})
+            of[name] = len(of)
+        return {c: MappingProxyType(of) for c, of in slots.items()}
 
     @classmethod
     def from_names(cls, names, category: str = "synthetic") -> "FeatureDictionary":

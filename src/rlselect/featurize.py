@@ -6,25 +6,30 @@ names. Dalvik mnemonics are first collapsed to a 7-letter alphabet, the letter
 stream is cut into n-grams, and a sample is vectorized by gram presence
 against a top-k vocabulary built from the malware corpus only.
 
-Each opcode map memoizes the letter of every distinct mnemonic it has seen,
-so a corpus costs one rule scan per distinct mnemonic, not per line.
+Each opcode map memoizes the letter of every distinct raw line it has seen
+and strips a line only on its first sight, so a corpus costs one strip and
+one rule scan per distinct line, not per line; surrounding whitespace never
+reaches the rules.
 N-grams are counted as int64 codes: a letter is its digit 0-6 in sorted
 letter order (``GIMPRTV``) and a window is its base-7 value, so numeric code
 order is lexicographic gram order. The codes are exact up to
 ``MAX_NGRAM_N`` = 22 (7**22 < 2**63 < 7**23); a larger n is rejected. The
 output is the same as counting string slices.
 
-A vocabulary turns a sample's codes into ranks in one of two ways. For
-n <= 6 the whole code space (7**n <= ``_DENSE_CODES`` = 2**17 codes) fits
-a dense int32 table of each code's rank, -1 outside the vocabulary, so a
-sample's ranks are one gather; the bound keeps that table at most 512 KiB,
-since 7**7 codes would take 3.3 MB and 7**22 could not be held at all. For
-larger n the ranks come from a binary search of the vocabulary's sorted
+For n <= 6 the whole code space (7**n <= ``_DENSE_CODES`` = 2**17 codes)
+is held densely. ``build_vocabulary`` counts the corpus windows with one
+``bincount`` over it, and a vocabulary keeps a dense int32 table of each
+code's rank, -1 outside the vocabulary, so a sample's ranks are one gather;
+the bound keeps that table at most 512 KiB, since 7**7 codes would take
+3.3 MB and 7**22 could not be held at all. For larger n the counts come from
+``np.unique`` and the ranks from a binary search of the vocabulary's sorted
 codes.
 
 ``cmd_featurize`` is the driver: it reads a directory of disassembled
 samples and writes the matrix CSV, with permission columns first, then
-intents, then n-grams.
+intents, then n-grams. It reads and maps each sample once, sets the
+declared bits of every sample in one assignment through a name-to-column
+map, and takes each sample's n-gram bits from ``vectorize_ngrams``.
 """
 
 from __future__ import annotations
@@ -55,14 +60,14 @@ class VocabularyError(ValueError):
 
 
 class _LetterMemo(dict):
-    """mnemonic -> letter, or "" for an unmatched mnemonic; filled on first lookup."""
+    """raw line -> letter of its stripped mnemonic, or "" for none; filled on first lookup."""
 
     def __init__(self, alphabet_map: "OpcodeAlphabetMap"):
         super().__init__()
         self.alphabet_map = alphabet_map
 
-    def __missing__(self, mnemonic: str) -> str:
-        letter = self[mnemonic] = self.alphabet_map.letter_for(mnemonic) or ""
+    def __missing__(self, line: str) -> str:
+        letter = self[line] = self.alphabet_map.letter_for(line.strip()) or ""
         return letter
 
 
@@ -120,7 +125,10 @@ DEFAULT_OPCODE_MAP = OpcodeAlphabetMap.default()
 
 
 def map_dalvik_to_letters(mnemonics, alphabet_map: OpcodeAlphabetMap = DEFAULT_OPCODE_MAP) -> str:
-    """Collapse a mnemonic stream to its letter string, skipping unmatched mnemonics."""
+    """Collapse a mnemonic stream to its letter string, skipping unmatched mnemonics.
+
+    Surrounding whitespace of a mnemonic is ignored, so a blank line maps to no letter.
+    """
     return "".join(map(alphabet_map._memo.__getitem__, mnemonics))
 
 
@@ -201,7 +209,12 @@ def build_vocabulary(corpora, n: int, k: int) -> NGramVocabulary:
     _check_n(n)
     # the leading empty array keeps an empty corpus list valid for concatenate
     windows = np.concatenate([np.zeros(0, np.int64)] + [_gram_codes(letters, n) for letters in corpora])
-    codes, counts = np.unique(windows, return_counts=True)
+    if 7**n <= _DENSE_CODES:  # the code space is small enough to count every code in place
+        counts = np.bincount(windows, minlength=7**n)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        codes, counts = np.unique(windows, return_counts=True)
     if codes.size < k:
         raise VocabularyError(
             f"only {codes.size} distinct {n}-grams available, need k={k}"
@@ -263,7 +276,7 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
         d = root / label_dir
         if not d.is_dir():
             raise FileNotFoundError(f"missing input directory {d}")
-        for opc in sorted(d.glob("*.opcodes")):
+        for opc in sorted(d.glob("*.opcodes"), key=lambda path: path.name):
             names_file = opc.with_suffix(".names")
             if not names_file.exists():
                 raise FileNotFoundError(f"{opc} has no matching names file {names_file}")
@@ -275,10 +288,10 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     letters = []
     declared = []
     for _, opc, names_file in samples:
-        # one strip per line; a blank line strips to "", which maps to no letter
-        mnemonics = map(str.strip, opc.read_text(encoding="utf-8-sig").splitlines())
-        letters.append(map_dalvik_to_letters(mnemonics, DEFAULT_OPCODE_MAP))
-        declared.append([ln.strip() for ln in names_file.read_text(encoding="utf-8-sig").splitlines() if ln.strip()])
+        # the memo strips a line on its first sight only
+        letters.append(map_dalvik_to_letters(opc.read_text(encoding="utf-8-sig").splitlines(), DEFAULT_OPCODE_MAP))
+        lines = names_file.read_text(encoding="utf-8-sig").splitlines()
+        declared.append([name for name in map(str.strip, lines) if name])
 
     malware_letters = [s for s, (label, _, _) in zip(letters, samples) if label == 1]
     if not malware_letters:
@@ -302,14 +315,18 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     )
     dictionary = FeatureDictionary(names, categories)
 
+    # every declared name has a column: permissions first, then intents
+    perm_slots = dictionary.category_slots("permission")
+    column_of = dict(perm_slots)
+    column_of.update((name, len(perm_slots) + slot) for name, slot in dictionary.category_slots("intent").items())
     rows = np.zeros((len(samples), len(names)), dtype=np.uint8)
-    labels = np.zeros(len(samples), dtype=np.uint8)
-    for i, (label, _, _) in enumerate(samples):
-        perm_bits, _ = vectorize_declared(declared[i], dictionary, "permission")
-        intent_bits, _ = vectorize_declared(declared[i], dictionary, "intent")
-        gram_bits = vectorize_ngrams(letters[i], vocab)
-        rows[i] = np.concatenate([perm_bits, intent_bits, gram_bits])
-        labels[i] = label
+    rows[
+        np.repeat(np.arange(len(samples)), [len(ns) for ns in declared]),
+        [column_of[name] for ns in declared for name in ns],
+    ] = 1
+    for row, sample_letters in zip(rows[:, len(column_of):], letters):
+        row[:] = vectorize_ngrams(sample_letters, vocab)
+    labels = np.array([label for label, _, _ in samples], dtype=np.uint8)
 
     matrix = SampleMatrix(dictionary, rows, labels)
     out_path = Path(out_csv)

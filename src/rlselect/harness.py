@@ -416,8 +416,11 @@ class TrainingRun:
 
         A finished run trains no more, so it holds no train-step arrays and no
         target network: ``workspace`` and ``theta2`` become ``None``. The
-        greedy rollout, the report and a checkpoint read ``theta1`` only.
+        greedy rollout, the report and a checkpoint read ``theta1`` only. On a
+        finished run it returns the report it has, with no second rollout.
         """
+        if self.report is not None:
+            return self.report
         self.workspace = self.theta2 = None
         t_train = time.perf_counter()
         order, _ = self.rollout(0.0)

@@ -106,9 +106,6 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
 
 def _layout(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every tensor of ``config``, in parameter order."""

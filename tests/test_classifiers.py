@@ -32,7 +32,9 @@ from rlselect.classifiers import (
     holdout_accuracy,
     predict,
 )
-from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, load_csv, project, stratified_split
+from rlselect.dataset import (
+    SplitKind, SplitPlan, SyntheticSpec, generate_synthetic, load_csv, project, stratified_split,
+)
 
 from conftest import matrix_from_rows
 
@@ -639,6 +641,60 @@ class TestCvAccuracy:
         plan = stratified_split(m, SplitKind.kfold(4), seed=3)
         mean, per_fold = cv_accuracy(ClassifierKind.knn(k=3), m, plan, seed=0)
         assert mean == pytest.approx(float(np.mean(per_fold)))
+
+
+def fold_by_fold(kind, m, plan, seed):
+    """The per-fold ``holdout_accuracy`` values of ``plan``, or the exception the first failing fold raises."""
+    per_fold = []
+    for fold, (fit_idx, eval_idx) in enumerate(plan.folds()):
+        try:
+            per_fold.append(holdout_accuracy(kind, m.rows(fit_idx), m.rows(eval_idx), seed + fold))
+        except FitError as exc:
+            return FitError(f"fold {fold}: {exc}")
+        except ValueError as exc:
+            return exc
+    return per_fold
+
+
+class TestCvFoldsEqualHoldout:
+    """Each fold equals its own holdout; the decision tree's folds grow together, and all kinds check every fold first."""
+
+    dt = ClassifierKind.decision_tree()
+
+    def assert_equals_fold_by_fold(self, m, plan, seed, kind=dt):
+        expected = fold_by_fold(kind, m, plan, seed)
+        if isinstance(expected, Exception):
+            with pytest.raises(ValueError) as info:
+                cv_accuracy(kind, m, plan, seed)
+            assert type(info.value) is type(expected) and str(info.value) == str(expected)
+            return
+        mean, per_fold = cv_accuracy(kind, m, plan, seed)
+        assert per_fold == expected
+        assert mean == float(np.mean(expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 10), st.integers(1, 60), st.integers(0, 7), st.integers(0, 2**31 - 1))
+    def test_folds_equal_holdout_accuracy(self, data, k, n, width, seed):
+        X = data.draw(arrays(np.uint8, (n, width), elements=st.integers(0, 1)))
+        y = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+        assignments = data.draw(arrays(np.intp, n, elements=st.integers(0, k - 1)))
+        self.assert_equals_fold_by_fold(matrix_from_rows(X, y), SplitPlan(SplitKind.kfold(k), assignments, 0), seed)
+
+    @pytest.mark.parametrize("assignments, error", [
+        ([0, 1, 0, 1, 2, 2, 2, 2], "fold 2: matrix contains a single class"),  # fold 2 holds every malware row
+        ([1, 1, 1, 1, 0, 2, 0, 2], "fold 1: matrix contains a single class"),  # fold 1 holds every benign row
+        ([0] * 8, "fold 0: cannot fit on an empty matrix"),
+        ([0, 1, 0, 1, 0, 1, 0, 1], "accuracy of an empty matrix"),  # fold 2 scores no rows
+    ])
+    @pytest.mark.parametrize("kind", [
+        ClassifierKind.decision_tree(), ClassifierKind.random_forest(trees=3),
+        ClassifierKind.knn(k=3), ClassifierKind.linear_svm(epochs=2),
+    ], ids=lambda kind: kind.name)
+    def test_fold_errors_equal_holdout_accuracy(self, kind, assignments, error):
+        m = matrix_from_rows(np.eye(8, 3, dtype=np.uint8), [0, 0, 0, 0, 1, 1, 1, 1])
+        plan = SplitPlan(SplitKind.kfold(3), assignments, 0)
+        assert str(fold_by_fold(kind, m, plan, 0)).startswith(error)
+        self.assert_equals_fold_by_fold(m, plan, 0, kind)
 
 
 def eager_holdout(kind, fit_part, score_part, seed=0):

@@ -350,26 +350,13 @@ class TestFeatureDictionary:
 
     def test_same_name_across_categories_allowed(self):
         d = FeatureDictionary(("a", "a"), ("permission", "intent"))
-        assert d.category_indices("permission") == [0]
-        assert d.category_indices("intent") == [1]
-
-    def test_category_indices_per_category_in_order(self):
-        d = FeatureDictionary(("a", "b", "c", "d"), ("ngram", "permission", "ngram", "intent"))
-        assert d.category_indices("ngram") == [0, 2]
-        assert d.category_indices("permission") == [1]
-        assert d.category_indices("synthetic") == []
-        # the cached positions leave equality and hashing to the fields
-        fresh = FeatureDictionary(d.names, d.categories)
-        assert d == fresh and hash(d) == hash(fresh)
-        # a caller may change the returned list without touching the cache
-        d.category_indices("ngram").append(9)
-        assert d.category_indices("ngram") == [0, 2]
-        with pytest.raises(ValueError, match="unknown feature category"):
-            d.category_indices("opcode")
+        assert dict(d.category_slots("permission")) == {"a": 0}
+        assert dict(d.category_slots("intent")) == {"a": 0}
 
     def test_category_slots_built_once_and_read_only(self):
         d = FeatureDictionary(("a", "b", "c", "d"), ("ngram", "permission", "ngram", "intent"))
         assert dict(d.category_slots("ngram")) == {"a": 0, "c": 1}
+        assert dict(d.category_slots("permission")) == {"b": 0}
         assert d.category_slots("ngram") is d.category_slots("ngram")
         assert dict(d.category_slots("synthetic")) == {}
         fresh = FeatureDictionary(d.names, d.categories)

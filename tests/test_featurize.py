@@ -2,6 +2,7 @@ import codecs
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlselect import featurize
-from rlselect.dataset import FeatureDictionary, load_csv
+from rlselect.dataset import FeatureDictionary, SampleMatrix, load_csv, save_csv
 from rlselect.featurize import (
     ALPHABET,
     DEFAULT_OPCODE_MAP,
@@ -243,8 +244,11 @@ class TestMemoizedMapping:
         text = st.text("ab-", min_size=1, max_size=4)
         rules = data.draw(st.lists(st.tuples(text, st.sampled_from(ALPHABET)), min_size=1, max_size=8))
         alphabet_map = OpcodeAlphabetMap(tuple(rules))
-        mnemonics = data.draw(st.lists(st.text("ab-", max_size=6), max_size=30))
-        expected = "".join(alphabet_map.letter_for(m) or "" for m in mnemonics)
+        # a mnemonic's surrounding whitespace is ignored, also inside a list
+        padding = st.text(" \t\xa0\u2003", max_size=2)
+        padded = st.builds("{}{}{}".format, padding, st.text("ab-", max_size=6), padding)
+        mnemonics = data.draw(st.lists(padded, max_size=30))
+        expected = "".join(alphabet_map.letter_for(m.strip()) or "" for m in mnemonics)
         assert map_dalvik_to_letters(mnemonics, alphabet_map) == expected
         # a second pass answers from the memo
         assert map_dalvik_to_letters(mnemonics, alphabet_map) == expected
@@ -369,6 +373,71 @@ class TestCmdFeaturizeCallPattern:
         assert matrix.n_samples == samples
         assert calls == {"map_dalvik_to_letters": samples, "build_vocabulary": 1, "vectorize_ngrams": samples}
         assert load_csv(tmp_path / "f.csv").dictionary == matrix.dictionary
+
+
+# Lines of the random corpora: mnemonics and declared names padded with
+# whitespace, blank lines, and every kind of line break str.splitlines knows.
+_PADDING = st.text(" \t\xa0\u2003", max_size=2)
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"])
+_MNEMONICS = (
+    "move", "move-result", "return-void", "goto", "if-eqz", "iget", "aput", "invoke-virtual", "nop", "const/4", "",
+)
+_DECLARED = ("android.permission.SEND_SMS", "android.permission.INTERNET", "com.ex.permission.X Y",
+             "android.intent.action.MAIN", "android.intent.action.BOOT_COMPLETED", "")
+
+
+def _lines(words):
+    """Text of padded ``words``, each but the last followed by a random line break.
+
+    An empty last word ends the text with a break.
+    """
+    line = st.builds("{}{}{}".format, _PADDING, st.sampled_from(words), _PADDING)
+    return st.builds(str.__add__, st.lists(st.builds(str.__add__, line, _BREAKS), max_size=30).map("".join), line)
+
+
+_SAMPLE = st.tuples(_lines(_MNEMONICS), _lines(_DECLARED))
+
+
+def reference_matrix(samples, n: int, k: int) -> SampleMatrix:
+    """The matrix of ``samples`` ((label, opcode text, names text), in file order) by the string references."""
+    letters = ["".join(DEFAULT_OPCODE_MAP.letter_for(line.strip()) or "" for line in opcodes.splitlines())
+               for _, opcodes, _ in samples]
+    declared = [{line.strip() for line in names.splitlines()} - {""} for _, _, names in samples]
+    grams = ref_build_vocabulary([s for s, (label, _, _) in zip(letters, samples) if label == 1], n, k)
+    perms = sorted({d for ds in declared for d in ds if ".intent." not in d})
+    intents = sorted({d for ds in declared for d in ds if ".intent." in d})
+    rows = [[int(d in ds) for d in perms + intents] + ref_vectorize_ngrams(s, grams, n)
+            for s, ds in zip(letters, declared)]
+    categories = ("permission",) * len(perms) + ("intent",) * len(intents) + ("ngram",) * len(grams)
+    X = np.array(rows, dtype=np.uint8).reshape(len(samples), -1)
+    return SampleMatrix(FeatureDictionary(tuple(perms + intents) + grams, categories), X, [s[0] for s in samples])
+
+
+class TestCmdFeaturizeEqualsStringReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_SAMPLE, min_size=1, max_size=3), st.lists(_SAMPLE, max_size=3),
+           st.integers(1, 3), st.integers(1, 4))
+    def test_csv_bytes(self, malware, benign, n, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            samples = []
+            for label_dir, label, drawn in (("benign", 0, benign), ("malware", 1, malware)):
+                (root / label_dir).mkdir()
+                for i, (opcodes, names) in enumerate(drawn):  # stems sort as the drawn order
+                    stem = root / label_dir / f"s{i}"
+                    stem.with_suffix(".opcodes").write_bytes(opcodes.encode("utf-8"))
+                    stem.with_suffix(".names").write_bytes(names.encode("utf-8"))
+                    samples.append((label, opcodes, names))
+            try:
+                expected = reference_matrix(samples, n, k)
+            except VocabularyError as exc:
+                with pytest.raises(ValueError) as got:
+                    cmd_featurize(root, n, k, root / "f.csv")
+                assert str(got.value) == f"{root}/malware: {exc}"
+                return
+            save_csv(expected, root / "expected.csv")
+            cmd_featurize(root, n, k, root / "f.csv")
+            assert (root / "f.csv").read_bytes() == (root / "expected.csv").read_bytes()
 
 
 _FEATURIZE_AND_LOAD = """

@@ -291,6 +291,15 @@ class TestTrainingRun:
             run.episode()
         assert len(run.episodes) == 4
 
+    def test_finish_on_a_finished_run_returns_its_report(self, tmp_path):
+        run = harness.run_training(tiny_config(tmp_path, gamma=0.5))
+        report, counts = run.report.to_dict(), (run.oracle.fit_count, run.oracle.hit_count)
+        with mock.patch.object(run.oracle, "score", wraps=run.oracle.score) as score:
+            assert run.finish() is run.report
+        assert score.call_count == 0
+        assert run.report.to_dict() == report
+        assert (run.oracle.fit_count, run.oracle.hit_count) == counts
+
     def test_finished_run_keeps_one_network(self):
         # the select-dt shape: 2000 x 100, RNN H = 256, subset 10. theta1 alone is
         # 0.75 MiB and the oracle's parts 0.2 MiB; a second network would add 0.75 MiB

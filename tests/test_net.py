@@ -478,7 +478,7 @@ class TestStep:
         params = self._setup()
         before = params.copy()
         opt = OptimizerState(total_steps=10, base_rate=0.1)
-        net.step(params, params.zeros_like(), opt)
+        net.step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, opt)
         for name in before.tensors:
             assert np.array_equal(params.tensors[name], before.tensors[name])
         assert opt.step_count == 1
@@ -496,7 +496,7 @@ class TestStep:
         params = self._setup()
         before = params.copy()
         opt = OptimizerState(total_steps=1000, base_rate=1.0, clip_norm=1.0)
-        grads = params.zeros_like()
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         grads["b_out"][0] = 10.0  # global norm 10, clip to 1 -> effective 0.1 scale
         net.step(params, grads, opt)
         delta = before.tensors["b_out"][0] - params.tensors["b_out"][0]
@@ -597,7 +597,7 @@ class TestTrainability:
         opt = OptimizerState(total_steps=10_000, base_rate=0.5)
         losses = []
         for _ in range(200):
-            total = params.zeros_like()
+            total = {k: np.zeros_like(v) for k, v in params.tensors.items()}
             for state, action, target in batch:
                 grads = net.backward(params, state, action, target)
                 for name, g in grads.items():
