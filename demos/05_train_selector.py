@@ -9,7 +9,8 @@ import numpy as np
 
 from rlselect import SyntheticSpec
 from rlselect.classifiers import ClassifierKind
-from rlselect.harness import RunConfig, run_training
+from rlselect.config import RunConfig
+from rlselect.run import run_training
 
 config = RunConfig(
     synthetic=SyntheticSpec(n_samples=800, n_features=40, informative=tuple(range(10)), q=0.8, seed=21),

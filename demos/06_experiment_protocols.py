@@ -7,7 +7,8 @@ writes its table under runs/demo-protocols/.
 
 from rlselect import SyntheticSpec
 from rlselect.classifiers import ClassifierKind
-from rlselect.harness import RunConfig, cmd_compare, cmd_curves, cmd_stability, cmd_timing
+from rlselect.config import RunConfig
+from rlselect.harness import cmd_compare, cmd_curves, cmd_stability, cmd_timing
 
 config = RunConfig(
     synthetic=SyntheticSpec(n_samples=600, n_features=25, informative=(0, 1, 2, 3), q=0.8, seed=13),

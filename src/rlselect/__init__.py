@@ -8,11 +8,12 @@ samples, a self-contained classifier suite, filter-method baselines, and
 reproducible experiment drivers.
 """
 
-__version__ = "0.1.0"  # bound before the submodule imports: harness reads it
+__version__ = "0.1.0"  # bound before the submodule imports: run reads it
 
 from .agent import AgentConfig, EpsilonSchedule, ReplayMemory, Transition, ddqn_target, ddqn_targets, select_action, train_step
 from .baselines import RankedFeatures, chi_square, information_gain, random_subset, top_k
 from .classifiers import ClassifierKind, TrainedClassifier, accuracy, cv_accuracy, fit, predict
+from .config import RunConfig
 from .dataset import (
     FeatureDictionary,
     SampleMatrix,
@@ -36,5 +37,5 @@ from .featurize import (
     vectorize_declared,
     vectorize_ngrams,
 )
-from .harness import RunConfig, RunReport, run_training, sub_seed
 from .net import NetworkConfig, NetworkParams, OptimizerState, backward, forward, forward_batch, init, load_checkpoint, save_checkpoint, step, sync
+from .run import RunReport, run_training, sub_seed

@@ -15,7 +15,9 @@ from . import featurize, harness
 from .baselines import random_subset
 from .classifiers import ClassifierKind
 from .dataset import SampleMatrix
-from .harness import COMPARE_METHODS, ConfigError, RunConfig, load_matrix, sub_seed
+from .config import ConfigError, RunConfig, load_matrix
+from .harness import COMPARE_METHODS
+from .run import sub_seed
 
 
 class _UsageExit(Exception):

@@ -60,10 +60,6 @@ class FeatureDictionary:
     def __len__(self) -> int:
         return len(self.names)
 
-    @property
-    def entries(self) -> list[tuple[int, str, str]]:
-        return [(i, n, c) for i, (n, c) in enumerate(zip(self.names, self.categories))]
-
     def category_slots(self, category: str) -> Mapping[str, int]:
         """Read-only map from each name of this category to its position among the category's entries."""
         if category not in CATEGORIES:

@@ -366,6 +366,3 @@ class TestFeatureDictionary:
         with pytest.raises(ValueError, match="unknown feature category"):
             d.category_slots("opcode")
 
-    def test_entries_are_contiguous(self):
-        d = FeatureDictionary.from_names(("x", "y", "z"))
-        assert [e[0] for e in d.entries] == [0, 1, 2]
