@@ -24,6 +24,13 @@ State = tuple[int, ...]
 CONVENTIONS = ("paper", "standard")
 
 
+def insert_sorted(state: State, action: int) -> State:
+    """The one insertion rule: ``state`` with ``action`` added, kept sorted; a repeated action is refused."""
+    if action in state:
+        raise ValueError(f"feature {action} already selected")
+    return tuple(sorted(state + (action,)))
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Linear exploration decay: eps(episode) = 1 - (episode / total) * p."""
@@ -55,7 +62,7 @@ class Transition:
 
     def __post_init__(self):
         net.validate_index(self.action, "action")
-        expected = tuple(sorted(self.prev_state + (self.action,)))
+        expected = insert_sorted(self.prev_state, self.action)
         if self.next_state != expected:
             raise ValueError(
                 f"next_state {self.next_state} != prev_state + action {expected}"

@@ -14,8 +14,7 @@ from dataclasses import replace
 from . import featurize, harness
 from .baselines import random_subset
 from .classifiers import ClassifierKind
-from .dataset import SampleMatrix
-from .config import ConfigError, RunConfig, load_matrix
+from .config import ConfigError, RunConfig, _with_config_path, load_matrix
 from .harness import COMPARE_METHODS
 from .run import sub_seed
 
@@ -90,22 +89,6 @@ def _methods(text: str) -> list[str]:
     return methods
 
 
-def _check_against_matrix(args, matrix: SampleMatrix) -> None:
-    """The flags whose bounds come from the data, checked once the matrix is loaded.
-
-    Column indices and subset sizes must fit the matrix width; a fold count
-    must not exceed the smaller class.
-    """
-    width = matrix.n_features
-    if getattr(args, "subset", None) and max(args.subset) >= width:
-        raise ConfigError(f"argument --subset: index {max(args.subset)} outside 0..{width - 1}")
-    if getattr(args, "sizes", None) and max(args.sizes) > width:
-        raise ConfigError(f"argument --sizes: size {max(args.sizes)} exceeds feature count {width}")
-    smaller = min(matrix.class_counts())
-    if getattr(args, "folds", None) is not None and args.folds > smaller:
-        raise ConfigError(f"argument --folds: {args.folds} exceeds the smaller class ({smaller} samples)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON run-config file")
@@ -171,27 +154,23 @@ def _dispatch(args) -> None:
         return
 
     config = _load_config(args)
-    matrix = None
-    if args.command in ("evaluate", "compare", "stability", "timing"):
-        matrix = load_matrix(config)
-        _check_against_matrix(args, matrix)
     if args.command == "train":
         report = harness.cmd_train(config)
         print(f"final subset: {report.final_subset}")
         print(f"final reward: {report.final_reward:.4f}")
         print(f"outputs in {config.out_dir}")
     elif args.command == "evaluate":
-        rows = harness.cmd_evaluate(config, args.subset, args.classifiers, folds=args.folds, matrix=matrix)
+        rows = harness.cmd_evaluate(config, args.subset, args.classifiers, folds=args.folds)
         for row in rows:
             print(f"{row['classifier']:>14s}  {row['mean_accuracy']:.4f}")
     elif args.command == "compare":
         rows = harness.cmd_compare(config, args.sizes, args.methods, random_draws=args.random_draws,
-                                   folds=args.folds, matrix=matrix)
+                                   folds=args.folds)
         for row in rows:
             std = f" +/- {row['accuracy_std']:.4f}" if row["method"] == "random" else ""
             print(f"{row['method']:>16s}  size {row['size']:>3d}  acc {row['accuracy']:.4f}{std}")
     elif args.command == "stability":
-        payload = harness.cmd_stability(config, args.runs, folds=args.folds, matrix=matrix)
+        payload = harness.cmd_stability(config, args.runs, folds=args.folds)
         last = payload["summary"][-1]
         print(f"final-size accuracy over {args.runs} runs: "
               f"mean {last['mean']:.4f}, range {last['range']:.4f}")
@@ -201,10 +180,11 @@ def _dispatch(args) -> None:
         print(f"period-mean reward: first {first['mean_final_reward']:.4f}, "
               f"last {final['mean_final_reward']:.4f}")
     elif args.command == "timing":
-        subsets = [
+        matrix = load_matrix(config)  # the random subsets are drawn from its width
+        subsets = _with_config_path("sizes: ", lambda: [
             random_subset(matrix.n_features, size, sub_seed(config.seed, f"timing-{size}"))
             for size in args.sizes
-        ]
+        ])
         rows = harness.cmd_timing(config, subsets, args.classifiers, matrix=matrix)
         for row in rows:
             print(f"{row['classifier']:>14s}  size {row['subset_size']:>3d}  "

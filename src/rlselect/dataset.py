@@ -356,10 +356,15 @@ def stratified_split(matrix: SampleMatrix, kind: SplitKind, seed: int) -> SplitP
     return SplitPlan(kind, assignments, seed)
 
 
+def is_index(i) -> bool:
+    """The one integer rule of an index: an int or a numpy integer, and not a bool."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def check_subset(subset, n_features: int) -> list:
     """``subset`` as a list, checked to hold strictly increasing integer column indices in 0..n_features-1."""
     sub = list(subset)
-    if any(not isinstance(i, (int, np.integer)) for i in sub):
+    if not all(map(is_index, sub)):
         raise ValueError("subset indices must be integers")
     if any(b <= a for a, b in zip(sub, sub[1:])):
         raise ValueError(f"subset must be strictly increasing, got {sub}")

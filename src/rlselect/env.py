@@ -20,15 +20,9 @@ from __future__ import annotations
 import time
 
 from . import classifiers, net
-from .agent import State
+from .agent import State, insert_sorted
 from .classifiers import ClassifierKind
 from .dataset import SampleMatrix, SplitKind, stratified_split
-
-
-def insert_sorted(state: State, action: int) -> State:
-    if action in state:
-        raise ValueError(f"feature {action} already selected")
-    return tuple(sorted(state + (action,)))
 
 
 class RewardOracle:

@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines, classifiers, net
 from .classifiers import ClassifierKind
 from .config import ConfigError, RunConfig, _with_config_path, load_matrix
-from .dataset import SampleMatrix, SplitKind, check_subset, project, stratified_split
+from .dataset import SampleMatrix, SplitKind, check_subset, is_index, project, stratified_split
 from .env import RewardOracle
 from .featurize import cmd_featurize  # kept here: the benchmark calls and traces harness.cmd_featurize
 from .files import replace_atomically
@@ -72,23 +72,27 @@ def cmd_train(config: RunConfig) -> RunReport:
 
 
 def _sorted_subset(subset, n_features: int) -> list[int]:
-    """``subset`` in increasing order, checked by ``project``'s rule (``dataset.check_subset``)."""
+    """``subset`` in increasing order, checked by ``project``'s rule (``dataset.check_subset``) as ``subset:``."""
     if not subset:
-        raise ValueError("subset must be nonempty")
+        raise ConfigError("subset: must be nonempty")
     if len(set(subset)) != len(subset):
-        raise ValueError("subset contains duplicate indices")
+        raise ConfigError("subset: contains duplicate indices")
     with suppress(TypeError):  # an unorderable mix (a str among ints) stays unsorted; check_subset rejects it
         subset = sorted(subset)
-    return [int(i) for i in check_subset(subset, n_features)]  # numpy integers become JSON ints
+    sub = _with_config_path("subset: ", lambda: check_subset(subset, n_features))
+    return [int(i) for i in sub]  # numpy integers become JSON ints
 
 
 def _kfold_cv(config: RunConfig, matrix: SampleMatrix, folds: int):
     """Scorer of 0-based column subsets by k-fold CV accuracy over one shared plan.
 
     The stratified plan depends only on the labels and the seed, so one plan
-    serves every projection of the matrix.
+    serves every projection of the matrix. A fold count below 2 or above the
+    smaller class is a ``ConfigError`` led by ``folds:``.
     """
-    plan = stratified_split(matrix, SplitKind.kfold(folds), sub_seed(config.seed, "split"))
+    plan = _with_config_path(
+        "folds: ", lambda: stratified_split(matrix, SplitKind.kfold(folds), sub_seed(config.seed, "split"))
+    )
 
     def cv(subset, kind: ClassifierKind = config.classifier, seed_name: str = "cv"):
         """(mean, per-fold) accuracy of ``kind`` on the projected columns."""
@@ -104,14 +108,9 @@ def cmd_evaluate(
     subset: list[int],
     kinds: list[ClassifierKind] | None = None,
     folds: int = 10,
-    matrix: SampleMatrix | None = None,
 ) -> list[dict]:
-    """Per-classifier k-fold CV accuracy of one 0-based feature subset.
-
-    ``matrix`` is the config's loaded matrix, when the caller has it already.
-    """
-    if matrix is None:
-        matrix = load_matrix(config)
+    """Per-classifier k-fold CV accuracy of one 0-based feature subset."""
+    matrix = load_matrix(config)
     sub = _sorted_subset(subset, matrix.n_features)
     cv = _kfold_cv(config, matrix, folds)
     kinds = kinds or [ClassifierKind(name) for name in ("dt", "rf", "knn", "svm")]
@@ -140,19 +139,21 @@ def cmd_compare(
     methods: list[str],
     random_draws: int = 20,
     folds: int = 10,
-    matrix: SampleMatrix | None = None,
 ) -> list[dict]:
     """Subset quality per (method, size): selection + k-fold CV accuracy.
 
     The random baseline is averaged over ``random_draws`` seeded draws and
-    reported with its standard deviation. ``matrix`` is the config's loaded
-    matrix, when the caller has it already.
+    reported with its standard deviation.
     """
     for m in methods:
         if m not in COMPARE_METHODS:
             raise ConfigError(f"unknown method {m!r} (use {', '.join(COMPARE_METHODS)})")
-    if matrix is None:
-        matrix = load_matrix(config)
+    if random_draws < 1:
+        raise ConfigError(f"random_draws must be >= 1, got {random_draws}")
+    matrix = load_matrix(config)
+    for size in sizes:
+        if not (is_index(size) and 1 <= size <= matrix.n_features):
+            raise ConfigError(f"sizes: {size!r} is not an integer in 1..{matrix.n_features}")
     cv = _kfold_cv(config, matrix, folds)
     ig = baselines.information_gain(matrix) if "information_gain" in methods else None
     chi = baselines.chi_square(matrix) if "chi_square" in methods else None
@@ -190,17 +191,11 @@ def cmd_compare(
     return rows
 
 
-def cmd_stability(
-    config: RunConfig, runs: int, folds: int = 10, matrix: SampleMatrix | None = None
-) -> dict:
-    """Independent trainings; CV accuracy at every prefix length of each greedy subset.
-
-    ``matrix`` is the config's loaded matrix, when the caller has it already.
-    """
+def cmd_stability(config: RunConfig, runs: int, folds: int = 10) -> dict:
+    """Independent trainings; CV accuracy at every prefix length of each greedy subset."""
     if runs < 1:
         raise ConfigError("runs must be >= 1")
-    if matrix is None:
-        matrix = load_matrix(config)
+    matrix = load_matrix(config)
     cv = _kfold_cv(config, matrix, folds)
 
     per_run = []

@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .dataset import is_index
 from .files import replace_atomically
 
 CELLS = ("rnn", "gru", "lstm")
@@ -158,9 +159,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def validate_index(i, what: str) -> int:
     """``i`` as an int: numpy integers become ints; anything else is refused with a message led by ``what``.
 
-    The one integer rule of a feature index, for states and replayed actions.
+    ``dataset.is_index`` is the integer rule (a bool is refused); this applies it to states and replayed actions.
     """
-    if not isinstance(i, (int, np.integer)):
+    if not is_index(i):
         raise ValueError(f"{what} {i!r} is not an integer")
     return int(i)
 

@@ -50,6 +50,10 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition((1,), 3, 0.5, (1, 2), False)
 
+    def test_repeated_action_rejected(self):
+        with pytest.raises(ValueError, match="feature 2 already selected"):
+            Transition((2,), 2, 0.5, (2, 2), False)
+
     def test_sorted_insert_enforced(self):
         t = Transition((2, 5), 3, 0.5, (2, 3, 5), False)
         assert len(t.next_state) == len(t.prev_state) + 1
@@ -58,7 +62,8 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition((), 1, 1.5, (1,), True)
 
-    @pytest.mark.parametrize("action, state", [(2.0, (2,)), (np.float64(3.0), (3,))], ids=["float", "numpy-float"])
+    @pytest.mark.parametrize("action, state", [(2.0, (2,)), (np.float64(3.0), (3,)), (True, (1,))],
+                             ids=["float", "numpy-float", "bool"])
     def test_non_integer_action_rejected_naming_it(self, action, state):
         with pytest.raises(ValueError, match=rf"^action {re.escape(repr(action))} is not an integer$"):
             Transition((), action, 0.5, state, True)

@@ -126,16 +126,20 @@ class TestCli:
         assert "config error: agent.subset_size" in captured.err and "1..4" in captured.err
         assert fits == [] and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])
-    def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset):
+    @pytest.mark.parametrize("subset, message", [
+        ("", "argument --subset:"),
+        ("-1", "argument --subset:"),
+        ("1,1", "argument --subset:"),
+        ("0,12", "config error: subset:"),  # index 12 is one past the 12-feature dataset: cmd_evaluate refuses it
+    ])
+    def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         fits = []
         monkeypatch.setattr(harness, "_kfold_cv", lambda *args: fits.append(args))
-        # index 12 is one past the 12-feature dataset
         assert main(["evaluate", "--config", str(cfg_path), "--subset", subset]) == 1
         captured = capsys.readouterr()
-        assert "argument --subset:" in captured.err and captured.out == ""
+        assert message in captured.err and captured.out == ""
         assert fits == [] and not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -166,24 +170,25 @@ class TestCli:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["compare", "--sizes", "13", "--methods", "random"], "--sizes"),
-        (["compare", "--sizes", "13", "--methods", "rl"], "--sizes"),
-        (["timing", "--sizes", "13", "--classifiers", "dt"], "--sizes"),
-        (["evaluate", "--subset", "0", "--folds", "150"], "--folds"),
-        (["compare", "--sizes", "2", "--methods", "random", "--folds", "150"], "--folds"),
-        (["stability", "--runs", "1", "--folds", "150"], "--folds"),
+    @pytest.mark.parametrize("argv, field", [
+        (["compare", "--sizes", "13", "--methods", "random"], "sizes"),
+        (["compare", "--sizes", "13", "--methods", "rl"], "sizes"),
+        (["timing", "--sizes", "13", "--classifiers", "dt"], "sizes"),
+        (["evaluate", "--subset", "0", "--folds", "150"], "folds"),
+        (["compare", "--sizes", "2", "--methods", "random", "--folds", "150"], "folds"),
+        (["stability", "--runs", "1", "--folds", "150"], "folds"),
     ])
-    def test_flag_beyond_the_data_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, argv, flag):
+    def test_flag_beyond_the_data_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, argv, field):
         # 12 features, about 120 rows per class
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         fits = []
         monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
-        monkeypatch.setattr(harness, "_kfold_cv", lambda *args: fits.append(args))
+        for name in ("fit", "cv_accuracy"):
+            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
         assert main(argv + ["--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
-        assert f"argument {flag}:" in captured.err and captured.out == ""
+        assert f"config error: {field}:" in captured.err and captured.out == ""
         assert fits == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -230,7 +235,7 @@ class TestCli:
         ["timing", "--sizes", "2", "--classifiers", "dt"],
     ], ids=lambda argv: argv[0])
     def test_loads_a_csv_matrix_once(self, tmp_path, monkeypatch, argv):
-        # the CLI loads the matrix to check its flags, and each driver reuses it
+        # evaluate, compare and stability load it in the driver; timing's CLI path loads it and passes it on
         csv_path = tmp_path / "m.csv"
         save_csv(generate_synthetic(SyntheticSpec(200, 8, (0,), q=0.9, seed=3)), csv_path)
         cfg = tiny_config(tmp_path / "out", csv_path=str(csv_path), synthetic=None, subset_size=2)

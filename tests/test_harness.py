@@ -118,8 +118,8 @@ class TestCmdEvaluate:
             cmd_evaluate(tiny_config(tmp_path), subset=[])
 
 
-# a float or string index must not be read as another column
-@pytest.mark.parametrize("subset", [[0, 1.7], ["3", 1]], ids=["float", "string"])
+# a float, string or bool index must not be read as another column
+@pytest.mark.parametrize("subset", [[0, 1.7], ["3", 1], [False, True]], ids=["float", "string", "bool"])
 @pytest.mark.parametrize("command", [
     lambda cfg, subset: cmd_evaluate(cfg, subset, kinds=[ClassifierKind.decision_tree()], folds=4),
     lambda cfg, subset: cmd_timing(cfg, [subset], kinds=[ClassifierKind.decision_tree()], repeats=1),
@@ -130,6 +130,30 @@ def test_non_integer_index_rejected_before_any_fit(tmp_path, monkeypatch, comman
         monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
     with pytest.raises(ValueError, match="subset indices must be integers"):
         command(tiny_config(tmp_path / "out"), subset)
+    assert fits == [] and not (tmp_path / "out").exists()
+
+
+# the drivers refuse what the CLI refuses, with the parameter's name, before any fit or output
+@pytest.mark.parametrize("command, field", [
+    (lambda cfg: cmd_compare(cfg, [2, 13], ["rl"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2, 13], ["information_gain"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2, 13], ["random"], random_draws=3, folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [True], ["information_gain"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2.5], ["rl"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2], ["random"], random_draws=0, folds=4), "random_draws"),
+    (lambda cfg: cmd_evaluate(cfg, [0, 12], folds=4), "subset"),
+    (lambda cfg: cmd_evaluate(cfg, [0, 1], folds=150), "folds"),
+    (lambda cfg: cmd_compare(cfg, [2], ["information_gain"], folds=150), "folds"),
+    (lambda cfg: cmd_stability(cfg, 1, folds=150), "folds"),
+], ids=["compare-rl-size", "compare-ig-size", "compare-random-size", "compare-bool-size", "compare-float-size",
+        "compare-random-draws", "evaluate-subset", "evaluate-folds", "compare-folds", "stability-folds"])
+def test_data_bound_argument_rejected_before_any_fit(tmp_path, monkeypatch, command, field):
+    # 12 features, about 120 rows per class
+    fits = []
+    monkeypatch.setattr(classifiers, "cv_accuracy", lambda *args: fits.append(args))
+    monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        command(tiny_config(tmp_path / "out"))
     assert fits == [] and not (tmp_path / "out").exists()
 
 

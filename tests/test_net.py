@@ -100,8 +100,10 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(params, (0, 2))
 
-    @pytest.mark.parametrize("state", [(2.7,), (1, 2.7), (np.float64(2.0),), (1, np.float64(2.0)), (np.int64(1), 2.7)])
-    def test_float_index_rejected(self, state):
+    @pytest.mark.parametrize("state", [
+        (2.7,), (1, 2.7), (np.float64(2.0),), (1, np.float64(2.0)), (np.int64(1), 2.7), (True, 2),
+    ])
+    def test_non_integer_index_rejected(self, state):
         params = net.init(NetworkConfig.for_features(6, 3, 4, "rnn"), 4)
         with pytest.raises(ValueError, match="not an integer"):
             net.forward(params, state)
