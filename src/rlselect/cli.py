@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: train, evaluate, compare, stability, curves, timing, featurize.
-Precedence for settings is flag > config file > built-in default. Exit codes:
-0 success, 1 usage or config error, 2 runtime error.
+Precedence for settings is flag > config file > built-in default. The parser
+only converts text; each driver checks its own arguments. Exit codes: 0
+success, 1 usage or config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from . import featurize, harness
 from .baselines import random_subset
 from .classifiers import ClassifierKind
 from .config import ConfigError, RunConfig, _with_config_path, load_matrix
-from .harness import COMPARE_METHODS
 from .run import sub_seed
 
 
@@ -36,57 +36,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _at_least(minimum: int, parse=int):
-    """argparse type: ``parse(text)``, an int or a nonempty list of ints, with every value >= ``minimum``."""
-
-    def checked(text: str):
-        try:
-            value = parse(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value == []:
-            raise argparse.ArgumentTypeError("expected at least one integer")
-        for v in value if isinstance(value, list) else [value]:
-            if v < minimum:
-                raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {v}")
-        return value
-
-    return checked
-
-
-def _ngram_n(text: str) -> int:
-    """argparse type for --ngram-n: 1..MAX_NGRAM_N, the range of exact int64 n-gram codes."""
-    n = _at_least(1)(text)
-    if n > featurize.MAX_NGRAM_N:
-        raise argparse.ArgumentTypeError(f"must be <= {featurize.MAX_NGRAM_N}, got {n}")
-    return n
-
-
-def _subset(text: str) -> list[int]:
-    """argparse type for --subset: nonempty, distinct, 0-based column indices."""
-    subset = _at_least(0, _int_list)(text)
-    if len(set(subset)) != len(subset):
-        raise argparse.ArgumentTypeError(f"duplicate index in {text!r}")
-    return subset
-
-
 def _classifiers(text: str) -> list[ClassifierKind]:
     """argparse type for --classifiers: comma-separated classifier names."""
     try:
         return [ClassifierKind(token.strip().lower()) for token in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _methods(text: str) -> list[str]:
-    """argparse type for --methods: a nonempty comma-separated list of compare methods."""
-    methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not methods:
-        raise argparse.ArgumentTypeError("expected at least one method")
-    for m in methods:
-        if m not in COMPARE_METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r} (use {', '.join(COMPARE_METHODS)})")
-    return methods
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,32 +60,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train", parents=[common], help="train the selector and write report + checkpoint")
 
     p_eval = sub.add_parser("evaluate", parents=[common], help="k-fold CV accuracy of a feature subset")
-    p_eval.add_argument("--subset", type=_subset, required=True,
+    p_eval.add_argument("--subset", type=_int_list, required=True,
                         help="comma-separated 0-based feature indices")
     p_eval.add_argument("--classifiers", type=_classifiers, default="dt,rf,knn,svm")
-    p_eval.add_argument("--folds", type=_at_least(2), default=10)
+    p_eval.add_argument("--folds", type=int, default=10)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="compare selection methods across sizes")
-    p_cmp.add_argument("--sizes", type=_at_least(1, _int_list), required=True)
-    p_cmp.add_argument("--methods", type=_methods, default="rl,information_gain,chi_square,random")
-    p_cmp.add_argument("--random-draws", type=_at_least(1), default=20)
-    p_cmp.add_argument("--folds", type=_at_least(2), default=10)
+    p_cmp.add_argument("--sizes", type=_int_list, required=True)
+    p_cmp.add_argument("--methods", default="rl,information_gain,chi_square,random",
+                       type=lambda text: [m.strip() for m in text.split(",") if m.strip()])
+    p_cmp.add_argument("--random-draws", type=int, default=20)
+    p_cmp.add_argument("--folds", type=int, default=10)
 
     p_stab = sub.add_parser("stability", parents=[common], help="repeat training with fresh seeds")
-    p_stab.add_argument("--runs", type=_at_least(1), default=5)
-    p_stab.add_argument("--folds", type=_at_least(2), default=10)
+    p_stab.add_argument("--runs", type=int, default=5)
+    p_stab.add_argument("--folds", type=int, default=10)
 
     p_curv = sub.add_parser("curves", parents=[common], help="learning-curve data during training")
-    p_curv.add_argument("--period", type=_at_least(1), default=50)
+    p_curv.add_argument("--period", type=int, default=50)
 
     p_time = sub.add_parser("timing", parents=[common], help="fit-time ratios of subsets vs all features")
-    p_time.add_argument("--sizes", type=_at_least(1, _int_list), default=[24])
+    p_time.add_argument("--sizes", type=_int_list, default=[24])
     p_time.add_argument("--classifiers", type=_classifiers, default="dt,rf,svm")
 
     p_feat = sub.add_parser("featurize", parents=[common], help="build a matrix CSV from disassembled samples")
     p_feat.add_argument("--inputs", required=True, help="directory with malware/ and benign/ sample files")
-    p_feat.add_argument("--ngram-n", type=_ngram_n, default=3)
-    p_feat.add_argument("--ngram-k", type=_at_least(1), default=500)
+    p_feat.add_argument("--ngram-n", type=int, default=3)
+    p_feat.add_argument("--ngram-k", type=int, default=500)
     p_feat.add_argument("--out-csv", required=True)
 
     return parser
@@ -180,6 +136,8 @@ def _dispatch(args) -> None:
         print(f"period-mean reward: first {first['mean_final_reward']:.4f}, "
               f"last {final['mean_final_reward']:.4f}")
     elif args.command == "timing":
+        if any(size < 1 for size in args.sizes):
+            raise ConfigError(f"sizes: must be >= 1, got {min(args.sizes)}")
         matrix = load_matrix(config)  # the random subsets are drawn from its width
         subsets = _with_config_path("sizes: ", lambda: [
             random_subset(matrix.n_features, size, sub_seed(config.seed, f"timing-{size}"))
@@ -202,7 +160,7 @@ def main(argv=None) -> int:
         return 1
     try:
         _dispatch(args)
-    except (ConfigError, argparse.ArgumentTypeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -37,6 +37,12 @@ def _with_config_path(prefix: str, build):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+def _count(name: str, value, minimum: int) -> None:
+    """Refuse ``value`` as a ``ConfigError`` led by ``name:`` unless it is an ``is_index`` integer >= ``minimum``."""
+    if not (dataset.is_index(value) and value >= minimum):
+        raise ConfigError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+
+
 def _encode(value):
     """JSON form of a config value: dataclasses become objects, tuples lists."""
     if is_dataclass(value):

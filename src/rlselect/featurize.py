@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, _count
 from .dataset import FeatureDictionary, SampleMatrix, save_csv
 
 ALPHABET = "MRGITPV"
@@ -268,8 +269,13 @@ def cmd_featurize(inputs_dir, ngram_n: int, ngram_k: int, out_csv) -> SampleMatr
     string per line (intents are recognized by an ``.intent.`` substring).
     The n-gram vocabulary is built from the malware samples only. Both kinds
     of file are UTF-8; a byte-order mark at the start of one is skipped.
+    ``ngram_n`` (1..``MAX_NGRAM_N``) and ``ngram_k`` (>= 1) are checked before any
+    file is read, as a ``ConfigError`` led by the parameter's name.
     """
-    _check_n(ngram_n)
+    _count("ngram_n", ngram_n, 1)
+    if ngram_n > MAX_NGRAM_N:
+        raise ConfigError(f"ngram_n: must be <= {MAX_NGRAM_N}, got {ngram_n!r}")
+    _count("ngram_k", ngram_k, 1)
     root = Path(inputs_dir)
     samples: list[tuple[int, Path, Path]] = []  # (label, opcodes, names)
     for label_dir, label in (("benign", 0), ("malware", 1)):

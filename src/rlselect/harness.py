@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baselines, classifiers, net
 from .classifiers import ClassifierKind
-from .config import ConfigError, RunConfig, _with_config_path, load_matrix
+from .config import ConfigError, RunConfig, _count, _with_config_path, load_matrix
 from .dataset import SampleMatrix, SplitKind, check_subset, is_index, project, stratified_split
 from .env import RewardOracle
 from .featurize import cmd_featurize  # kept here: the benchmark calls and traces harness.cmd_featurize
@@ -71,12 +71,18 @@ def cmd_train(config: RunConfig) -> RunReport:
     return run.report
 
 
+def _nonempty(name: str, values, distinct: bool = False):
+    """``values``, refused as a ``ConfigError`` led by ``name:`` if empty or, when ``distinct``, repeating an entry."""
+    if not values:
+        raise ConfigError(f"{name}: must be nonempty")
+    if distinct and len(set(values)) != len(values):
+        raise ConfigError(f"{name}: contains duplicates, got {list(values)!r}")
+    return values
+
+
 def _sorted_subset(subset, n_features: int) -> list[int]:
     """``subset`` in increasing order, checked by ``project``'s rule (``dataset.check_subset``) as ``subset:``."""
-    if not subset:
-        raise ConfigError("subset: must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise ConfigError("subset: contains duplicate indices")
+    _nonempty("subset", subset, distinct=True)
     with suppress(TypeError):  # an unorderable mix (a str among ints) stays unsorted; check_subset rejects it
         subset = sorted(subset)
     sub = _with_config_path("subset: ", lambda: check_subset(subset, n_features))
@@ -87,9 +93,10 @@ def _kfold_cv(config: RunConfig, matrix: SampleMatrix, folds: int):
     """Scorer of 0-based column subsets by k-fold CV accuracy over one shared plan.
 
     The stratified plan depends only on the labels and the seed, so one plan
-    serves every projection of the matrix. A fold count below 2 or above the
-    smaller class is a ``ConfigError`` led by ``folds:``.
+    serves every projection of the matrix. A fold count that is not an
+    integer, below 2, or above the smaller class is a ``ConfigError`` led by ``folds:``.
     """
+    _count("folds", folds, 2)
     plan = _with_config_path(
         "folds: ", lambda: stratified_split(matrix, SplitKind.kfold(folds), sub_seed(config.seed, "split"))
     )
@@ -110,10 +117,10 @@ def cmd_evaluate(
     folds: int = 10,
 ) -> list[dict]:
     """Per-classifier k-fold CV accuracy of one 0-based feature subset."""
+    kinds = [ClassifierKind(n) for n in ("dt", "rf", "knn", "svm")] if kinds is None else _nonempty("kinds", kinds)
     matrix = load_matrix(config)
     sub = _sorted_subset(subset, matrix.n_features)
     cv = _kfold_cv(config, matrix, folds)
-    kinds = kinds or [ClassifierKind(name) for name in ("dt", "rf", "knn", "svm")]
 
     rows = []
     for kind in kinds:
@@ -147,13 +154,14 @@ def cmd_compare(
     """
     for m in methods:
         if m not in COMPARE_METHODS:
-            raise ConfigError(f"unknown method {m!r} (use {', '.join(COMPARE_METHODS)})")
-    if random_draws < 1:
-        raise ConfigError(f"random_draws must be >= 1, got {random_draws}")
+            raise ConfigError(f"methods: unknown method {m!r} (use {', '.join(COMPARE_METHODS)})")
+    _nonempty("methods", methods, distinct=True)
+    _count("random_draws", random_draws, 1)
     matrix = load_matrix(config)
     for size in sizes:
         if not (is_index(size) and 1 <= size <= matrix.n_features):
             raise ConfigError(f"sizes: {size!r} is not an integer in 1..{matrix.n_features}")
+    _nonempty("sizes", sizes, distinct=True)
     cv = _kfold_cv(config, matrix, folds)
     ig = baselines.information_gain(matrix) if "information_gain" in methods else None
     chi = baselines.chi_square(matrix) if "chi_square" in methods else None
@@ -193,8 +201,7 @@ def cmd_compare(
 
 def cmd_stability(config: RunConfig, runs: int, folds: int = 10) -> dict:
     """Independent trainings; CV accuracy at every prefix length of each greedy subset."""
-    if runs < 1:
-        raise ConfigError("runs must be >= 1")
+    _count("runs", runs, 1)
     matrix = load_matrix(config)
     cv = _kfold_cv(config, matrix, folds)
 
@@ -247,8 +254,7 @@ def cmd_curves(config: RunConfig, period: int = 50) -> dict:
     under the training oracle (that rollout's last step reward) and under the
     test oracle (fit on the whole 80, scored on the 20).
     """
-    if period < 1:
-        raise ConfigError("period must be >= 1")
+    _count("period", period, 1)
     matrix = load_matrix(config)
     outer = stratified_split(matrix, SplitKind.holdout(0.2), sub_seed(config.seed, "curves-split"))
     train_idx, test_idx = outer.train_test()
@@ -312,10 +318,12 @@ def cmd_timing(
 
     ``matrix`` is the config's loaded matrix, when the caller has it already.
     """
+    _nonempty("subsets", subsets)
+    kinds = [ClassifierKind(n) for n in ("dt", "rf", "svm")] if kinds is None else _nonempty("kinds", kinds)
+    _count("repeats", repeats, 1)
     if matrix is None:
         matrix = load_matrix(config)
     subsets = [_sorted_subset(subset, matrix.n_features) for subset in subsets]
-    kinds = kinds or [ClassifierKind(name) for name in ("dt", "rf", "svm")]
     seed = sub_seed(config.seed, "timing")
 
     def median_fit_seconds(m: SampleMatrix, kind: ClassifierKind) -> float:

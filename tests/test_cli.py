@@ -13,6 +13,24 @@ from rlselect.dataset import SampleMatrix, SyntheticSpec, generate_synthetic, lo
 from conftest import BAD_CONFIG_VALUES, BAD_SVM_VALUES, SVM, config_dict_with, tiny_config, write_sample
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """Every training run and classifier fit a command starts, recorded instead of run."""
+    fits = []
+    monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
+    for name in ("fit", "cv_accuracy", "holdout_accuracies"):
+        monkeypatch.setattr(classifiers, name, lambda *args, **kwargs: fits.append(args))
+    return fits
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The sample files featurize reads, recorded instead of read."""
+    reads = []
+    monkeypatch.setattr(featurize.Path, "read_text", lambda path, *args, **kwargs: reads.append(path))
+    return reads
+
+
 class TestCli:
     def test_train_and_evaluate_exit_zero(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out")
@@ -126,20 +144,16 @@ class TestCli:
         assert "config error: agent.subset_size" in captured.err and "1..4" in captured.err
         assert fits == [] and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("subset, message", [
-        ("", "argument --subset:"),
-        ("-1", "argument --subset:"),
-        ("1,1", "argument --subset:"),
-        ("0,12", "config error: subset:"),  # index 12 is one past the 12-feature dataset: cmd_evaluate refuses it
-    ])
-    def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset, message):
+    # index 12 is one past the 12-feature dataset; cmd_evaluate refuses every case
+    @pytest.mark.parametrize("subset", ["", "-1", "1,1", "0,12"])
+    def test_bad_subset_exits_one_naming_the_flag(self, tmp_path, capsys, monkeypatch, subset):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         fits = []
         monkeypatch.setattr(harness, "_kfold_cv", lambda *args: fits.append(args))
         assert main(["evaluate", "--config", str(cfg_path), "--subset", subset]) == 1
         captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
+        assert "config error: subset:" in captured.err and captured.out == ""
         assert fits == [] and not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -151,24 +165,26 @@ class TestCli:
         report = json.loads((tmp_path / "b" / "report.json").read_text())
         assert report["config"]["seed"] == 123
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["evaluate", "--subset", "0,1", "--folds", "1"], "--folds"),
-        (["compare", "--sizes", "2", "--folds", "1"], "--folds"),
-        (["stability", "--folds", "1"], "--folds"),
-        (["compare", "--sizes", "2", "--methods", "random", "--random-draws", "0"], "--random-draws"),
-        (["stability", "--runs", "0"], "--runs"),
-        (["curves", "--period", "0"], "--period"),
-        (["compare", "--sizes", "2,0"], "--sizes"),
-        (["timing", "--sizes", "0"], "--sizes"),
-        (["compare", "--sizes", "", "--methods", "random"], "--sizes"),
-        (["timing", "--sizes", ""], "--sizes"),
+    # the parser only converts text: the driver refuses the value, naming its parameter
+    @pytest.mark.parametrize("argv, field", [
+        (["evaluate", "--subset", "0,1", "--folds", "1"], "folds"),
+        (["compare", "--sizes", "2", "--folds", "1"], "folds"),
+        (["stability", "--folds", "1"], "folds"),
+        (["compare", "--sizes", "2", "--methods", "random", "--random-draws", "0"], "random_draws"),
+        (["stability", "--runs", "0"], "runs"),
+        (["curves", "--period", "0"], "period"),
+        (["compare", "--sizes", "2,0"], "sizes"),
+        (["timing", "--sizes", "0"], "sizes"),
+        (["compare", "--sizes", "", "--methods", "random"], "sizes"),
+        (["timing", "--sizes", ""], "subsets"),  # timing draws one subset per size
     ])
-    def test_out_of_range_flag_exits_one_naming_it(self, tmp_path, capsys, argv, flag):
+    def test_out_of_range_flag_exits_one_naming_it(self, tmp_path, capsys, fits, argv, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         assert main(argv + ["--config", str(cfg_path)]) == 1
-        assert f"argument {flag}:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        captured = capsys.readouterr()
+        assert f"config error: {field}:" in captured.err and captured.out == ""
+        assert fits == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["compare", "--sizes", "13", "--methods", "random"], "sizes"),
@@ -178,55 +194,49 @@ class TestCli:
         (["compare", "--sizes", "2", "--methods", "random", "--folds", "150"], "folds"),
         (["stability", "--runs", "1", "--folds", "150"], "folds"),
     ])
-    def test_flag_beyond_the_data_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, argv, field):
+    def test_flag_beyond_the_data_exits_one_before_any_fit(self, tmp_path, capsys, fits, argv, field):
         # 12 features, about 120 rows per class
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
-        fits = []
-        monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
-        for name in ("fit", "cv_accuracy"):
-            monkeypatch.setattr(classifiers, name, lambda *args: fits.append(args))
         assert main(argv + ["--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert f"config error: {field}:" in captured.err and captured.out == ""
         assert fits == [] and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["compare", "--sizes", "2", "--methods", ""], "--methods"),
-        (["compare", "--sizes", "2", "--methods", "random,genetic"], "--methods"),
-        (["evaluate", "--subset", "0", "--classifiers", ""], "--classifiers"),
-        (["timing", "--classifiers", "dt,cnn"], "--classifiers"),
+    # a method list is converted by the driver, a classifier list by the parser
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--sizes", "2", "--methods", ""], "config error: methods:"),
+        (["compare", "--sizes", "2", "--methods", "random,genetic"], "config error: methods:"),
+        (["evaluate", "--subset", "0", "--classifiers", ""], "argument --classifiers:"),
+        (["timing", "--classifiers", "dt,cnn"], "argument --classifiers:"),
     ])
-    def test_bad_list_flag_exits_one_naming_it(self, tmp_path, capsys, argv, flag):
+    def test_bad_list_flag_exits_one_naming_it(self, tmp_path, capsys, fits, argv, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         assert main(argv + ["--config", str(cfg_path)]) == 1
-        assert f"argument {flag}:" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+        assert fits == [] and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--ngram-n", "--ngram-k"])
-    def test_featurize_zero_ngram_flag_exits_one_naming_it(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, field", [("--ngram-n", "ngram_n"), ("--ngram-k", "ngram_k")])
+    def test_featurize_zero_ngram_flag_exits_one_naming_it(self, tmp_path, capsys, reads, flag, field):
         for label_dir in ("malware", "benign"):
             (tmp_path / "in" / label_dir).mkdir(parents=True)
             write_sample(tmp_path / "in" / label_dir, "s", ["move", "return"], ["android.permission.X"])
         out_csv = tmp_path / "f.csv"
         argv = ["featurize", "--inputs", str(tmp_path / "in"), "--out-csv", str(out_csv), flag, "0"]
         assert main(argv) == 1
-        assert f"argument {flag}:" in capsys.readouterr().err
-        assert not out_csv.exists()
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert reads == [] and not out_csv.exists()
 
-    def test_featurize_ngram_n_above_limit_exits_one_before_reading_inputs(self, tmp_path, capsys, monkeypatch):
-        def no_featurize(*args, **kwargs):
-            raise AssertionError("cmd_featurize must not run")
-
-        monkeypatch.setattr(featurize, "cmd_featurize", no_featurize)
+    def test_featurize_ngram_n_above_limit_exits_one_before_reading_inputs(self, tmp_path, capsys, reads):
+        # the inputs directory is missing, so exit 1 (not 2) shows the check runs before the inputs are looked at
         out_csv = tmp_path / "f.csv"
         argv = ["featurize", "--inputs", str(tmp_path / "missing"), "--out-csv", str(out_csv),
                 "--ngram-n", str(featurize.MAX_NGRAM_N + 1)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "argument --ngram-n:" in err and str(featurize.MAX_NGRAM_N + 1) in err
-        assert not out_csv.exists()
+        assert "config error: ngram_n:" in err and str(featurize.MAX_NGRAM_N + 1) in err
+        assert reads == [] and not out_csv.exists()
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--subset", "0,1", "--classifiers", "dt", "--folds", "4"],

@@ -133,26 +133,43 @@ def test_non_integer_index_rejected_before_any_fit(tmp_path, monkeypatch, comman
     assert fits == [] and not (tmp_path / "out").exists()
 
 
-# the drivers refuse what the CLI refuses, with the parameter's name, before any fit or output
+# each driver refuses a bad argument with the parameter's name, before any fit or output
 @pytest.mark.parametrize("command, field", [
     (lambda cfg: cmd_compare(cfg, [2, 13], ["rl"], folds=4), "sizes"),
     (lambda cfg: cmd_compare(cfg, [2, 13], ["information_gain"], folds=4), "sizes"),
     (lambda cfg: cmd_compare(cfg, [2, 13], ["random"], random_draws=3, folds=4), "sizes"),
     (lambda cfg: cmd_compare(cfg, [True], ["information_gain"], folds=4), "sizes"),
     (lambda cfg: cmd_compare(cfg, [2.5], ["rl"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2, 2], ["information_gain"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [], ["information_gain"], folds=4), "sizes"),
+    (lambda cfg: cmd_compare(cfg, [2], ["information_gain", "information_gain"], folds=4), "methods"),
+    (lambda cfg: cmd_compare(cfg, [2], [], folds=4), "methods"),
     (lambda cfg: cmd_compare(cfg, [2], ["random"], random_draws=0, folds=4), "random_draws"),
+    (lambda cfg: cmd_compare(cfg, [2], ["random"], random_draws=True, folds=4), "random_draws"),
+    (lambda cfg: cmd_compare(cfg, [2], ["random"], random_draws=2.5, folds=4), "random_draws"),
     (lambda cfg: cmd_evaluate(cfg, [0, 12], folds=4), "subset"),
     (lambda cfg: cmd_evaluate(cfg, [0, 1], folds=150), "folds"),
+    (lambda cfg: cmd_evaluate(cfg, [0, 1], folds=2.5), "folds"),
+    (lambda cfg: cmd_evaluate(cfg, [0, 1], kinds=[], folds=4), "kinds"),
     (lambda cfg: cmd_compare(cfg, [2], ["information_gain"], folds=150), "folds"),
     (lambda cfg: cmd_stability(cfg, 1, folds=150), "folds"),
+    (lambda cfg: cmd_stability(cfg, True, folds=4), "runs"),
+    (lambda cfg: cmd_curves(cfg, period=True), "period"),
+    (lambda cfg: cmd_curves(cfg, period=2.5), "period"),
+    (lambda cfg: cmd_timing(cfg, [[0, 1]], repeats=0), "repeats"),
+    (lambda cfg: cmd_timing(cfg, []), "subsets"),
 ], ids=["compare-rl-size", "compare-ig-size", "compare-random-size", "compare-bool-size", "compare-float-size",
-        "compare-random-draws", "evaluate-subset", "evaluate-folds", "compare-folds", "stability-folds"])
+        "compare-repeated-size", "compare-no-sizes", "compare-repeated-method", "compare-no-methods",
+        "compare-random-draws", "compare-bool-random-draws", "compare-float-random-draws", "evaluate-subset",
+        "evaluate-folds", "evaluate-float-folds", "evaluate-no-kinds", "compare-folds", "stability-folds",
+        "stability-bool-runs", "curves-bool-period", "curves-float-period", "timing-repeats", "timing-no-subsets"])
 def test_data_bound_argument_rejected_before_any_fit(tmp_path, monkeypatch, command, field):
     # 12 features, about 120 rows per class
     fits = []
-    monkeypatch.setattr(classifiers, "cv_accuracy", lambda *args: fits.append(args))
+    for name in ("fit", "cv_accuracy", "holdout_accuracies"):
+        monkeypatch.setattr(classifiers, name, lambda *args, **kwargs: fits.append(args))
     monkeypatch.setattr(harness, "run_training", lambda *args, **kwargs: fits.append(args))
-    with pytest.raises(ConfigError, match=f"^{field}"):
+    with pytest.raises(ConfigError, match=f"^{field}:"):
         command(tiny_config(tmp_path / "out"))
     assert fits == [] and not (tmp_path / "out").exists()
 
