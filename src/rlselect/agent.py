@@ -52,7 +52,7 @@ class EpsilonSchedule:
         return 1.0 - (episode / self.total_episodes) * self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     prev_state: State
     action: int

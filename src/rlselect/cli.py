@@ -136,6 +136,7 @@ def _dispatch(args) -> None:
         print(f"period-mean reward: first {first['mean_final_reward']:.4f}, "
               f"last {final['mean_final_reward']:.4f}")
     elif args.command == "timing":
+        harness._nonempty("sizes", args.sizes, distinct=True)  # one subset is drawn per size
         if any(size < 1 for size in args.sizes):
             raise ConfigError(f"sizes: must be >= 1, got {min(args.sizes)}")
         matrix = load_matrix(config)  # the random subsets are drawn from its width

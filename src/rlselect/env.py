@@ -5,19 +5,23 @@ until ``subset_size`` features are held; the state stays sorted at all times,
 so any pick order of the same features lands in the same state. Rewards are
 classifier accuracies: the oracle fits on one stratified partition of its
 matrix, scores on the other, and memoizes by subset so identical subsets are
-never refit within a run. The memo never evicts, so it is also the oracle's
-count: one fit per memoized subset, every other request a hit. An episode's
-actions never depend on its rewards, so a training run picks them all first
-and scores the episode's states in one ``RewardOracle.score`` call; a
-warm-up picks all of its episodes first and scores them all in one call.
+never refit within a run. It keeps the matrix it is given, which a training
+run shares with it, and its partition as two row-index arrays, so it copies no
+row for longer than one scoring call. The memo never evicts, so it is also the
+oracle's count: one fit per memoized subset, every other request a hit. An
+episode's actions never depend on its rewards, so a training run picks them
+all first and scores the episode's states in one ``RewardOracle.score`` call;
+a warm-up picks all of its episodes first and scores them all in one call.
 Such a call makes as many bounded passes as its misses need
-(``classifiers.sets_per_pass``), so its memory stays bounded however long
-the warm-up.
+(``classifiers.sets_per_pass``), so its memory stays bounded however long the
+warm-up.
 """
 
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from . import classifiers, net
 from .agent import State, insert_sorted
@@ -30,21 +34,23 @@ class RewardOracle:
 
     ``fit_fraction`` of the rows (stratified) trains the classifier; the rest
     are scored. Subsets are 1-based feature indices as the agent sees them.
-    ``score(subsets)`` checks every subset, then scores every distinct miss
-    in one ``classifiers.holdout_accuracies`` call. A decision-tree reward
-    is exact but grows no tree: each pass reads from the fit and score parts
-    only the columns its misses use, so the oracle holds its matrix once, as
-    those two parts. Scored rows whose pattern occurs in the fit part get its
-    majority label, and the trees of all the misses are grown lazily,
-    together, level by level, only along the paths of the unseen patterns.
-    Each reward is then returned from the memo through ``__call__``, which
-    reads both counts off the memo after every request: ``fit_count`` is the
-    number of memoized subsets (the memo never evicts) and ``hit_count`` the
-    requests beyond them, as one call per subset would give.
+    ``score(subsets)`` checks every subset, then scores every distinct miss in
+    one ``classifiers.holdout_accuracies`` call. The oracle keeps ``matrix``
+    as given and its split as two row-index arrays; ``fit_part`` and
+    ``score_part`` are read-only and copy their rows out of ``matrix`` on each
+    access, so the parts exist only while a scoring call runs. A decision-tree
+    reward is exact but grows no tree: each pass reads from the fit and score
+    parts only the columns its misses use. Scored rows whose pattern occurs in
+    the fit part get its majority label, and the trees of all the misses are
+    grown lazily, together, level by level, only along the paths of the unseen
+    patterns. Each reward is then returned from the memo through ``__call__``,
+    which reads both counts off the memo after every request: ``fit_count`` is
+    the number of memoized subsets (the memo never evicts) and ``hit_count``
+    the requests beyond them, as one call per subset would give.
     ``miss_seconds`` sums the wall time of the batched passes and
     ``pass_count`` counts them: a decision-tree pass holds at most
-    ``classifiers.sets_per_pass`` misses, and the other kinds make one fit
-    per miss. An oracle whose fit part lacks a class, or whose score part is
+    ``classifiers.sets_per_pass`` misses, and the other kinds make one fit per
+    miss. An oracle whose fit part lacks a class, or whose score part is
     empty, is a ``ValueError`` when it is built.
     """
 
@@ -56,45 +62,59 @@ class RewardOracle:
         fit_fraction: float = 0.8,
     ):
         plan = stratified_split(matrix, SplitKind.holdout(1.0 - fit_fraction), seed)
-        fit_idx, score_idx = plan.train_test()
-        self._init_parts(kind, matrix.rows(fit_idx), matrix.rows(score_idx), seed)
+        self._init_split(kind, matrix, *plan.train_test(), seed)
 
     @classmethod
     def from_parts(
         cls, kind: ClassifierKind, fit_part: SampleMatrix, score_part: SampleMatrix, seed: int
     ) -> "RewardOracle":
-        """Oracle that trains on ``fit_part`` and scores ``score_part`` as given, without a split."""
-        oracle = cls.__new__(cls)
-        oracle._init_parts(kind, fit_part, score_part, seed)
-        return oracle
+        """Oracle that trains on ``fit_part`` and scores ``score_part`` as given, without a split.
 
-    def _init_parts(self, kind, fit_part, score_part, seed):
+        The two parts are stacked once into one matrix, fit rows first.
+        """
         if fit_part.n_features != score_part.n_features:
             raise ValueError(
                 f"fit part has {fit_part.n_features} features, score part {score_part.n_features}"
             )
-        benign, malware = fit_part.class_counts()
+        matrix = SampleMatrix(
+            fit_part.dictionary, np.vstack([fit_part.X, score_part.X]), np.concatenate([fit_part.y, score_part.y])
+        )
+        oracle = cls.__new__(cls)
+        oracle._init_split(kind, matrix, range(fit_part.n_samples), range(fit_part.n_samples, matrix.n_samples), seed)
+        return oracle
+
+    def _init_split(self, kind, matrix, fit_rows, score_rows, seed):
+        self.matrix, self._fit_rows, self._score_rows = matrix, fit_rows, score_rows
+        benign, malware = self.fit_part.class_counts()
         if not (benign and malware):
             raise ValueError(
                 f"the reward oracle's fit part has {benign} benign and {malware} malware rows; "
                 "both classes are required"
             )
-        if score_part.n_samples == 0:
+        if len(score_rows) == 0:
             raise ValueError(
-                f"the reward oracle's score part is empty (all {fit_part.n_samples} rows are in its fit part); "
+                f"the reward oracle's score part is empty (all {len(fit_rows)} rows are in its fit part); "
                 "it needs at least one row"
             )
         self.kind = kind
-        self.fit_part = fit_part
-        self.score_part = score_part
         self.seed = seed
-        self.n_features = fit_part.n_features
+        self.n_features = matrix.n_features
         self._cache: dict[State, float] = {}
         self._requests = 0
         self.fit_count = 0
         self.hit_count = 0
         self.miss_seconds = 0.0
         self.pass_count = 0
+
+    @property
+    def fit_part(self) -> SampleMatrix:
+        """The rows the classifier trains on, copied out of ``matrix`` on each access."""
+        return self.matrix.rows(self._fit_rows)
+
+    @property
+    def score_part(self) -> SampleMatrix:
+        """The rows the classifier is scored on, copied out of ``matrix`` on each access."""
+        return self.matrix.rows(self._score_rows)
 
     def _key(self, subset) -> State:
         if len(subset) == 0:
@@ -107,7 +127,7 @@ class RewardOracle:
             self.kind, self.fit_part, self.score_part, [[i - 1 for i in key] for key in keys], self.seed
         )
         self.miss_seconds += time.perf_counter() - start
-        per_pass = classifiers.sets_per_pass(self.kind, self.fit_part.n_samples + self.score_part.n_samples)
+        per_pass = classifiers.sets_per_pass(self.kind, len(self._fit_rows) + len(self._score_rows))
         self.pass_count += -(-len(keys) // per_pass)
         return rewards
 

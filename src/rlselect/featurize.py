@@ -16,14 +16,14 @@ order is lexicographic gram order. The codes are exact up to
 ``MAX_NGRAM_N`` = 22 (7**22 < 2**63 < 7**23); a larger n is rejected. The
 output is the same as counting string slices.
 
-For n <= 6 the whole code space (7**n <= ``_DENSE_CODES`` = 2**17 codes)
-is held densely. ``build_vocabulary`` counts the corpus windows with one
-``bincount`` over it, and a vocabulary keeps a dense int32 table of each
-code's rank, -1 outside the vocabulary, so a sample's ranks are one gather;
-the bound keeps that table at most 512 KiB, since 7**7 codes would take
-3.3 MB and 7**22 could not be held at all. For larger n the counts come from
-``np.unique`` and the ranks from a binary search of the vocabulary's sorted
-codes.
+For n <= 6 the whole code space (7**n <= ``_DENSE_CODES`` = 2**17 codes) is
+held densely. ``build_vocabulary`` adds each sample's windows into one count
+per code, so it never holds the windows of the whole corpus at once. A
+vocabulary keeps a dense int32 table of each code's rank, -1 outside the
+vocabulary, so a sample's ranks are one gather; the bound keeps that table at
+most 512 KiB, since 7**7 codes would take 3.3 MB and 7**22 could not be held
+at all. For larger n the counts come from ``np.unique`` and the ranks from a
+binary search of the vocabulary's sorted codes.
 
 ``cmd_featurize`` is the driver: it reads a directory of disassembled
 samples and writes the matrix CSV, with permission columns first, then
@@ -203,19 +203,25 @@ class NGramVocabulary:
         return len(self.grams)
 
 
+def _window_counts(corpora, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every n-gram code that occurs in the corpora, ascending, and the number of its windows."""
+    if 7**n <= _DENSE_CODES:  # the code space is small enough to count every code in place
+        counts = np.zeros(7**n, dtype=np.int64)
+        for letters in corpora:  # one sample's windows at a time
+            np.add.at(counts, _gram_codes(letters, n), 1)
+        codes = np.flatnonzero(counts)
+        return codes, counts[codes]
+    # the leading empty array keeps an empty corpus list valid for concatenate
+    windows = np.concatenate([np.zeros(0, np.int64)] + [_gram_codes(letters, n) for letters in corpora])
+    return np.unique(windows, return_counts=True)
+
+
 def build_vocabulary(corpora, n: int, k: int) -> NGramVocabulary:
     """Top-k n-grams aggregated over the corpora; frequency ties break lexicographically."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_n(n)
-    # the leading empty array keeps an empty corpus list valid for concatenate
-    windows = np.concatenate([np.zeros(0, np.int64)] + [_gram_codes(letters, n) for letters in corpora])
-    if 7**n <= _DENSE_CODES:  # the code space is small enough to count every code in place
-        counts = np.bincount(windows, minlength=7**n)
-        codes = np.flatnonzero(counts)
-        counts = counts[codes]
-    else:
-        codes, counts = np.unique(windows, return_counts=True)
+    codes, counts = _window_counts(corpora, n)
     if codes.size < k:
         raise VocabularyError(
             f"only {codes.size} distinct {n}-grams available, need k={k}"

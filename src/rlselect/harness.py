@@ -117,7 +117,8 @@ def cmd_evaluate(
     folds: int = 10,
 ) -> list[dict]:
     """Per-classifier k-fold CV accuracy of one 0-based feature subset."""
-    kinds = [ClassifierKind(n) for n in ("dt", "rf", "knn", "svm")] if kinds is None else _nonempty("kinds", kinds)
+    kinds = [ClassifierKind(n) for n in ("dt", "rf", "knn", "svm")] if kinds is None else kinds
+    _nonempty("kinds", kinds, distinct=True)
     matrix = load_matrix(config)
     sub = _sorted_subset(subset, matrix.n_features)
     cv = _kfold_cv(config, matrix, folds)
@@ -319,11 +320,13 @@ def cmd_timing(
     ``matrix`` is the config's loaded matrix, when the caller has it already.
     """
     _nonempty("subsets", subsets)
-    kinds = [ClassifierKind(n) for n in ("dt", "rf", "svm")] if kinds is None else _nonempty("kinds", kinds)
+    kinds = [ClassifierKind(n) for n in ("dt", "rf", "svm")] if kinds is None else kinds
+    _nonempty("kinds", kinds, distinct=True)
     _count("repeats", repeats, 1)
     if matrix is None:
         matrix = load_matrix(config)
     subsets = [_sorted_subset(subset, matrix.n_features) for subset in subsets]
+    _nonempty("subsets", [tuple(sub) for sub in subsets], distinct=True)  # the same subset in any order
     seed = sub_seed(config.seed, "timing")
 
     def median_fit_seconds(m: SampleMatrix, kind: ClassifierKind) -> float:

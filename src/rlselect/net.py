@@ -16,19 +16,20 @@ Parameter tensors per cell kind (E = embed_dim, H = hidden_dim, V = vocab):
 
 GRU follows h' = (1 - z) * h + z * n with n = tanh(x w_xn + (r * h) w_hn + b_n).
 
-Each cell has one implementation, and it runs on (B, H) matrices. A batch of
-B states becomes a (B, T) token matrix: BOS, then each state's indices,
-zero-padded to the longest row, with a (B, T) length mask. A masked step
-keeps that row's h (and c); in backpropagation it has a zero pre-activation
-gradient and passes dh (and dc) through unchanged. The input projections of
-all steps are one GEMM. Step 0 is BOS in every row with h = 0, so it has no
-recurrent product in either direction: its recurrent term is the constant
-0.0, and backpropagation stops there without the GEMMs that would give the
-unused gradient of h0. Backpropagation fills one (T, B, G*H) array with
-every step's pre-activation gradient, and each weight gradient is one GEMM
-over all its (step, row) pairs, step 0 included. The embedding gradient
-scatters with ``np.add.at``, because BOS is in every row. The loss of a
-batch is the mean over its rows, and the 1/B sits in the head gradient,
+Each cell has one implementation, and it runs on (B, H) matrices. A batch of B
+states becomes a (B, T) token matrix: BOS, then each state's indices,
+zero-padded to the longest row, with a (B, T) length mask. A masked step keeps
+that row's h (and c); in backpropagation it has a zero pre-activation gradient
+and passes dh (and dc) through unchanged. Each step's input projection is one
+GEMM into a single (B, G*H) array: the GEMM that a stacked matmul over all
+steps runs for that step, with the same bits. Step 0 is BOS in every row with
+h = 0, so it has no recurrent product in either direction: its recurrent term
+is the constant 0.0, and backpropagation stops there without the GEMMs that
+would give the unused gradient of h0. Backpropagation fills one (T, B, G*H)
+array with every step's pre-activation gradient, and each weight gradient is
+one GEMM over all its (step, row) pairs, step 0 included. The embedding
+gradient scatters with ``np.add.at``, because BOS is in every row. The loss of
+a batch is the mean over its rows, and the 1/B sits in the head gradient,
 which for the linear head touches only the taken columns.
 
 ``forward_batch`` scores B states at once. ``forward(params, state)`` is the
@@ -37,16 +38,18 @@ as sequences of states, actions and targets. A checkpoint is replaced
 whole when saved and checked against the configured layout when loaded.
 
 A ``Workspace`` holds every array that a forward pass, a BPTT pass and an
-optimizer step write: the tapes, each step's gates and temporaries, the
-gradients and the step's scratch. The caller owns it: a training run makes
-one, passes it to the target forwards, the BPTT pass and the step of every
-train step, and drops it when the run finishes. A call given none makes a
-new workspace for itself, so there is one code path. Each buffer grows to
-the largest size it has been asked for and never shrinks. It exists because
-arrays of a batch's size, made and freed on every call, are handed back to
-the system by the allocator and page-faulted in again by the next call.
-Every kernel keeps the operations, their order and the shape of every GEMM
-of a plain unroll, so the workspace changes no output bit.
+optimizer step write: the tapes, each step's gates and temporaries, and the
+gradients. An array needed one step at a time is held once: the input
+projection is one step's, and the optimizer step's scratch reuses the buffer
+of the pre-activation gradients. The caller owns it: a training run makes one,
+passes it to the target forwards, the BPTT pass and the step of every train
+step, and drops it when the run finishes. A call given none makes a new
+workspace for itself, so there is one code path. Each buffer grows to the
+largest size it has been asked for and never shrinks. It exists because arrays
+of a batch's size, made and freed on every call, are handed back to the system
+by the allocator and page-faulted in again by the next call. Every kernel
+keeps the operations, their order and the shape of every GEMM of a plain
+unroll, so the workspace changes no output bit.
 """
 
 from __future__ import annotations
@@ -201,6 +204,9 @@ _CACHED = {"rnn": 1, "gru": 3, "lstm": 5}
 class Workspace:
     """The arrays that forward passes, BPTT passes and optimizer steps write, kept between calls.
 
+    Names are buffers, not roles: two arrays whose lifetimes never overlap
+    share one name (the optimizer step writes into BPTT's ``d``).
+
     ``array(name, shape)`` returns a C-contiguous float64 view at the start of
     the named buffer. A buffer grows to the largest size it has been asked
     for and never shrinks. A view holds whatever the last call left, so every
@@ -223,22 +229,22 @@ class Workspace:
 def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Workspace):
     """Run the cell over a token batch; return the final (B, H) hidden state and the tape for ``_bptt``.
 
-    The input projections of every step come from one GEMM. Step 0 (BOS in
-    every row, h = 0) has no recurrent product: its recurrent term is the
-    constant 0.0, which has the bits of a zero matrix times ``w_h``. A masked
-    step (past the row's length) keeps that row's h and c. Every array is a
-    view into ``ws``. The tape holds the embedded tokens, h entering each step
-    in one (T, B, H) array, GRU's r * h and LSTM's c in another, each step's
-    cell cache in one (T, K, B, H) array, and each step's mask (``None`` when
-    no row is masked).
+    Each step's input projection is one GEMM into one (B, G*H) array. Step 0
+    (BOS in every row, h = 0) has no recurrent product: its recurrent term is
+    the constant 0.0, which has the bits of a zero matrix times ``w_h``. A
+    masked step (past the row's length) keeps that row's h and c. Every array
+    is a view into ``ws``. The tape holds the embedded tokens, h entering each
+    step in one (T, B, H) array, GRU's r * h and LSTM's c in another, each
+    step's cell cache in one (T, K, B, H) array, and each step's mask
+    (``None`` when no row is masked).
     """
     cfg = params.config
     hd, cell = cfg.hidden_dim, cfg.cell
     w_h = params.tensors["w_h"]
     rows, steps = tokens.shape
     x = np.take(params.tensors["embed"], tokens.T, axis=0, out=ws.array("x", (steps, rows, cfg.embed_dim)), mode="clip")
-    xw = np.matmul(x, params.tensors["w_x"], out=ws.array("xw", (steps, rows, w_h.shape[1])))
-    xw += params.tensors["b"]
+    w_x, b = params.tensors["w_x"], params.tensors["b"]
+    xa = ws.array("xw", (rows, w_h.shape[1]))  # the step's input projection
     hs = ws.array("hs", (steps, rows, hd))
     hs[0] = 0.0
     carry = None  # GRU's r * h or LSTM's c entering each step
@@ -252,7 +258,9 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Wor
     h_last = ws.array("h", (rows, hd))
     rec = ws.array("rec", (rows, w_h.shape[1]))  # the recurrent product
     s = ws.array("s", (rows, hd))  # sigmoid scratch and a product
-    for t, (xa, m) in enumerate(zip(xw, masks)):
+    for t, m in enumerate(masks):
+        np.matmul(x[t], w_x, out=xa)
+        xa += b
         h = hs[t]
         h_new = hs[t + 1] if t + 1 < steps else h_last
         if cell == "rnn":
@@ -491,16 +499,18 @@ def step(
 ) -> NetworkParams:
     """One SGD update in place, clipped to the global gradient norm; advances the optimizer's step counter.
 
-    The squares for the norm and each scaled gradient are written into one
-    array of ``workspace``, so ``grads`` must not be views of that array.
+    The squares for the norm and each scaled gradient are written into the
+    buffer of ``_bptt``'s pre-activation gradients, which no longer holds
+    anything once the gradients are made. So ``grads`` must not be views of
+    that buffer; the gradients ``backward`` returns never are.
     """
     ws = Workspace() if workspace is None else workspace
-    norm = math.sqrt(sum(float(np.square(g, out=ws.array("update", g.shape)).sum()) for g in grads.values()))
+    norm = math.sqrt(sum(float(np.square(g, out=ws.array("d", g.shape)).sum()) for g in grads.values()))
     scale = opt.clip_norm / norm if norm > opt.clip_norm else 1.0
     rate = opt.rate()
     for name, tensor in params.tensors.items():
         g = grads[name]
-        tensor -= np.multiply(g, rate * scale, out=ws.array("update", g.shape))
+        tensor -= np.multiply(g, rate * scale, out=ws.array("d", g.shape))
     opt.step_count += 1
     return params
 

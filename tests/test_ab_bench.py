@@ -16,10 +16,10 @@ def result(metrics: dict[str, float], failed=0, attempted=4, correct=True) -> di
             "metrics": {name: {"value": value} for name, value in metrics.items()}}
 
 
-def wins_line(lines: list[str], metric: str) -> str:
-    """The summary line that follows ``metric``'s two quartile rows."""
+def wins_line(lines: list[str], metric: str, offset: int = 2) -> str:
+    """The summary line that follows ``metric``'s two quartile rows (``offset`` 3: the claim-rule line)."""
     at = next(i for i, line in enumerate(lines) if line.startswith(metric))
-    return lines[at + 2]
+    return lines[at + offset]
 
 
 def test_outcomes_sum_failures_and_count_incorrect_runs():
@@ -61,3 +61,27 @@ def test_report_of_identical_sides_counts_no_win():
     runs = {side: [result({"run_s": 0.1}) for _ in range(3)] for side in ("base", "change")}
     lines = ab_bench.report(runs, {"run_s": True})
     assert wins_line(lines, "run_s").endswith("change/base median 1.0000; change won 0/3 pairs (lower is better)")
+
+
+def claim_line(base: list[float], change: list[float], lower: bool = True) -> str:
+    runs = {side: [result({"run_s": v}) for v in values] for side, values in (("base", base), ("change", change))}
+    return wins_line(ab_bench.report(runs, {"run_s": lower}), "run_s", offset=3).strip()
+
+
+def test_claim_rule_needs_nine_wins_in_ten_and_a_gain_beyond_the_base_spread():
+    base = [1.0, 1.1] * 5  # median 1.05, q1-q3 spread 0.1
+    assert claim_line(base, [v - 0.2 for v in base]) == (
+        "claim rule met: 10/10 pairs won (9 in 10 needed), median gain 0.2 against the base's q1-q3 spread 0.1")
+    nine = [v - 0.2 for v in base[:9]] + [2.0]
+    assert claim_line(base, nine).startswith("claim rule met: 9/10 pairs won")
+    eight = [v - 0.2 for v in base[:8]] + [2.0, 2.0]
+    assert claim_line(base, eight).startswith("claim rule not met: 8/10 pairs won")
+    # every pair won, but by less than the base's own spread
+    assert claim_line(base, [v - 0.05 for v in base]).startswith("claim rule not met: 10/10 pairs won")
+
+
+def test_claim_rule_reads_the_better_direction():
+    base = [1.0] * 10
+    assert claim_line(base, [1.5] * 10, lower=False).startswith("claim rule met: 10/10")
+    assert claim_line(base, [1.5] * 10, lower=True).startswith("claim rule not met: 0/10")
+    assert claim_line(base, base).startswith("claim rule not met: 0/10")  # no gain beats a zero spread

@@ -72,6 +72,15 @@ class TestTransition:
         t = Transition((1, 5), np.int64(3), 0.5, (1, 3, 5), False)
         assert t.next_state == (1, 3, 5)
 
+    def test_slotted_and_still_checked(self):
+        # a replay holds up to 200k of them: slots, not a per-instance dict
+        t = Transition((1,), 2, 0.5, (1, 2), False)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.reward = 0.25
+        with pytest.raises(ValueError, match="next_state"):
+            Transition((1,), 2, 0.5, (2, 3), False)
+
 
 def _mk_transition(i):
     return Transition((), i, 0.5, (i,), False)

@@ -176,7 +176,8 @@ class TestCli:
         (["compare", "--sizes", "2,0"], "sizes"),
         (["timing", "--sizes", "0"], "sizes"),
         (["compare", "--sizes", "", "--methods", "random"], "sizes"),
-        (["timing", "--sizes", ""], "subsets"),  # timing draws one subset per size
+        (["timing", "--sizes", ""], "sizes"),  # timing draws one subset per size
+        (["timing", "--sizes", "2,2"], "sizes"),
     ])
     def test_out_of_range_flag_exits_one_naming_it(self, tmp_path, capsys, fits, argv, field):
         cfg_path = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rlselect import classifiers
 from rlselect.classifiers import ClassifierKind
-from rlselect.dataset import SyntheticSpec, generate_synthetic, project
+from rlselect.dataset import SplitKind, SyntheticSpec, generate_synthetic, project, stratified_split
 from rlselect.env import FeatureEnv, RewardOracle, insert_sorted
 
 from conftest import matrix_from_rows, traced
@@ -226,6 +226,24 @@ class TestRewardOracle:
         values = {oracle((2, 5)) for _ in range(5)}
         assert len(values) == 1
 
+    def test_parts_are_the_rows_of_the_split(self):
+        matrix = planted_matrix(seed=8, q=0.8)
+        oracle = RewardOracle(ClassifierKind.decision_tree(), matrix, seed=9)
+        split = stratified_split(matrix, SplitKind.holdout(1.0 - 0.8), 9).train_test()
+        for part, rows in zip((oracle.fit_part, oracle.score_part), split):
+            expected = matrix.rows(rows)
+            assert part.dictionary == expected.dictionary
+            assert np.array_equal(part.X, expected.X) and np.array_equal(part.y, expected.y)
+        with pytest.raises(AttributeError):
+            oracle.fit_part = matrix
+
+    def test_from_parts_keeps_the_parts_it_is_given(self):
+        split = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(seed=8, q=0.8), seed=9)
+        given = split.fit_part, split.score_part
+        parts = RewardOracle.from_parts(split.kind, *given, split.seed)
+        for part, expected in zip((parts.fit_part, parts.score_part), given):
+            assert np.array_equal(part.X, expected.X) and np.array_equal(part.y, expected.y)
+
     def test_from_parts_scores_like_the_split_it_is_given(self):
         split = RewardOracle(ClassifierKind.decision_tree(), planted_matrix(seed=8, q=0.8), seed=9)
         parts = RewardOracle.from_parts(split.kind, split.fit_part, split.score_part, split.seed)
@@ -324,10 +342,17 @@ class TestPassMemory:
         matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
         order = np.random.default_rng(2).permutation(np.arange(1, 101))[:10]
         oracle, kept, _ = traced(lambda: RewardOracle(self.dt, matrix, seed=1))
-        assert kept < 2**18  # the fit and score parts once: no stacked copy, no float copy
+        assert kept < 2**18  # no copy of the matrix's rows, stacked or float
         peak = traced(lambda: oracle.score([tuple(sorted(order[:k].tolist())) for k in range(1, 11)]))[2]
         assert peak < 1.25 * 2**20
         assert oracle.fit_count == 10
+
+    def test_an_oracle_keeps_its_split_as_row_indices(self):
+        # its fit and score parts as copies would keep 195 KiB; 2000 row indices are 16 KiB
+        matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
+        oracle, kept, _ = traced(lambda: RewardOracle(self.dt, matrix, seed=1))
+        assert oracle.matrix is matrix
+        assert kept < 32 * 2**10
 
     def test_a_long_score_call_peaks_at_one_pass(self):
         # four passes' worth of distinct sets of ten: each pass holds at most _PASS_ENTRIES (row, set) entries

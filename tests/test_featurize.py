@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from rlselect import featurize
 from rlselect.dataset import FeatureDictionary, SampleMatrix, load_csv, save_csv
 from rlselect.featurize import (
@@ -271,6 +272,24 @@ class TestMemoizedMapping:
 
     def test_blank_mnemonic_maps_to_nothing(self):
         assert map_dalvik_to_letters(["", "move", ""]) == "M"
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("n", range(1, 8))  # n <= 6 counts in place, n = 7 sorts its windows
+    def test_counts_equal_the_concatenated_bincount(self, n):
+        rng = np.random.default_rng(n)
+        corpora = ["".join(rng.choice(list(ALPHABET), size=int(size))) for size in rng.integers(0, 400, size=12)]
+        counts = np.bincount(np.concatenate([featurize._gram_codes(letters, n) for letters in corpora]))
+        codes = np.flatnonzero(counts)
+        got_codes, got_counts = featurize._window_counts(corpora, n)
+        assert np.array_equal(got_codes, codes) and np.array_equal(got_counts, counts[codes])
+
+    def test_dense_count_holds_one_sample_of_windows(self):
+        # 40 samples of 20k letters: their windows together take 6.1 MiB as int64, the 7**6 counts 0.9 MiB;
+        # two letters make 64 distinct grams, so the codes and counts returned are small
+        rng = np.random.default_rng(0)
+        corpora = ["".join(rng.choice(list("MR"), size=20_000)) for _ in range(40)]
+        assert traced(lambda: featurize._window_counts(corpora, 6))[2] < 2 * 2**20
 
 
 class TestNgramCodesEqualStringReference:

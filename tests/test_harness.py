@@ -151,6 +151,7 @@ def test_non_integer_index_rejected_before_any_fit(tmp_path, monkeypatch, comman
     (lambda cfg: cmd_evaluate(cfg, [0, 1], folds=150), "folds"),
     (lambda cfg: cmd_evaluate(cfg, [0, 1], folds=2.5), "folds"),
     (lambda cfg: cmd_evaluate(cfg, [0, 1], kinds=[], folds=4), "kinds"),
+    (lambda cfg: cmd_evaluate(cfg, [0, 1], kinds=[ClassifierKind("dt")] * 2, folds=4), "kinds"),
     (lambda cfg: cmd_compare(cfg, [2], ["information_gain"], folds=150), "folds"),
     (lambda cfg: cmd_stability(cfg, 1, folds=150), "folds"),
     (lambda cfg: cmd_stability(cfg, True, folds=4), "runs"),
@@ -158,11 +159,14 @@ def test_non_integer_index_rejected_before_any_fit(tmp_path, monkeypatch, comman
     (lambda cfg: cmd_curves(cfg, period=2.5), "period"),
     (lambda cfg: cmd_timing(cfg, [[0, 1]], repeats=0), "repeats"),
     (lambda cfg: cmd_timing(cfg, []), "subsets"),
+    (lambda cfg: cmd_timing(cfg, [[0, 1], [1, 0]]), "subsets"),
+    (lambda cfg: cmd_timing(cfg, [[0, 1]], kinds=[ClassifierKind("dt")] * 2), "kinds"),
 ], ids=["compare-rl-size", "compare-ig-size", "compare-random-size", "compare-bool-size", "compare-float-size",
         "compare-repeated-size", "compare-no-sizes", "compare-repeated-method", "compare-no-methods",
         "compare-random-draws", "compare-bool-random-draws", "compare-float-random-draws", "evaluate-subset",
-        "evaluate-folds", "evaluate-float-folds", "evaluate-no-kinds", "compare-folds", "stability-folds",
-        "stability-bool-runs", "curves-bool-period", "curves-float-period", "timing-repeats", "timing-no-subsets"])
+        "evaluate-folds", "evaluate-float-folds", "evaluate-no-kinds", "evaluate-repeated-kind", "compare-folds", "stability-folds",
+        "stability-bool-runs", "curves-bool-period", "curves-float-period", "timing-repeats", "timing-no-subsets",
+        "timing-repeated-subset", "timing-repeated-kind"])
 def test_data_bound_argument_rejected_before_any_fit(tmp_path, monkeypatch, command, field):
     # 12 features, about 120 rows per class
     fits = []

@@ -93,13 +93,15 @@ class TestTrainingRun:
         assert (run.oracle.fit_count, run.oracle.hit_count) == counts
 
     def test_finished_run_keeps_one_network(self):
-        # the select-dt shape: 2000 x 100, RNN H = 256, subset 10. theta1 alone is
-        # 0.75 MiB and the oracle's parts 0.2 MiB; a second network would add 0.75 MiB
+        # the select-dt shape: 2000 x 100, RNN H = 256, subset 10. theta1 alone is 0.75 MiB, and the
+        # oracle keeps only its split's row indices over the run's matrix (16 KiB); a second network
+        # would add 0.75 MiB, and a copy of the matrix's rows in the oracle 0.2 MiB
         cfg = RunConfig(total_episodes=2, warmup_steps=40, batch_size=8, seed=3)
         matrix = load_matrix(cfg)
         run, kept, _ = traced(lambda: run_training(cfg, matrix))
         assert run.train_steps > 0
-        assert kept < 1.25 * 2**20
+        assert kept < 0.9 * 2**20
+        assert run.oracle.matrix is run.matrix is matrix
 
     @pytest.mark.parametrize("learn, sync, episodes", [(2, 3, 4), (1, 100, 5), (3, 2, 9), (4, 4, 8), (5, 1, 6)])
     def test_train_steps_are_the_cadence_summed_over_the_run(self, tmp_path, learn, sync, episodes):

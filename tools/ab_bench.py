@@ -21,8 +21,10 @@ whose output check failed (``correct`` false); a side with either is
 broken, whatever its timings. Then, per end-to-end metric, it gives each
 side's median and quartiles, the change's median over the base's, and the
 share of pairs the change won (ties count for neither side), with the
-better direction read from the base's ``BENCHMARK.json``. Only the
-standard library is used.
+better direction read from the base's ``BENCHMARK.json``. Last, it says
+whether the metric meets the rule for claiming a gain: the change won at
+least 9 in 10 pairs, and its median is better than the base's by more than
+the base's q1-q3 spread. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def lower_is_better(spec: dict) -> dict[str, bool]:
 
 
 def report(runs: dict[str, list[dict]], directions: dict[str, bool]) -> list[str]:
-    """Per metric of the runs: each side's quartiles, the change's median over the base's and its pair wins.
+    """Per metric of the runs: each side's quartiles, the change's median over the base's, its pair wins,
+    and whether those meet the claim rule (9 in 10 pairs won, a median gain above the base's q1-q3 spread).
 
     ``directions`` says per metric whether lower is better (``lower_is_better``).
     """
@@ -93,16 +96,22 @@ def report(runs: dict[str, list[dict]], directions: dict[str, bool]) -> list[str
     lines = [f"{'metric':<{col}}{'side':<8}{'q1':>12}{'median':>12}{'q3':>12}"]
     for name in names:
         values = {side: [r["metrics"][name]["value"] for r in results] for side, results in runs.items()}
-        for side, v in values.items():
-            q1, q2, q3 = statistics.quantiles(v, n=4, method="inclusive")
+        quartiles = {side: statistics.quantiles(v, n=4, method="inclusive") for side, v in values.items()}
+        for side, (q1, q2, q3) in quartiles.items():
             lines.append(f"{name:<{col}}{side:<8}{q1:>12.6g}{q2:>12.6g}{q3:>12.6g}")
         lower = directions[name]
+        pairs = len(values["base"])
         wins = sum((c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"]))
-        base_median = statistics.median(values["base"])
-        ratio = statistics.median(values["change"]) / base_median if base_median else float("nan")
+        (base_q1, base_median, base_q3), change_median = quartiles["base"], quartiles["change"][1]
+        ratio = change_median / base_median if base_median else float("nan")
         better = "lower" if lower else "higher"
-        lines.append(f"{'':<{col}}change/base median {ratio:.4f}; change won {wins}/{len(values['base'])} pairs"
+        lines.append(f"{'':<{col}}change/base median {ratio:.4f}; change won {wins}/{pairs} pairs"
                      f" ({better} is better)")
+        gain = base_median - change_median if lower else change_median - base_median
+        spread = base_q3 - base_q1
+        met = 10 * wins >= 9 * pairs and gain > spread
+        lines.append(f"{'':<{col}}claim rule {'met' if met else 'not met'}: {wins}/{pairs} pairs won (9 in 10"
+                     f" needed), median gain {gain:.6g} against the base's q1-q3 spread {spread:.6g}")
     return lines
 
 
