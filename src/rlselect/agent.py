@@ -117,15 +117,22 @@ def select_action(
 ) -> int:
     """Epsilon-greedy pick over unselected features; greedy uses masked argmax under params.
 
-    A greedy pick's forward unrolls in ``workspace`` when one is given.
+    Both branches check ``state`` with ``net.validate_state``. A uniform pick
+    draws k from ``0..N - len(state) - 1`` and walks the sorted state to the
+    k-th unselected feature. A greedy pick's forward unrolls in ``workspace``
+    when one is given.
     """
     n = params.config.n_features
     if len(state) >= n:
         raise ValueError("state already contains every feature")
     if eps > 0.0 and rng.random() < eps:
-        selected = set(state)
-        choices = [i for i in range(1, n + 1) if i not in selected]
-        return int(choices[rng.integers(0, len(choices))])
+        state = net.validate_state(state, n)
+        pick = int(rng.integers(0, n - len(state))) + 1
+        for i in state:
+            if i > pick:
+                break
+            pick += 1
+        return pick
     return masked_argmax(net.forward(params, state, workspace), state)
 
 
@@ -162,7 +169,7 @@ def ddqn_target(
 def ddqn_targets(
     batch: list[Transition],
     theta1: net.NetworkParams,
-    theta2: net.NetworkParams,
+    theta2: net.NetworkParams | None,
     gamma: float,
     convention: str = "paper",
     workspace: net.Workspace | None = None,
@@ -171,7 +178,8 @@ def ddqn_targets(
 
     Only the non-terminal next states are scored; each row's argmax is masked
     to unselected features, and ties go to the lower index. Both forwards
-    unroll in ``workspace`` when one is given.
+    unroll in ``workspace`` when one is given. At ``gamma = 0`` every target
+    is the reward and neither network is read, so ``theta2`` may be ``None``.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -231,7 +239,7 @@ class AgentConfig:
 def train_step(
     memory: ReplayMemory,
     theta1: net.NetworkParams,
-    theta2: net.NetworkParams,
+    theta2: net.NetworkParams | None,
     opt: net.OptimizerState,
     cfg: AgentConfig,
     rng: np.random.Generator,
@@ -239,7 +247,8 @@ def train_step(
 ) -> net.NetworkParams:
     """One DDQN update: sample a batch, regress Q(prev)[action] onto the targets.
 
-    The targets come from ``ddqn_targets``; one batched BPTT pass gives the
+    The targets come from ``ddqn_targets`` (``theta2`` may be ``None`` at
+    ``gamma = 0``, where they read no network); one batched BPTT pass gives the
     batch's mean gradient, applied as a single optimizer step on the online
     network. The only draw from ``rng`` is the replay sample. The forwards,
     the BPTT pass and the step all write into ``workspace``, or into one new

@@ -20,9 +20,9 @@ above the row read as a binary number, first column most significant: a
 float64 product with powers of two (``_codes``), exact because every sum is
 an integer below 2**53. Such codes are deduped densely when there are no more
 possible codes than entries (mark each code in a boolean array; its running
-count is the inverse), else by one sort (``_dedupe``, the one dedupe, which
-also numbers the lazy grower's child nodes), and the patterns are decoded
-from the distinct codes. Wider entries are packed into bytes behind the set's
+count, int32 while the code space is below 2**31, is the inverse), else by
+one sort (``_dedupe``, the one dedupe, which also numbers the lazy grower's
+child nodes), and the patterns are decoded from the distinct codes. Wider entries are packed into bytes behind the set's
 big-endian bytes and sorted as one ``np.void`` each. ``_unique_rows`` is the
 case of one set of every column.
 
@@ -341,18 +341,24 @@ def _codes(bits: np.ndarray, weight: np.ndarray, high, width: int) -> np.ndarray
     return codes.astype(np.int64)
 
 
+def _index_dtype(n: int) -> type:
+    """The integer type of an index array whose values lie below ``n``: int32 while ``n`` is below 2**31."""
+    return np.int32 if n < 2**31 else np.intp
+
+
 def _dedupe(codes: np.ndarray, n_codes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(distinct codes in ascending order, inverse) of 1-D ``codes``.
 
     Codes in ``0..n_codes-1`` with ``n_codes`` no larger than their number
-    are marked in a boolean array, whose running count is the inverse.
+    are marked in a boolean array, whose running count is the inverse; the
+    count and the inverse are int32 while ``n_codes`` is below 2**31.
     Otherwise (or with no ``n_codes``) they are sorted once, and a code unlike
     the one before it starts a new distinct code.
     """
     if n_codes is not None and n_codes <= codes.size:
         present = np.zeros(n_codes, dtype=bool)
         present[codes] = True
-        rank = np.cumsum(present, dtype=np.intp) - 1
+        rank = np.cumsum(present, dtype=_index_dtype(n_codes)) - 1
         return np.flatnonzero(present), rank[codes]
     order = np.argsort(codes)
     codes = codes[order]
@@ -430,7 +436,8 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     A pattern of a set's fit rows ends in a pure leaf or a leaf of its own, so
     it gets its majority label; the trees of all the sets grow in one
     level-wise pass, only along the paths of the score patterns their fit
-    rows lack.
+    rows lack. Each fit entry's label code (label, then pattern) is int32
+    while the codes stay below 2**31, as is ``_dedupe``'s dense inverse.
     """
     n_fit, n_sets = fit_y.size, len(column_sets)
     cols = np.full((n_sets, max(map(len, column_sets))), -1, dtype=np.intp)
@@ -442,7 +449,7 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     # row r of set s is entry r * n_sets + s
     patterns, inverse, pattern_set = _set_patterns(table, cols)
     n_patterns = patterns.shape[0]
-    code = np.repeat(fit_y.astype(np.intp), n_sets)
+    code = np.repeat(fit_y.astype(_index_dtype(2 * n_patterns)), n_sets)  # label * n_patterns + pattern
     code *= n_patterns
     code += inverse[: n_fit * n_sets]
     w0, w1 = np.bincount(code, minlength=2 * n_patterns).reshape(2, -1)

@@ -41,9 +41,10 @@ A ``Workspace`` holds every array that a forward pass, a BPTT pass and an
 optimizer step write: the tapes, each step's gates and temporaries, and the
 gradients. An array needed one step at a time is held once: the input
 projection is one step's, and the optimizer step's scratch reuses the buffer
-of the pre-activation gradients. The caller owns it: a training run makes one,
-passes it to the target forwards, the BPTT pass and the step of every train
-step, and drops it when the run finishes. A call given none makes a new
+of the pre-activation gradients, and the RNN keeps no per-step cache beside
+its tape of h: its tanh is the h it writes. The caller owns it: a training
+run makes one, passes it to the target forwards, the BPTT pass and the step
+of every train step, and drops it when the run finishes. A call given none makes a new
 workspace for itself, so there is one code path. Each buffer grows to the
 largest size it has been asked for and never shrinks. It exists because arrays
 of a batch's size, made and freed on every call, are handed back to the system
@@ -197,15 +198,16 @@ def _tokens(config: NetworkConfig, states) -> tuple[np.ndarray, np.ndarray]:
     return tokens, np.arange(tokens.shape[1]) < lengths[:, None]
 
 
-# Per-step (B, H) arrays each cell keeps on its tape for BPTT.
-_CACHED = {"rnn": 1, "gru": 3, "lstm": 5}
+# Per-step (B, H) arrays a GRU or LSTM cell keeps on its tape for BPTT; the RNN reads its tanh off h.
+_CACHED = {"gru": 3, "lstm": 5}
 
 
 class Workspace:
     """The arrays that forward passes, BPTT passes and optimizer steps write, kept between calls.
 
     Names are buffers, not roles: two arrays whose lifetimes never overlap
-    share one name (the optimizer step writes into BPTT's ``d``).
+    share one name (the optimizer step writes into BPTT's ``d``). An RNN's
+    passes make no ``cache`` buffer: their tape of h serves BPTT.
 
     ``array(name, shape)`` returns a C-contiguous float64 view at the start of
     the named buffer. A buffer grows to the largest size it has been asked
@@ -234,9 +236,11 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Wor
     the constant 0.0, which has the bits of a zero matrix times ``w_h``. A
     masked step (past the row's length) keeps that row's h and c. Every array
     is a view into ``ws``. The tape holds the embedded tokens, h entering each
-    step in one (T, B, H) array, GRU's r * h and LSTM's c in another, each
-    step's cell cache in one (T, K, B, H) array, and each step's mask
-    (``None`` when no row is masked).
+    step in one (T, B, H) array and the final h, GRU's r * h and LSTM's c in
+    another, each GRU or LSTM step's cell cache in one (T, K, B, H) array,
+    and each step's mask (``None`` when no row is masked). The RNN keeps no
+    cache: it writes tanh straight into the h it leaves, where ``_bptt``
+    reads it back.
     """
     cfg = params.config
     hd, cell = cfg.hidden_dim, cfg.cell
@@ -251,7 +255,7 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Wor
     if cell != "rnn":
         carry = ws.array("carry", (steps, rows, hd))
         carry[0] = 0.0
-    cache = ws.array("cache", (steps, _CACHED[cell], rows, hd))
+    cache = None if cell == "rnn" else ws.array("cache", (steps, _CACHED[cell], rows, hd))
     keep = mask.T[:, :, None]
     masks = [None if m.all() else m for m in keep]
     hold = None if masks[-1] is None else ~keep  # a row masked at any step is masked at the last
@@ -263,11 +267,9 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Wor
         xa += b
         h = hs[t]
         h_new = hs[t + 1] if t + 1 < steps else h_last
-        if cell == "rnn":
-            u = cache[t, 0]
-            np.add(xa, np.matmul(h, w_h, out=rec) if t else 0.0, out=u)
-            np.tanh(u, out=u)
-            np.copyto(h_new, u)
+        if cell == "rnn":  # tanh is written into the tape's h
+            np.add(xa, np.matmul(h, w_h, out=rec) if t else 0.0, out=h_new)
+            np.tanh(h_new, out=h_new)
         elif cell == "gru":
             z, r, n = cache[t]
             if t:
@@ -301,7 +303,7 @@ def _unroll(params: NetworkParams, tokens: np.ndarray, mask: np.ndarray, ws: Wor
                 np.copyto(c_new, c, where=hold[t])
         if m is not None:
             np.copyto(h_new, h, where=hold[t])
-    return h_last, (x, hs, carry, cache, masks, hold)
+    return h_last, (x, hs, h_last, carry, cache, masks, hold)
 
 
 def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray, ws: Workspace) -> dict[str, np.ndarray]:
@@ -310,16 +312,19 @@ def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray, ws: W
     Each step's pre-activation gradient fills its slice of one (T, B, G*H)
     array. A masked step's slice is zero, and it passes dh (and dc) through
     unchanged. Step 0 runs no GEMM: the gradient of h0 is not needed, and
-    GRU's r-gate gradient there is a product with h0 = 0. Weight gradients
-    are one GEMM over all (step, row) pairs, step 0 included; the embedding
-    gradient scatters with ``np.add.at`` because token 0 (BOS, and padding)
-    repeats in every row. Every array, ``dh`` included, is a view into
-    ``ws``, and ``dh`` is overwritten.
+    GRU's r-gate gradient there is a product with h0 = 0. The RNN's 1 - tanh^2
+    is 1 - h^2 of the h its step left on the tape. A masked row's h is the one
+    it kept, not its tanh output, but that row's slice is multiplied by 0 and
+    1 - x^2 >= 0 in both forms, so every bit is the same, zeros' signs
+    included. Weight gradients are one GEMM over all (step, row) pairs, step
+    0 included; the embedding gradient scatters with ``np.add.at`` because
+    token 0 (BOS, and padding) repeats in every row. Every array, ``dh``
+    included, is a view into ``ws``, and ``dh`` is overwritten.
     """
     hd = params.config.hidden_dim
     cell = params.config.cell
     w_x, w_h = params.tensors["w_x"], params.tensors["w_h"]
-    x, hs, carry, cache, masks, hold = tape
+    x, hs, h_last, carry, cache, masks, hold = tape
     d = ws.array("d", (*hs.shape[:2], w_h.shape[1]))
     dh_prev, s = ws.array("dh_prev", dh.shape), ws.array("s", dh.shape)
     if cell == "gru":
@@ -329,8 +334,8 @@ def _bptt(params: NetworkParams, tokens: np.ndarray, tape, dh: np.ndarray, ws: W
         dc[...] = 0.0
     for t in reversed(range(len(d))):
         dpre, h_prev, m = d[t], hs[t], masks[t]
-        if cell == "rnn":
-            np.subtract(1.0, np.square(cache[t, 0], out=s), out=s)
+        if cell == "rnn":  # 1 - tanh^2 from the h the step left
+            np.subtract(1.0, np.square(hs[t + 1] if t + 1 < len(d) else h_last, out=s), out=s)
             np.multiply(dh, s, out=dpre)
         elif cell == "gru":
             z, r, n = cache[t]

@@ -52,10 +52,13 @@ class TrainingRun:
     each of which checks what it is given. Their ``ValueError`` becomes a
     ``ConfigError`` that names the config path, before any fit.
 
-    ``finish()`` drops what only train steps read, the network workspace and
-    the target network ``theta2``: a finished run holds ``theta1``, the
-    oracle and the report, beside its replay and episode records, and takes
-    no more episodes.
+    The target network ``theta2`` exists only when ``gamma > 0``: at
+    ``gamma = 0`` every DDQN target is the reward (``agent.ddqn_targets``
+    reads no network), so the run builds none and a sync episode copies
+    nothing. ``finish()`` drops what only train steps read, the network
+    workspace and ``theta2``: a finished run holds ``theta1``, the oracle and
+    the report, beside its replay and episode records, and takes no more
+    episodes.
     """
 
     def __init__(self, config: RunConfig, matrix: SampleMatrix | None = None):
@@ -69,7 +72,8 @@ class TrainingRun:
             config.classifier, matrix, sub_seed(config.seed, "oracle"), fit_fraction=config.oracle_fit_fraction,
         ))
         self.theta1 = net.init(config.network_config(n), sub_seed(config.seed, "init"))
-        self.theta2: net.NetworkParams | None = self.theta1.copy()  # the DDQN target network; dropped by finish()
+        # the DDQN target network, read only at gamma > 0; dropped by finish()
+        self.theta2 = self.theta1.copy() if self.agent.gamma > 0 else None
         self.optimizer = config.optimizer_state()
         self.replay = ReplayMemory(config.replay_capacity)
         self.workspace: net.Workspace | None = net.Workspace()  # the train steps' arrays; dropped by finish()
@@ -140,6 +144,7 @@ class TrainingRun:
         """The next training episode, its due train steps and target sync; returns its record.
 
         A finished run (``report`` set) takes no more episodes: it holds no target network.
+        A sync is a copy into ``theta2``, so a run at ``gamma = 0`` makes none.
         """
         if self.report is not None:
             raise RuntimeError(f"the run is finished after {len(self.episodes)} episodes; it takes no more")
@@ -154,7 +159,7 @@ class TrainingRun:
                     agent.train_step(self.replay, self.theta1, self.theta2, self.optimizer, settings, self.rng, self.workspace)
                 self.train_step_s += time.perf_counter() - t_step
                 self.train_steps += due
-            if settings.sync_due(number):
+            if settings.sync_due(number) and self.theta2 is not None:
                 net.sync(self.theta1, self.theta2)
         except Exception as exc:
             raise RuntimeError(f"training failed at episode {number}: {exc}") from exc

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlselect import net
 from rlselect.agent import (
@@ -188,6 +190,34 @@ class TestSelectAction:
         for count in counts.values():
             assert abs(count - expect) <= 3 * sigma
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_uniform_pick_equals_indexing_the_unselected_list(self, data):
+        # the walk to the k-th unselected feature takes the one draw that indexed the list of them
+        n = data.draw(st.integers(1, 40))
+        state = tuple(sorted(data.draw(st.sets(st.integers(1, n), max_size=n - 1))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        params = net.init(NetworkConfig.for_features(n, 2, 2, "rnn"), 0)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        reference.random()  # the epsilon draw
+        choices = [i for i in range(1, n + 1) if i not in state]
+        assert select_action(state, 1.0, params, rng) == choices[reference.integers(0, len(choices))]
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("state, message", [
+        ((5, 5, 200), "sorted strictly ascending"),
+        ((3, 1), "sorted strictly ascending"),
+        ((0, 4), "state index 0 outside 1..100"),
+        ((7, 200), "state index 200 outside 1..100"),
+        ((2.5,), "not an integer"),
+        ((True, 4), "not an integer"),
+    ])
+    def test_uniform_pick_checks_its_state_like_a_greedy_pick(self, state, message):
+        params = net.init(NetworkConfig.for_features(100, 2, 2, "rnn"), 0)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match=message):
+                select_action(state, eps, params, np.random.default_rng(0))
+
 
 class TestDdqnTarget:
     def test_terminal_returns_reward(self):
@@ -363,6 +393,30 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_select_dt_train_step_workspace_keeps_no_rnn_cache(self):
+        # the select-dt shape: 100 features, E = 8, RNN H = 256, batches of 32, subset 10, gamma 0.
+        # Its buffers: the h tape and BPTT's pre-activation gradients (10 x 32 x 256 each, 640 KiB),
+        # the recurrent and output weight gradients (512 + 200 KiB), seven (32, 256) step arrays
+        # (448 KiB) and small ones, 2.47 MiB in all; a per-step tanh cache beside the h tape
+        # would add another 640 KiB
+        rng = np.random.default_rng(3)
+        memory = ReplayMemory(1000)
+        for _ in range(10):
+            picks = (rng.permutation(100)[:10] + 1).tolist()
+            for t in range(10):
+                prev, nxt = tuple(sorted(picks[:t])), tuple(sorted(picks[: t + 1]))
+                memory.push(Transition(prev, picks[t], float(rng.random()), nxt, t == 9))
+        theta1 = net.init(NetworkConfig.for_features(100, 8, 256, "rnn"), 1)
+        opt = OptimizerState(total_steps=1000, base_rate=1e-3)
+        cfg = AgentConfig(subset_size=10, total_episodes=10, batch_size=32, gamma=0.0)
+        workspace, step_rng = net.Workspace(), np.random.default_rng(5)
+        for _ in range(4):
+            train_step(memory, theta1, None, opt, cfg, step_rng, workspace)
+        buffers = workspace._buffers
+        assert "cache" not in buffers
+        assert buffers["hs"].size == 10 * 32 * 256  # every batch held a state of nine picks
+        assert sum(buf.nbytes for buf in buffers.values()) < 2.75 * 2**20
 
 
 class TestAgentConfig:

@@ -801,6 +801,23 @@ class TestHoldoutAccuracy:
             assert np.array_equal(packed_patterns, patterns)
             assert np.array_equal(packed_inverse, inverse.ravel())
 
+    @staticmethod
+    def check_dense_inverses(spy):
+        # a dense dedupe numbers its codes in int32 (the code space is far below 2**31); the numbers
+        # equal the intp ones of the sort branch. Returns the number of dense calls checked
+        dense = [call.args for call in spy.call_args_list if len(call.args) == 2 and call.args[1] <= call.args[0].size]
+        for codes, n_codes in dense:
+            distinct, inverse = classifiers._dedupe(codes, n_codes)
+            sorted_distinct, sorted_inverse = classifiers._dedupe(codes)
+            assert (inverse.dtype, sorted_inverse.dtype) == (np.int32, np.intp)
+            assert np.array_equal(distinct, sorted_distinct)
+            assert np.array_equal(inverse, sorted_inverse)
+        return len(dense)
+
+    def test_index_arrays_widen_past_int32(self):
+        assert classifiers._index_dtype(2**31 - 1) is np.int32
+        assert classifiers._index_dtype(2**31) is np.intp
+
     @pytest.mark.parametrize("widths, n_rows, branch", [
         ((3, 1, 5), 60, "dense"),  # 3 sets x 2**5 codes for 3 x 60 entries
         ((0,), 8, "dense"),
@@ -824,6 +841,7 @@ class TestHoldoutAccuracy:
         codes, *n_codes = spy.call_args_list[0].args  # the encoder's; the grower's follow
         taken = "void" if not n_codes else "dense" if n_codes[0] <= codes.size else "sort"
         assert taken == branch
+        assert self.check_dense_inverses(spy) >= (branch == "dense")
         assert got == [eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets]
 
     def test_grower_dedupe_takes_both_branches_on_a_select_dt_pass(self):
@@ -837,6 +855,7 @@ class TestHoldoutAccuracy:
             got = _lazy_tree_predict(fit_part.X, fit_part.y, score_part.X, sets)
         grower = [call.args for call in spy.call_args_list[1:]]  # the first call is the encoder's
         assert {"dense" if n_codes <= codes.size else "sort" for codes, n_codes in grower} == {"dense", "sort"}
+        assert self.check_dense_inverses(spy) >= 2  # the encoder's and the grower's first levels
         for s, c in enumerate(sets):
             clf = fit(self.dt, project(fit_part, c), 0)
             assert np.array_equal(got[s], predict(clf, project(score_part, c).X))

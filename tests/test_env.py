@@ -347,6 +347,21 @@ class TestPassMemory:
         assert peak < 1.25 * 2**20
         assert oracle.fit_count == 10
 
+    def test_select_dt_warm_up_shape(self):
+        # a select-dt warm-up's one pass: seven episodes of nested states, 70 sets of widths 1-10 over
+        # 2000 rows (140k entries). It peaks near 3.0 MiB; with intp dedupe inverses and label codes
+        # (8 bytes an entry, not 4) it peaked near 4.0 MiB
+        matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
+        rng = np.random.default_rng(3)
+        subsets = []
+        for _ in range(7):
+            order = (rng.permutation(100)[:10] + 1).tolist()
+            subsets += [tuple(sorted(order[:k])) for k in range(1, 11)]
+        oracle = RewardOracle(self.dt, matrix, seed=1)
+        peak = traced(lambda: oracle.score(subsets))[2]
+        assert (oracle.fit_count, oracle.pass_count) == (70, 1)
+        assert peak < 3.5 * 2**20
+
     def test_an_oracle_keeps_its_split_as_row_indices(self):
         # its fit and score parts as copies would keep 195 KiB; 2000 row indices are 16 KiB
         matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)

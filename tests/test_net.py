@@ -1,5 +1,6 @@
 import itertools
 import json
+import zlib
 from contextlib import contextmanager
 from unittest import mock
 
@@ -121,7 +122,7 @@ class TestBackward:
     @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
     @pytest.mark.parametrize("head", ["linear", "softmax"])
     def test_matches_finite_differences(self, cell, head):
-        rng = np.random.default_rng(hash((cell, head)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{cell}/{head}".encode()))  # the same seed in every process
         for trial in range(5):
             cfg = small_config(rng, cell, head)
             params = net.init(cfg, int(rng.integers(0, 10_000)))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from rlselect import classifiers, harness
+from rlselect import classifiers, harness, net
 from rlselect.config import RunConfig, load_matrix
 from rlselect.dataset import SyntheticSpec, generate_synthetic, save_csv
 from rlselect.run import TrainingRun, run_training, sub_seed
@@ -76,6 +76,21 @@ class TestTrainingRun:
         assert run.train_steps > 0
         assert run.workspace is None
         assert run.theta2 is None
+
+    def test_a_run_at_gamma_zero_builds_no_target_network(self, tmp_path):
+        # every DDQN target at gamma = 0 is the reward, so nothing reads theta2;
+        # sync_frequency 3 makes episode 3 a sync episode, and it copies nothing
+        cfg = tiny_config(tmp_path, gamma=0.0)
+        run = TrainingRun(cfg)
+        assert run.theta2 is None
+        run.warm_up()
+        with mock.patch.object(net, "sync", wraps=net.sync) as sync:
+            for _ in range(cfg.total_episodes):
+                run.episode()
+        assert cfg.agent_config().sync_due(3)
+        assert sync.call_count == 0
+        assert run.theta2 is None
+        assert run.train_steps > 0
 
     def test_finished_run_takes_no_more_episodes(self, tmp_path):
         run = run_training(tiny_config(tmp_path, gamma=0.5))

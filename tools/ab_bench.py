@@ -21,10 +21,14 @@ whose output check failed (``correct`` false); a side with either is
 broken, whatever its timings. Then, per end-to-end metric, it gives each
 side's median and quartiles, the change's median over the base's, and the
 share of pairs the change won (ties count for neither side), with the
-better direction read from the base's ``BENCHMARK.json``. Last, it says
+better direction read from the base's ``BENCHMARK.json``. Then it says
 whether the metric meets the rule for claiming a gain: the change won at
 least 9 in 10 pairs, and its median is better than the base's by more than
-the base's q1-q3 spread. Only the standard library is used.
+the base's q1-q3 spread. Last, it gives how much worse the change's median
+is, as a share of the base's median (negative when it is better), against
+the metric's ``bound`` in the base's ``BENCHMARK.json``, and whether it is
+within that bound (a share equal to the bound is). Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -85,11 +89,18 @@ def lower_is_better(spec: dict) -> dict[str, bool]:
     return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
 
-def report(runs: dict[str, list[dict]], directions: dict[str, bool]) -> list[str]:
-    """Per metric of the runs: each side's quartiles, the change's median over the base's, its pair wins,
-    and whether those meet the claim rule (9 in 10 pairs won, a median gain above the base's q1-q3 spread).
+def bounds(spec: dict) -> dict[str, float]:
+    """Per end-to-end metric of a parsed ``BENCHMARK.json``: how much worse, as a share of the base, a change may be."""
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    ``directions`` says per metric whether lower is better (``lower_is_better``).
+
+def report(runs: dict[str, list[dict]], directions: dict[str, bool], limits: dict[str, float]) -> list[str]:
+    """Per metric of the runs: each side's quartiles, the change's median over the base's, its pair wins,
+    whether those meet the claim rule (9 in 10 pairs won, a median gain above the base's q1-q3 spread),
+    and whether the change's median is within the metric's no-regression bound.
+
+    ``directions`` says per metric whether lower is better (``lower_is_better``), and ``limits`` gives
+    its bound (``bounds``).
     """
     names = list(runs["base"][0]["metrics"])
     col = max(map(len, names)) + 2
@@ -112,6 +123,11 @@ def report(runs: dict[str, list[dict]], directions: dict[str, bool]) -> list[str
         met = 10 * wins >= 9 * pairs and gain > spread
         lines.append(f"{'':<{col}}claim rule {'met' if met else 'not met'}: {wins}/{pairs} pairs won (9 in 10"
                      f" needed), median gain {gain:.6g} against the base's q1-q3 spread {spread:.6g}")
+        loss = change_median - base_median if lower else base_median - change_median  # not -gain, which reads a tie as -0
+        worse = loss / base_median if base_median else float("nan")
+        within = worse <= limits[name]
+        lines.append(f"{'':<{col}}no-regression bound {'kept' if within else 'broken'}: change median worse by"
+                     f" {worse:.4f} of the base's, bound {limits[name]:g}")
     return lines
 
 
@@ -136,7 +152,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(workloads) - {w["name"] for w in spec["workloads"]})
     if unknown:
         parser.error(f"--workload: {', '.join(unknown)} not in the base's BENCHMARK.json")
-    directions = lower_is_better(spec)
+    directions, limits = lower_is_better(spec), bounds(spec)
     for workload in workloads:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(args.pairs):
@@ -147,7 +163,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): run_s base {pair['base']}"
                   f" change {pair['change']}", file=sys.stderr, flush=True)
         print(f"{workload} seed {args.seed}, {args.seconds:g} s a run, {args.pairs} pairs")
-        print("\n".join(outcomes(runs) + report(runs, directions)), flush=True)
+        print("\n".join(outcomes(runs) + report(runs, directions, limits)), flush=True)
     return 0
 
 
