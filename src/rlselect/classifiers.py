@@ -69,18 +69,28 @@ never builds a tree, and each accuracy is exactly that of ``fit`` +
 * In unbounded CART on binary patterns every leaf is pure or holds a single
   pattern, so a scored row whose pattern occurs in the fit part gets that
   pattern's majority label (ties to benign).
-* For the unseen patterns it runs the same grower with only those patterns
-  as queries, so only the nodes on their paths are grown (a lazy decision
-  tree), and every split choice is the one ``fit`` makes.
+* The unseen patterns follow only the nodes on their paths (a lazy
+  decision tree), and every split choice is the one ``fit`` makes.
 * A pass gathers from the fit and score parts only the columns its sets
   use, the fit rows stacked on the score rows, and renumbers the sets onto
   them; nothing else keeps a copy of the parts. ``_set_patterns`` reads that
-  table: one small GEMM gives every (row, set) code, all the codes are
-  deduped at once, and the lazy trees of the sets grow in one level-wise
-  pass, one root per set. A narrower set ends in zero bits, which never
-  separate a node. A pass holds at most ``_PASS_ENTRIES`` (row, set)
-  entries, so a long list of sets is scored in several passes of
-  consecutive sets, each with bounded memory.
+  table: one small GEMM gives every (row, set) code, and all the codes are
+  deduped at once. A narrower set ends in zero bits, which never separate a
+  node. A pass holds at most ``_PASS_ENTRIES`` (row, set) entries, so a long
+  list of sets is scored in several passes of consecutive sets, each with
+  bounded memory.
+* The sets with unseen patterns are taken in order, in runs whose union
+  holds at most ``_TABLE_COLUMNS`` (10) columns (``_table_runs``). For each
+  run, ``_subcube_counts`` counts the fit rows of each label in all 3**U
+  subcubes of the union (a column fixed to 0 or 1, or free), one run's
+  table at a time, and ``_walk_subcubes`` walks the run's unseen patterns
+  down together, level by level: a node's counts and its children's are
+  gathers, and the candidates go through ``_child_impurity`` as in the
+  grower. (Counting every subcube once is the cached sufficient statistics
+  of ADtrees, Moore & Lee, JAIR 1998.)
+* A set wider than ``_TABLE_COLUMNS`` keeps the level-wise grower, with its
+  unseen patterns as queries: the lazy trees of all such sets of a pass
+  grow in one ``_grow_levels`` call, one root per set.
 """
 
 from __future__ import annotations
@@ -325,6 +335,87 @@ _CODE_BITS = 53  # a float64 sum of distinct powers of two below 2**53 is an exa
 # (row, set) entries of one lazy-tree pass: a select-dt warm-up of 70 states over 2000 rows
 # (140k) is one pass, and a paper-scale warm-up is many passes of this size, never one
 _PASS_ENTRIES = 1 << 18
+# columns of a run's subcube-count table: 3**10 subcubes, two uint16 label counts each (231 KiB)
+_TABLE_COLUMNS = 10
+_WALK_CELLS = 1 << 11  # (query, column) cells of one subcube walk
+
+
+def _subcube_counts(bits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(2, 3**U) label counts of the rows of ``bits`` (n, U) in every subcube of their columns.
+
+    Digit j of a subcube's ternary code, first column most significant, is 0
+    or 1 where the subcube fixes column j to that bit and 2 where it leaves
+    the column free. The 2**U binary histogram becomes the table one column
+    at a time, last column first: a contiguous concatenation along the last
+    axis of the bit-0 counts and twice the bit-1 counts, the bit-0 counts then
+    added in place to the second copy, so the sum needs no temporary. The
+    counts are uint16 while there are fewer than 2**16 rows, else int32.
+    """
+    n, width = bits.shape
+    code = y.astype(np.intp) << width
+    code += bits @ (1 << np.arange(width - 1, -1, -1))
+    table = np.bincount(code, minlength=2 << width).astype(np.uint16 if n < 2**16 else np.int32)
+    table = table.reshape(-1, 1)  # rows: (label, the binary columns not yet made ternary)
+    for _ in range(width):
+        pair = table.reshape(-1, 2, table.shape[1])
+        table = np.concatenate([pair[:, 0], pair[:, 1], pair[:, 1]], axis=1)
+        table[:, 2 * pair.shape[2] :] += pair[:, 0]
+    return table
+
+
+def _walk_subcubes(counts: np.ndarray, free: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The leaf label of each query in its set's CART tree, read off a ``_subcube_counts`` table.
+
+    Query q is a pattern of one set over the table's U columns: ``free[q]``
+    marks its set's columns and ``bits[q]`` holds its bits there. Its tree's
+    root is the subcube with every column free (code 3**U - 1), and the
+    queries walk down together, one level per pass. A node's label counts are
+    one gather, and its bit-1 child on column j is its code minus 3**(U-1-j).
+    The candidates are the set's columns the path has not fixed; the counts
+    of every other column are zeroed, so they never separate the node. The
+    float64 counts go through ``_child_impurity`` as in ``_best_splits``, and
+    the first candidate of least value wins, so each label is the one ``fit``
+    gives on the set's columns.
+    """
+    if free.size > _WALK_CELLS:  # a few hundred queries at a time keep a level's float temporaries small
+        size = _WALK_CELLS // free.shape[1]
+        return np.concatenate([
+            _walk_subcubes(counts, free[i : i + size], bits[i : i + size]) for i in range(0, free.shape[0], size)
+        ])
+    free = free.copy()
+    step = 3 ** np.arange(free.shape[1] - 1, -1, -1)
+    node = np.full(free.shape[0], 2 * step.sum())
+    rows = np.arange(free.shape[0])
+    while True:
+        tot0, tot1 = counts[:, node]
+        free &= ((tot0 > 0) & (tot1 > 0))[:, None]  # a pure node is a leaf
+        right = counts[:, node[:, None] - step]  # a fixed column's code is no child; zeroed here
+        right *= free
+        r0, r1 = right.astype(np.float64)
+        l0 = tot0.astype(np.float64)[:, None] - r0
+        l1 = tot1.astype(np.float64)[:, None] - r1
+        valid = ((l0 + l1) > 0) & ((r0 + r1) > 0)
+        split = valid.any(axis=1)
+        if not split.any():  # every query sits on its leaf
+            return (tot1 > tot0).astype(np.uint8)
+        n = (tot0 + tot1).astype(np.float64)[:, None]
+        best = np.argmin(_child_impurity(l0, l1, r0, r1, n, valid), axis=1)
+        node -= (2 - bits[rows, best]) * step[best] * split
+        free[rows, best] &= ~split
+
+
+def _table_runs(cols: np.ndarray, sets: np.ndarray) -> list[np.ndarray]:
+    """``sets`` in order, cut into runs whose union of columns in ``cols`` has at most ``_TABLE_COLUMNS`` columns."""
+    runs, union = [], set()
+    for s in sets.tolist():
+        c = cols[s][cols[s] >= 0].tolist()
+        if runs and len(union.union(c)) <= _TABLE_COLUMNS:
+            union.update(c)
+            runs[-1].append(s)
+        else:
+            runs.append([s])
+            union = set(c)
+    return [np.array(run) for run in runs]
 
 
 def _codes(bits: np.ndarray, weight: np.ndarray, high, width: int) -> np.ndarray:
@@ -434,10 +525,12 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     they come after the real columns, so they never win a tie.
 
     A pattern of a set's fit rows ends in a pure leaf or a leaf of its own, so
-    it gets its majority label; the trees of all the sets grow in one
-    level-wise pass, only along the paths of the score patterns their fit
-    rows lack. Each fit entry's label code (label, then pattern) is int32
-    while the codes stay below 2**31, as is ``_dedupe``'s dense inverse.
+    it gets its majority label. The score patterns their fit rows lack walk
+    a subcube-count table per run of sets (``_table_runs``), and those of
+    sets wider than ``_TABLE_COLUMNS`` grow in one level-wise pass, only
+    along their paths. Each fit entry's label code (label, then pattern) is
+    int32 while the codes stay below 2**31, as is ``_dedupe``'s dense
+    inverse.
     """
     n_fit, n_sets = fit_y.size, len(column_sets)
     cols = np.full((n_sets, max(map(len, column_sets))), -1, dtype=np.intp)
@@ -458,12 +551,30 @@ def _lazy_tree_predict(fit_X: np.ndarray, fit_y: np.ndarray, score_X: np.ndarray
     if not seen.all():
         grow = np.zeros(n_sets, dtype=bool)
         grow[pattern_set[~seen]] = True
-        root = np.cumsum(grow) - 1  # tree t is the t-th set that has an unseen pattern
-        ids, unseen = np.flatnonzero(seen & grow[pattern_set]), np.flatnonzero(~seen)
-        labels[unseen] = _grow_levels(
-            patterns, ids, w0[ids], w1[ids], root[pattern_set[ids]],
-            queries=(patterns[unseen], root[pattern_set[unseen]]),
-        )[0]
+        wide = grow & (live.sum(axis=1) > _TABLE_COLUMNS)
+        for run in _table_runs(cols, np.flatnonzero(grow & ~wide)):
+            mark = np.zeros(used.size, dtype=bool)
+            mark[cols[run][live[run]]] = True
+            union = np.flatnonzero(mark)
+            in_run = np.full(n_sets, -1)
+            in_run[run] = np.arange(run.size)
+            unseen = np.flatnonzero(~seen & (in_run[pattern_set] >= 0))
+            # each query's set columns placed on the union, -1 past the set's end
+            place = np.where(live[run], np.cumsum(mark)[cols[run]] - 1, -1)[in_run[pattern_set[unseen]]]
+            q, at = np.nonzero(place >= 0)
+            free = np.zeros((unseen.size, union.size), dtype=bool)
+            bits = np.zeros((unseen.size, union.size), dtype=np.uint8)
+            free[q, place[q, at]] = True
+            bits[q, place[q, at]] = patterns[unseen[q], at]
+            labels[unseen] = _walk_subcubes(_subcube_counts(table[:n_fit, union], fit_y), free, bits)
+        if wide.any():
+            root = np.cumsum(wide) - 1  # tree t is the t-th wide set that has an unseen pattern
+            ids = np.flatnonzero(seen & wide[pattern_set])
+            unseen = np.flatnonzero(~seen & wide[pattern_set])
+            labels[unseen] = _grow_levels(
+                patterns, ids, w0[ids], w1[ids], root[pattern_set[ids]],
+                queries=(patterns[unseen], root[pattern_set[unseen]]),
+            )[0]
     return labels[inverse[n_fit * n_sets:]].reshape(-1, n_sets).T
 
 

@@ -41,12 +41,17 @@ class RewardOracle:
     access, so the parts exist only while a scoring call runs. A decision-tree
     reward is exact but grows no tree: each pass reads from the fit and score
     parts only the columns its misses use. Scored rows whose pattern occurs in
-    the fit part get its majority label, and the trees of all the misses are
-    grown lazily, together, level by level, only along the paths of the unseen
-    patterns. Each reward is then returned from the memo through ``__call__``,
-    which reads both counts off the memo after every request: ``fit_count`` is
-    the number of memoized subsets (the memo never evicts) and ``hit_count``
-    the requests beyond them, as one call per subset would give.
+    the fit part get its majority label, and the trees of the misses are
+    followed lazily, only along the paths of the unseen patterns: the misses
+    are taken in order, in runs whose union holds at most 10 columns, and
+    each run's unseen patterns walk one table of the fit part's label counts
+    in every subcube of that union, level by level. A miss wider than 10
+    columns keeps the level-wise grower, which grows the trees of all such
+    misses of a pass together. Each reward is then returned from the memo
+    through ``__call__``, which reads both counts off the memo after every
+    request: ``fit_count`` is the number of memoized subsets (the memo never
+    evicts) and ``hit_count`` the requests beyond them, as one call per
+    subset would give.
     ``miss_seconds`` sums the wall time of the batched passes and
     ``pass_count`` counts them: a decision-tree pass holds at most
     ``classifiers.sets_per_pass`` misses, and the other kinds make one fit per

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -736,6 +737,54 @@ def holdout_parts(draw, widths=st.integers(1, 12)):
     return part(30), part(15)
 
 
+@st.composite
+def dt_passes(draw):
+    """(fit part, score part, column sets) of one batched DT pass over at most 12 columns.
+
+    The sets mix nested chains (prefixes of one column order), unrelated sets
+    and repeats, so the union of a run of sets reaches past the subcube
+    table's 10 columns (the run breaks) and a set may be wider than it (the
+    level-wise grower). The fit rows come from a small pool, possibly of one
+    pattern, and hold both labels: random ones, or one label per pool row
+    (every seen pattern pure). One column may copy another, so impurities tie.
+    The score rows mix pool rows with free rows, seen and unseen.
+    """
+    width = draw(st.integers(0, 12) | st.sampled_from([10, 11, 12]))
+    bits = st.integers(0, 1)
+    pool = draw(arrays(np.uint8, (draw(st.integers(1, 8)), width), elements=bits, fill=st.nothing()))
+    if width >= 2 and draw(st.booleans()):
+        source, copy = draw(st.permutations(range(width)))[:2]
+        pool[:, copy] = pool[:, source]
+    picks = draw(arrays(np.intp, draw(st.integers(2, 40)), elements=st.integers(0, pool.shape[0] - 1)))
+    if pool.shape[0] > 1 and draw(st.booleans()):
+        picks[:2] = [0, 1]
+        labels = np.r_[0, 1, draw(arrays(np.uint8, pool.shape[0] - 2, elements=bits))][picks]
+    else:
+        labels = np.r_[0, 1, draw(arrays(np.uint8, picks.size - 2, elements=bits))]
+    free_rows = draw(arrays(np.uint8, (draw(st.integers(1, 12)), width), elements=bits, fill=st.nothing()))
+    score_rows = np.vstack([pool[draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=1, max_size=8))], free_rows])
+    score_labels = draw(arrays(np.uint8, score_rows.shape[0], elements=bits))
+    order = draw(st.permutations(range(width)))
+    sets = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["prefix", "free", "repeat"] if sets else ["prefix", "free"]))
+        if kind == "prefix":
+            sets.append(sorted(order[: draw(st.integers(0, width))]))
+        elif kind == "free":
+            sets.append(sorted(draw(st.permutations(range(width)))[: draw(st.integers(0, width))]))
+        else:
+            sets.append(list(draw(st.sampled_from(sets))))
+    return matrix_from_rows(pool[picks], labels), matrix_from_rows(score_rows, score_labels), sets
+
+
+def eager_accuracies(kind, fit_part, score_part, sets, seed=0):
+    """Per set, the score part's accuracy under ``fit`` + ``predict`` on the set's columns."""
+    return [
+        float(np.mean(predict(fit(kind, project(fit_part, c), seed), project(score_part, c).X) == score_part.y))
+        for c in sets
+    ]
+
+
 class TestHoldoutAccuracy:
     """The lazy decision-tree reward equals eager fit + accuracy, exactly."""
 
@@ -844,13 +893,14 @@ class TestHoldoutAccuracy:
         assert self.check_dense_inverses(spy) >= (branch == "dense")
         assert got == [eager_holdout(self.dt, project(fit_part, c), project(score_part, c)) for c in sets]
 
-    def test_grower_dedupe_takes_both_branches_on_a_select_dt_pass(self):
-        # 2000 x 100 planted matrix, one episode's ten nested sets: the first levels hold
-        # fewer child codes than live queries (dense), the deep ones more (sort)
+    def test_grower_dedupe_takes_both_branches_on_a_wide_pass(self):
+        # 2000 x 100 planted matrix, ten nested sets of widths 11-20, all past the subcube table's
+        # bound, so the level-wise grower takes them: the first levels hold fewer child codes than
+        # live queries (dense), the deep ones more (sort)
         matrix = generate_synthetic(SyntheticSpec(2000, 100, tuple(range(10)), 0.8, 5))
         fit_part, score_part = map(matrix.rows, stratified_split(matrix, SplitKind.holdout(0.2), 1).train_test())
-        order = np.random.default_rng(2).permutation(100)[:10]
-        sets = [sorted(order[:k].tolist()) for k in range(1, 11)]
+        order = np.random.default_rng(2).permutation(100)[:20]
+        sets = [sorted(order[:k].tolist()) for k in range(11, 21)]
         with mock.patch.object(classifiers, "_dedupe", wraps=classifiers._dedupe) as spy:
             got = _lazy_tree_predict(fit_part.X, fit_part.y, score_part.X, sets)
         grower = [call.args for call in spy.call_args_list[1:]]  # the first call is the encoder's
@@ -859,6 +909,44 @@ class TestHoldoutAccuracy:
         for s, c in enumerate(sets):
             clf = fit(self.dt, project(fit_part, c), 0)
             assert np.array_equal(got[s], predict(clf, project(score_part, c).X))
+
+    @settings(max_examples=250, deadline=None)
+    @given(dt_passes())
+    def test_dt_passes_equal_eager_fit_and_predict(self, pass_):
+        # runs of sets up to the subcube table's bound walk its counts, wider sets take the
+        # level-wise grower; neither path warns
+        fit_part, score_part, sets = pass_
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classifiers.holdout_accuracies(self.dt, fit_part, score_part, sets, 0)
+        assert got == eager_accuracies(self.dt, fit_part, score_part, sets)
+
+    def test_a_select_dt_episode_pass_grows_no_level(self):
+        # one episode's ten nested sets over 2000 x 100 are one run of ten columns: one table, no
+        # level-wise growth. A set twelve wide beside them takes the grower, in one call
+        matrix = generate_synthetic(SyntheticSpec(2000, 100, tuple(range(10)), 0.8, 5))
+        fit_part, score_part = map(matrix.rows, stratified_split(matrix, SplitKind.holdout(0.2), 1).train_test())
+        order = np.random.default_rng(2).permutation(100)[:12]
+        episode = [sorted(order[:k].tolist()) for k in range(1, 11)]
+        for sets, grown in ((episode, 0), (episode + [sorted(order.tolist())], 1)):
+            with mock.patch.object(classifiers, "_grow_levels", wraps=classifiers._grow_levels) as grower, \
+                    mock.patch.object(classifiers, "_subcube_counts", wraps=classifiers._subcube_counts) as tables:
+                got = classifiers.holdout_accuracies(self.dt, fit_part, score_part, sets, 0)
+            assert (grower.call_count, tables.call_count) == (grown, 1)
+            assert got == eager_accuracies(self.dt, fit_part, score_part, sets)
+
+    @pytest.mark.parametrize("n_rows, dtype", [(0, np.uint16), (37, np.uint16), (2**16 - 1, np.uint16), (2**16, np.int32)])
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_subcube_counts_equal_masked_row_counts(self, width, n_rows, dtype):
+        rng = np.random.default_rng(width + n_rows)
+        bits = rng.integers(0, 2, size=(n_rows, width), dtype=np.uint8)
+        y = rng.integers(0, 2, size=n_rows)
+        counts = classifiers._subcube_counts(bits, y)
+        assert counts.dtype == dtype and counts.shape == (2, 3**width)
+        for code, digits in enumerate(itertools.product(range(3), repeat=width)):
+            fixed = [j for j in range(width) if digits[j] < 2]
+            rows = np.all(bits[:, fixed] == np.array([digits[j] for j in fixed], dtype=np.uint8), axis=1)
+            assert [counts[label, code] for label in (0, 1)] == [np.sum(rows & (y == label)) for label in (0, 1)]
 
     @pytest.mark.parametrize("seen", ["all", "none"])
     def test_scored_patterns_all_or_none_seen(self, seen):

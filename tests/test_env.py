@@ -362,6 +362,22 @@ class TestPassMemory:
         assert (oracle.fit_count, oracle.pass_count) == (70, 1)
         assert peak < 3.5 * 2**20
 
+    def test_worst_run_at_the_table_bound(self):
+        # ten nested sets over 2000 rows whose union is exactly the subcube table's 10 columns, each
+        # with unseen patterns: the first column is 0 in every fit row and 1 in every score row, so
+        # every score row is unseen in every set (about 700 queries). It peaks near 1.0 MiB
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 2, size=(2000, 100), dtype=np.uint8)
+        order = rng.permutation(100)[:10]
+        X[:1600, order[0]], X[1600:, order[0]] = 0, 1
+        matrix = matrix_from_rows(X, rng.integers(0, 2, size=2000))
+        oracle = RewardOracle.from_parts(self.dt, matrix.rows(np.arange(1600)), matrix.rows(np.arange(1600, 2000)), 1)
+        subsets = [tuple(sorted((order[:k] + 1).tolist())) for k in range(1, 11)]
+        with mock.patch.object(classifiers, "_grow_levels", side_effect=AssertionError):
+            peak = traced(lambda: oracle.score(subsets))[2]
+        assert (oracle.fit_count, oracle.pass_count) == (10, 1)
+        assert peak < 1.25 * 2**20
+
     def test_an_oracle_keeps_its_split_as_row_indices(self):
         # its fit and score parts as copies would keep 195 KiB; 2000 row indices are 16 KiB
         matrix = planted_matrix(seed=5, n=2000, features=100, informative=tuple(range(10)), q=0.8)
